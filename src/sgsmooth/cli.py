@@ -83,8 +83,9 @@ def _parse_sparse_vector(raw, dim):
 
 def _run_config(cfg, seed_override=None):
     mu = _positive(cfg, "run", "mu", float, required=True)
-    kappa_raw = _get(cfg, "run", "kappa", str, default="auto").strip()
-    kappa = "auto" if kappa_raw == "auto" else float(kappa_raw)
+    kappa = _get(cfg, "run", "kappa", str, default="auto").strip()
+    if kappa != "auto":
+        kappa = _get(cfg, "run", "kappa", float)
     seed = _get(cfg, "run", "seed", int, default=0)
     if seed_override is not None:
         seed = seed_override
@@ -183,7 +184,9 @@ class _SvmBundle:
         self.sample_set = problems.SvmSampleSet(feats, labels, rho)
         self.problem = self.sample_set
         self.stream_factory = functools.partial(data.SetSampler, feats, labels)
-        self.w_star = self.sample_set.minimize(oracle_iters)
+        self.oracle_cap = oracle_iters
+        self.certificate = self.sample_set.minimize(oracle_iters, full_output=True)
+        self.w_star = self.certificate.w
         self.oracle = engine.RiskOracle(
             risk=self.sample_set.risk,
             w_star=self.w_star,
@@ -202,11 +205,19 @@ class _SvmBundle:
             f"problem = svm (dim={sset.dim}, rho={sset.rho}, frozen set n={sset.n})",
             f"empirical Tr(R_h) = {sset.trace_second_moment!r}",
             f"||w_star||^2 = {wn2!r} (deterministic full-risk descent)",
+            _certificate_line(self.certificate, self.oracle_cap),
         ]
         lines += _constants_lines("svm", self.constants, mu)
         lines.append(f"tight steady-state excess-risk bound = {tight.bound!r} "
                      f"(alpha = {tight.alpha!r})")
         return lines
+
+
+def _certificate_line(cert, cap):
+    # risk(w_star) exceeds the set's minimum risk by at most the gap
+    relation, verdict = ("<=", "certified") if cert.certified else (">", "not certified")
+    return (f"oracle duality gap = {cert.gap!r} {relation} {problems.ORACLE_GAP_TOL!r} "
+            f"after {cert.iterations} of at most {cap} iterations ({verdict})")
 
 
 def _constants_lines(tag, k, mu):
@@ -371,6 +382,8 @@ def cmd_verify(ns):
     p = bundle.problem
     dim = p.dim
     all_ok = True
+    if bundle.kind == "svm":
+        print(_certificate_line(bundle.certificate, bundle.oracle_cap))
 
     rng = np.random.default_rng(seed + 1)
     viol = theory.verify_subgradient_inequality(

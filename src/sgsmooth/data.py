@@ -292,6 +292,8 @@ def parse_libsvm(text, dim=None):
                 val = float(val_text)
             except ValueError:
                 raise ParseError(f"malformed feature {tok!r}", line=lineno) from None
+            if not math.isfinite(val):
+                raise ParseError(f"non-finite feature value {tok!r}", line=lineno)
             if idx < 1:
                 raise ParseError(f"feature index {idx} must be >= 1", line=lineno)
             if idx <= prev:
@@ -413,6 +415,8 @@ def read_pgm(path):
         raise FormatError("non-numeric PGM header field") from None
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}; only 255 is handled")
+    if width < 2 or height < 2:
+        raise FormatError(f"PGM size {width}x{height} is below the 2x2 minimum")
     expected = width * height
     data = blob[offset : offset + expected]
     if len(data) != expected:

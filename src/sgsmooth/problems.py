@@ -13,6 +13,7 @@ exactly 1.
 
 from dataclasses import dataclass
 from functools import cached_property
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -20,11 +21,31 @@ import numpy as np
 from .errors import NumericError, UnsupportedConfiguration
 
 
+# SvmSampleSet.minimize stops once the duality gap of its tail average is
+# at most ORACLE_GAP_TOL, checked after 250, 500, 1000, ... steps; the gap
+# takes the best of the dual points matched on these margin bands
+ORACLE_GAP_TOL = 1e-7
+_FIRST_GAP_CHECK = 250
+_GAP_BANDS = (1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3)
+
+
 class Sample(NamedTuple):
     """One labelled observation: feature/regression vector and target."""
 
     h: np.ndarray
     gamma: float
+
+
+class MinimizeResult(NamedTuple):
+    """Set minimizer with its certificate: risk(w) - min risk <= gap."""
+
+    w: np.ndarray
+    gap: float
+    iterations: int
+
+    @property
+    def certified(self):
+        return self.gap <= ORACLE_GAP_TOL
 
 
 def soft_threshold(x, delta):
@@ -182,12 +203,55 @@ class SvmSampleSet:
     # engine/theory duck-typing alias
     true_subgradient = subgradient
 
-    def minimize(self, n_iters=100_000):
+    def duality_gap(self, w):
+        """Certified upper bound on risk(w) - min risk, from weak duality.
+
+        The dual of the regularized hinge over alpha in [0, 1]^n is
+        D(alpha) = mean(alpha) - (rho/2) ||u||^2 with u = sum_k alpha_k s_k /
+        (rho n) and s_k = gamma_k h_k, and risk(w) - D(alpha) >= risk(w) -
+        risk(w*) >= 0 for every such alpha.  The dual point matched to w puts
+        alpha_k = 1 below the margin band |margin_k - 1| <= band and 0 above
+        it; on the band a least-squares fit to u = w, clipped to [0, 1],
+        sets the rest.  The best gap over the bands of ``_GAP_BANDS`` is
+        returned.  It is evaluated in the Fenchel-Young form
+        (1/n) sum_k [hinge_k - alpha_k (1 - margin_k)] + (rho/2) ||w - u||^2,
+        which equals risk(w) - D(alpha) and sums nonnegative terms only, so
+        rounding cannot drive it below zero.
+        """
+        w = np.asarray(w, dtype=float)
+        n = self.n
+        rho = self.rho
+        margins = self._signed @ w
+        widest = _GAP_BANDS[-1]
+        below = margins < 1.0 - widest
+        near = ~below & (margins <= 1.0 + widest)
+        # u without the band rows, times rho n; only band rows vary below
+        base = rho * n * w - below @ self._signed_f
+        slack = 1.0 - margins[near]
+        s_near = self._signed[near]
+        best = math.inf
+        for band in _GAP_BANDS:
+            alpha = (slack > band).astype(float)
+            on = np.abs(slack) <= band
+            if on.any():
+                coef = np.linalg.lstsq(s_near[on].T, base - alpha @ s_near, rcond=None)[0]
+                alpha[on] = np.clip(coef, 0.0, 1.0)
+            resid = (base - alpha @ s_near) / (rho * n)
+            fy = np.where(slack > 0.0, slack * (1.0 - alpha), -slack * alpha)
+            best = min(best, float(fy.sum()) / n + 0.5 * rho * float(resid @ resid))
+        return best
+
+    def minimize(self, n_iters=100_000, full_output=False):
         """Deterministic full-risk subgradient descent to the set minimizer.
 
-        Runs diminishing steps mu_t = 1/(rho (t+1)) from zero and returns the
-        average of the second half of the trajectory, the standard tail
-        average for strongly convex subgradient descent.
+        Runs diminishing steps mu_t = 1/(rho (t+1)) from zero and averages
+        the second half of the trajectory, the standard tail average for
+        strongly convex subgradient descent.  ``n_iters`` is a cap: after
+        250, 500, 1000, ... steps the average of the second half so far is
+        returned as soon as its :meth:`duality_gap` is at most
+        ``ORACLE_GAP_TOL``.  At the cap the tail average of all ``n_iters``
+        steps is returned, certified or not.  With ``full_output`` the
+        result is a :class:`MinimizeResult` carrying the gap and the steps.
         """
         if n_iters < 1:
             raise ValueError("n_iters must be at least 1")
@@ -197,10 +261,13 @@ class SvmSampleSet:
         rho = self.rho
         w = np.zeros(self.dim)
         w_avg = np.zeros(self.dim)
+        w_block = np.zeros(self.dim)
         margins = np.empty(self.n)
         active = np.empty(self.n)
         tail_start = n_iters // 2
         n_avg = 0
+        n_block = 0
+        check = _FIRST_GAP_CHECK
         for t in range(n_iters):
             np.dot(signed, w, out=margins)
             np.less_equal(margins, 1.0, out=active, casting="unsafe")
@@ -209,7 +276,19 @@ class SvmSampleSet:
             if t >= tail_start:
                 n_avg += 1
                 w_avg += (w - w_avg) / n_avg
-        return w_avg
+            if check <= n_iters and t >= check // 2:
+                n_block += 1
+                w_block += (w - w_block) / n_block
+                if t + 1 == check:
+                    gap = self.duality_gap(w_block)
+                    if gap <= ORACLE_GAP_TOL:
+                        return MinimizeResult(w_block, gap, check) if full_output else w_block
+                    check *= 2
+                    n_block = 0
+                    w_block = np.zeros(self.dim)
+        if not full_output:
+            return w_avg
+        return MinimizeResult(w_avg, self.duality_gap(w_avg), n_iters)
 
     def accuracy(self, w):
         """Fraction of samples with sign(h.w) equal to the label; sign(0) -> +1."""

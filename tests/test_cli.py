@@ -124,6 +124,28 @@ def test_run_missing_config_file_is_io_error(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "nope.ini")]) == cli.EXIT_IO
 
 
+def test_run_unparseable_kappa_is_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, LASSO_QUICK.replace("kappa = 0.999", "kappa = abc"),
+        iterations=0, replications=1, out=tmp_path / "out",
+    )
+    assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[run] kappa" in err and "Traceback" not in err
+
+
+def test_run_svm_summary_reports_oracle_certificate(tmp_path):
+    cfg = write_config(tmp_path, SVM_QUICK, iterations=0, out=tmp_path / "out")
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    line = next(l for l in summary.splitlines() if l.startswith("oracle duality gap = "))
+    gap = float(line.split()[4])
+    assert line.endswith("of at most 4000 iterations (certified)")
+    assert 0.0 <= gap <= problems.ORACLE_GAP_TOL
+    # the exact prefixes other tools parse stay in place
+    assert "\n||w_star||^2 = " in summary and "\nempirical Tr(R_h) = " in summary
+
+
 # ---------- verify ----------
 
 
@@ -224,6 +246,14 @@ def test_denoise_unreadable_image_is_io_error(tmp_path):
     assert rc == cli.EXIT_IO
 
 
+def test_denoise_degenerate_pgm_header_is_format_error(tmp_path, capsys):
+    path = tmp_path / "empty.pgm"
+    path.write_bytes(b"P5 0 0 255\n")
+    assert cli.main(["denoise", "--input", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "2x2" in err and "Traceback" not in err
+
+
 def test_denoise_requires_some_input():
     assert cli.main(["denoise", "--lam", "0.1"]) == cli.EXIT_CONFIG
 
@@ -283,3 +313,14 @@ def test_svm_train_parse_error_is_io_error(tmp_path, capsys):
     rc = cli.main(["svm-train", "--train", str(path), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_IO
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_svm_train_non_finite_feature_is_parse_error(tmp_path, capsys, value):
+    path = tmp_path / "nonfinite.libsvm"
+    path.write_text(f"+1 1:1.0\n-1 1:{value}\n")
+    rc = cli.main(["svm-train", "--train", str(path), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "line 2" in err and "non-finite" in err
+    assert not (tmp_path / "o" / "model.txt").exists()

@@ -1,9 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from sgsmooth import data, problems
+from sgsmooth import data, engine, problems
 from sgsmooth.errors import NumericError, UnsupportedConfiguration
 from sgsmooth.problems import GrayImage, Sample
 
@@ -136,6 +137,91 @@ def test_svm_empirical_minimizer_is_locally_optimal():
     base = sset.risk(w_star)
     for _ in range(20):
         assert base <= sset.risk(w_star + 0.05 * rng.normal(size=2)) + 1e-9
+
+
+def frozen_svm_set(n=5000, seed=11, rho=0.01):
+    spec = data.TwoClassGaussianSpec.symmetric(np.array([0.75, 0.75, 0.75]))
+    feats, labels = data.TwoClassGaussianSampler(spec, seed).draw_batch(n)
+    return problems.SvmSampleSet(feats, labels, rho)
+
+
+def test_svm_duality_gap_bounds_every_risk_difference():
+    # weak duality: the gap at w bounds risk(w) - risk(v) for every v,
+    # including near-optimal v where the bound is tight
+    sset = frozen_svm_set()
+    rng = np.random.default_rng(3)
+    points = [sset.minimize(cap) for cap in (1, 10, 100, 249, 1000, 100_000)]
+    points += [points[-1] + scale * rng.normal(size=3) for scale in (1e-4, 1e-2, 1.0)]
+    points += [rng.normal(size=3) for _ in range(4)]
+    for w in points:
+        gap = sset.duality_gap(w)
+        assert gap >= 0.0
+        for v in points:
+            assert gap >= sset.risk(w) - sset.risk(v) - 1e-14
+
+
+def test_svm_minimize_certifies_within_tolerance_before_cap(monkeypatch):
+    sset = frozen_svm_set()
+    calls = []
+    real_gap = problems.SvmSampleSet.duality_gap
+
+    def counted(self, w):
+        calls.append(1)
+        return real_gap(self, w)
+
+    monkeypatch.setattr(problems.SvmSampleSet, "duality_gap", counted)
+    res = sset.minimize(100_000, full_output=True)
+    assert res.certified and 0.0 <= res.gap <= problems.ORACLE_GAP_TOL
+    # checks come after 250, 500, 1000, ... steps; the cap would take nine
+    assert res.iterations == 250 * 2 ** (len(calls) - 1) < 100_000
+    assert len(calls) < 9
+    np.testing.assert_array_equal(sset.minimize(100_000), res.w)
+
+
+def tail_average_descent(sset, n_iters):
+    # reference: steps 1/(rho (t+1)) from zero, averaging the second half
+    w = np.zeros(sset.dim)
+    w_avg = np.zeros(sset.dim)
+    n_avg = 0
+    for t in range(n_iters):
+        active = (sset._signed @ w <= 1.0).astype(float)
+        gsum = active @ sset._signed_f
+        w -= (1.0 / (sset.rho * (t + 1))) * (sset.rho * w - gsum / sset.n)
+        if t >= n_iters // 2:
+            n_avg += 1
+            w_avg += (w - w_avg) / n_avg
+    return w_avg
+
+
+def test_svm_minimize_without_certificate_returns_tail_average(monkeypatch):
+    sset = frozen_svm_set(n=500)
+    monkeypatch.setattr(problems, "ORACLE_GAP_TOL", -1.0)  # no gap certifies
+    for cap in (200, 1000, 1500):
+        res = sset.minimize(cap, full_output=True)
+        np.testing.assert_array_equal(res.w, tail_average_descent(sset, cap))
+        assert res.iterations == cap and not res.certified
+        assert res.gap == sset.duality_gap(res.w)
+    with pytest.raises(ValueError):
+        sset.minimize(0)
+
+
+def test_svm_negative_excess_risk_lies_within_certified_gap():
+    # tiny steps from w* keep every record next to the minimum, where the
+    # approximate w* makes some mean excess risks negative
+    sset = frozen_svm_set(n=2000, seed=5)
+    cert = sset.minimize(100_000, full_output=True)
+    assert cert.certified
+    oracle = engine.RiskOracle(sset.risk, cert.w, sset.risk(cert.w))
+    config = engine.RunConfig(mu=1e-6, kappa=0.99, iterations=2000,
+                              record_stride=100, seed=9, replications=3)
+    results = engine.run_replications(
+        sset, functools.partial(data.SetSampler, sset.features, sset.labels), config,
+        oracle=oracle, w0=cert.w,
+    )
+    stats = engine.average_trajectories([r.trajectory for r in results])
+    assert stats.excess_risk.min() < 0.0
+    assert np.all(stats.excess_risk >= -cert.gap)
+    assert np.all(stats.smoothed_excess_risk >= -cert.gap)
 
 
 def test_hinge_loss_values():
