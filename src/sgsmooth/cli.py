@@ -450,7 +450,31 @@ def _tv_alpha(mu):
     return 1.0 - mu + 2.0 * mu * mu
 
 
+def _require(flag, value, ok, what):
+    # NaN fails every comparison, so a NaN value never arrives with ok True
+    if not (ok and math.isfinite(value)):
+        raise ConfigError(f"{flag} must be {what}, got {value!r}")
+
+
 def cmd_denoise(ns):
+    _require("--mu", ns.mu, ns.mu > 0.0, "positive and finite")
+    _require("--lam", ns.lam, ns.lam >= 0.0, "nonnegative and finite")
+    if ns.noise_std is not None:
+        _require("--noise-std", ns.noise_std, ns.noise_std >= 0.0, "nonnegative and finite")
+    if ns.kappa == "auto":
+        kappa = _tv_alpha(ns.mu)
+        if not kappa < 1.0:
+            raise ConfigError(
+                f"--mu {ns.mu!r} puts kappa=auto at {kappa!r}, outside [0,1); "
+                "use --mu below 0.5 or set --kappa"
+            )
+    else:
+        try:
+            kappa = float(ns.kappa)
+        except ValueError:
+            raise ConfigError(f"--kappa must be a number or 'auto', got {ns.kappa!r}") from None
+        if not 0.0 <= kappa < 1.0:
+            raise ConfigError(f"--kappa must lie in [0,1) or be 'auto', got {kappa}")
     if ns.input is None and ns.clean is None:
         raise ConfigError("provide --input NOISY.pgm or --clean CLEAN.pgm --noise-std S")
     clean = None
@@ -471,13 +495,6 @@ def cmd_denoise(ns):
             noisy = problems.GrayImage(noisy.pixels / 255.0, peak=1.0)
     if noisy is None:
         noisy = data.add_gaussian_noise(clean, ns.noise_std, ns.seed)
-
-    if ns.kappa == "auto":
-        kappa = _tv_alpha(ns.mu)
-    else:
-        kappa = float(ns.kappa)
-        if not 0.0 <= kappa < 1.0:
-            raise ConfigError(f"--kappa must lie in [0,1) or be 'auto', got {kappa}")
 
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -521,6 +538,10 @@ def _pad_dataset(ds, dim):
 
 
 def cmd_svm_train(ns):
+    _require("--rho", ns.rho, ns.rho > 0.0, "positive and finite")
+    _require("--mu", ns.mu, ns.mu > 0.0, "positive and finite")
+    if ns.epochs < 0:
+        raise ConfigError(f"--epochs must be nonnegative, got {ns.epochs}")
     train = data.load_libsvm(ns.train)
     test = data.load_libsvm(ns.test) if ns.test else None
     dim = max(train.dim, test.dim if test else 0)

@@ -12,10 +12,9 @@ import math
 import numpy as np
 from scipy.special import ndtri
 
+from .engine import SAMPLE_BLOCK
 from .errors import FormatError, ParseError
 from .problems import GrayImage, Sample
-
-_STREAM_BLOCK = 512
 
 
 def uniform_open(rng, size):
@@ -166,8 +165,8 @@ class RegressionSampler:
 
     def __iter__(self):
         while True:
-            feats, targets = self.draw_batch(_STREAM_BLOCK)
-            for k in range(_STREAM_BLOCK):
+            feats, targets = self.draw_batch(SAMPLE_BLOCK)
+            for k in range(SAMPLE_BLOCK):
                 yield Sample(feats[k], targets[k])
 
 
@@ -205,8 +204,8 @@ class TwoClassGaussianSampler:
 
     def __iter__(self):
         while True:
-            feats, labels = self.draw_batch(_STREAM_BLOCK)
-            for k in range(_STREAM_BLOCK):
+            feats, labels = self.draw_batch(SAMPLE_BLOCK)
+            for k in range(SAMPLE_BLOCK):
                 yield Sample(feats[k], labels[k])
 
 
@@ -229,7 +228,7 @@ class SetSampler:
 
     def __iter__(self):
         while True:
-            idx = self._rng.integers(0, self.features.shape[0], size=_STREAM_BLOCK)
+            idx = self._rng.integers(0, self.features.shape[0], size=SAMPLE_BLOCK)
             for k in idx:
                 yield Sample(self.features[k], float(self.labels[k]))
 
@@ -368,14 +367,16 @@ def mse(img, reference):
 def psnr(img, reference):
     """Peak signal-to-noise ratio 10 log10(peak^2 / MSE) in dB.
 
-    Identical images return +inf.  Both images must share the same peak
-    convention.
+    Identical images return +inf, and images so far apart that the MSE
+    overflows return -inf.  Both images must share the same peak convention.
     """
     if img.peak != reference.peak:
         raise ValueError("images use different peak conventions")
     err = mse(img, reference)
     if err == 0.0:
         return math.inf
+    if err == math.inf:
+        return -math.inf
     return 10.0 * math.log10(img.peak**2 / err)
 
 

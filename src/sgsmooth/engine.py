@@ -1,16 +1,22 @@
 """Generic constant step-size stochastic subgradient loop with smoothing.
 
-The loop is problem-agnostic: anything exposing ``dim`` and
-``instantaneous_subgradient(w, sample)`` can be run against any iterable of
-samples.  Alongside the raw iterate it maintains the exponentially smoothed
-iterate
+The loop is problem-agnostic.  :func:`run` runs one replication against any
+iterable of samples, for anything exposing ``dim`` and
+``instantaneous_subgradient(w, sample)``.  Alongside the raw iterate it
+maintains the exponentially smoothed iterate
 
     S_i = kappa * S_{i-1} + 1
     w_bar_i = (1 - 1/S_i) * w_bar_{i-1} + (1/S_i) * w_i
 
 which is the realizable substitute for best-iterate tracking when the risk
-cannot be evaluated online.  A single run is strictly sequential;
-replications are independent and may execute in parallel processes.
+cannot be evaluated online.  A single run is strictly sequential.
+
+:func:`run_replications` advances independent replications in lockstep, as
+the rows of one (R, dim) matrix, each row fed by its own sampler.  It needs
+the problem's ``subgradient_batch(W, H, y)`` and a stream factory whose
+samplers have ``draw_batch(n)``; row r then equals :func:`run` on
+``iter(stream_factory(seed + r))`` bit for bit.  Blocks of replications may
+run in parallel processes.
 """
 
 from dataclasses import dataclass, replace
@@ -21,6 +27,10 @@ import math
 import numpy as np
 
 from .errors import NumericError, StreamExhausted, UnsupportedConfiguration
+
+# Samples drawn per sampler call.  The samplers' iterators draw blocks of the
+# same size, which keeps lockstep rows on the samples that run() sees.
+SAMPLE_BLOCK = 512
 
 
 class SmoothingState(NamedTuple):
@@ -61,19 +71,6 @@ def weighted_average_direct(iterates, kappa):
     last = stack.shape[0] - 1
     weights = kappa ** np.arange(last, -1, -1, dtype=float)
     return weights @ stack / weights.sum()
-
-
-def sgd_step(w, g_hat, mu):
-    """One subgradient step w - mu * g_hat."""
-    w = np.asarray(w, dtype=float)
-    g_hat = np.asarray(g_hat, dtype=float)
-    if g_hat.shape != w.shape:
-        raise ValueError(f"dimension mismatch: w {w.shape}, g_hat {g_hat.shape}")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(g_hat))):
-        raise NumericError("non-finite entry in iterate or subgradient")
-    return w - mu * g_hat
 
 
 def pocket_update(current_best, candidate, risk_estimate):
@@ -182,6 +179,66 @@ class RunResult(NamedTuple):
     pocket: Optional[tuple]
 
 
+class _Recorder:
+    """Records and pocket of one replication, every ``record_stride`` steps.
+
+    Both loops call it, so a lockstep row records exactly what :func:`run`
+    would.
+    """
+
+    def __init__(self, oracle, w0, track_pocket):
+        self.oracle = oracle
+        self.track_pocket = track_pocket
+        self.columns = ([], [], [], [], [])
+        self.snapshots = [] if oracle is None else None
+        self.pocket = (w0.copy(), float(oracle.risk(w0))) if track_pocket else None
+
+    def record(self, i, w, w_bar):
+        oracle = self.oracle
+        if oracle is None:
+            self.snapshots.append(w.copy())
+            return
+        risk_raw = float(oracle.risk(w))
+        if not math.isfinite(risk_raw):
+            raise NumericError(f"risk diverged at iteration {i}")
+        d = w - oracle.w_star
+        d_bar = w_bar - oracle.w_star
+        rec_i, rec_a, rec_a_sm, rec_b, rec_b_sm = self.columns
+        rec_i.append(i)
+        rec_a.append(risk_raw - oracle.risk_star)
+        rec_a_sm.append(float(oracle.risk(w_bar)) - oracle.risk_star)
+        rec_b.append(float(d @ d))
+        rec_b_sm.append(float(d_bar @ d_bar))
+        if self.track_pocket:
+            self.pocket = pocket_update(self.pocket, w, risk_raw)
+
+    def result(self, w, smoothing, stride):
+        rec_i, rec_a, rec_a_sm, rec_b, rec_b_sm = self.columns
+        trajectory = Trajectory(
+            iterations=np.asarray(rec_i, dtype=np.int64),
+            excess_risk=np.asarray(rec_a, dtype=float),
+            smoothed_excess_risk=np.asarray(rec_a_sm, dtype=float),
+            msd=np.asarray(rec_b, dtype=float),
+            smoothed_msd=np.asarray(rec_b_sm, dtype=float),
+            iteration_stride=stride,
+            iterates=self.snapshots,
+        )
+        return RunResult(w, smoothing, trajectory, self.pocket)
+
+
+def _start(problem, config, oracle, w0, track_pocket):
+    """Checked kappa and start point shared by both loops."""
+    if config.kappa == "auto":
+        raise ValueError("kappa is unresolved; call resolve_kappa first")
+    if w0 is None:
+        w = np.zeros(problem.dim)
+    else:
+        w = np.array(w0, dtype=float)
+    if track_pocket and oracle is None:
+        raise ValueError("pocket tracking requires a risk oracle")
+    return float(config.kappa), w
+
+
 def run(problem, stream, config, *, oracle=None, w0=None, track_pocket=False):
     """Run the subgradient + smoothing loop for ``config.iterations`` steps.
 
@@ -200,16 +257,7 @@ def run(problem, stream, config, *, oracle=None, w0=None, track_pocket=False):
     w0 : array, optional
         Start point; defaults to the zero vector.
     """
-    if config.kappa == "auto":
-        raise ValueError("kappa is unresolved; call resolve_kappa first")
-    kappa = float(config.kappa)
-    if w0 is None:
-        w = np.zeros(problem.dim)
-    else:
-        w = np.array(w0, dtype=float)
-    if track_pocket and oracle is None:
-        raise ValueError("pocket tracking requires a risk oracle")
-
+    kappa, w = _start(problem, config, oracle, w0, track_pocket)
     mu = config.mu
     stride = config.record_stride
     n_iters = config.iterations
@@ -218,10 +266,7 @@ def run(problem, stream, config, *, oracle=None, w0=None, track_pocket=False):
     w_bar = w.copy()
     s_sum = 1.0
     it = iter(stream)
-
-    rec_i, rec_a, rec_a_sm, rec_b, rec_b_sm = [], [], [], [], []
-    snapshots = [] if oracle is None else None
-    pocket = (w.copy(), float(oracle.risk(w))) if track_pocket else None
+    recorder = _Recorder(oracle, w, track_pocket)
 
     for i in range(1, n_iters + 1):
         try:
@@ -235,42 +280,52 @@ def run(problem, stream, config, *, oracle=None, w0=None, track_pocket=False):
         s_sum = kappa * s_sum + 1.0
         w_bar *= 1.0 - 1.0 / s_sum
         w_bar += w / s_sum
-
         if i % stride == 0:
-            if oracle is None:
-                snapshots.append(w.copy())
-            else:
-                risk_raw = float(oracle.risk(w))
-                if not math.isfinite(risk_raw):
-                    raise NumericError(f"risk diverged at iteration {i}")
-                d = w - oracle.w_star
-                d_bar = w_bar - oracle.w_star
-                rec_i.append(i)
-                rec_a.append(risk_raw - oracle.risk_star)
-                rec_a_sm.append(float(oracle.risk(w_bar)) - oracle.risk_star)
-                rec_b.append(float(d @ d))
-                rec_b_sm.append(float(d_bar @ d_bar))
-                if track_pocket:
-                    pocket = pocket_update(pocket, w, risk_raw)
+            recorder.record(i, w, w_bar)
 
-    trajectory = Trajectory(
-        iterations=np.asarray(rec_i, dtype=np.int64),
-        excess_risk=np.asarray(rec_a, dtype=float),
-        smoothed_excess_risk=np.asarray(rec_a_sm, dtype=float),
-        msd=np.asarray(rec_b, dtype=float),
-        smoothed_msd=np.asarray(rec_b_sm, dtype=float),
-        iteration_stride=stride,
-        iterates=snapshots,
-    )
-    return RunResult(w, SmoothingState(s_sum, w_bar, kappa), trajectory, pocket)
+    return recorder.result(w, SmoothingState(s_sum, w_bar, kappa), stride)
 
 
-def _run_one(args):
-    problem, stream_factory, config, oracle, w0, track_pocket = args
-    stream = stream_factory(config.seed)
-    return run(
-        problem, stream, config, oracle=oracle, w0=w0, track_pocket=track_pocket
-    )
+def _run_lockstep(args):
+    """Replications seeded ``seeds``, advanced together as rows of a matrix.
+
+    The arithmetic is that of :func:`run`, one row per replication, with
+    ``G *= mu; W -= G`` keeping the rounding of ``w -= mu * g``.
+    """
+    problem, stream_factory, config, seeds, oracle, w0, track_pocket = args
+    kappa, w = _start(problem, config, oracle, w0, track_pocket)
+    mu = config.mu
+    stride = config.record_stride
+    n_iters = config.iterations
+    subgrad = problem.subgradient_batch
+
+    samplers = [stream_factory(seed) for seed in seeds]
+    W = np.tile(w, (len(seeds), 1))
+    W_bar = W.copy()
+    s_sum = 1.0
+    recorders = [_Recorder(oracle, w, track_pocket) for _ in seeds]
+
+    for start in range(0, n_iters, SAMPLE_BLOCK):
+        draws = [sampler.draw_batch(SAMPLE_BLOCK) for sampler in samplers]
+        # (block, R, dim) and (block, R): step k reads contiguous rows
+        H = np.stack([h for h, _ in draws], axis=1)
+        Y = np.stack([y for _, y in draws], axis=1)
+        for k in range(min(SAMPLE_BLOCK, n_iters - start)):
+            G = subgrad(W, H[k], Y[k])
+            G *= mu
+            W -= G
+            s_sum = kappa * s_sum + 1.0
+            W_bar *= 1.0 - 1.0 / s_sum
+            W_bar += W / s_sum
+            i = start + k + 1
+            if i % stride == 0:
+                for recorder, w_row, w_bar_row in zip(recorders, W, W_bar):
+                    recorder.record(i, w_row, w_bar_row)
+
+    return [
+        recorder.result(W[r].copy(), SmoothingState(s_sum, W_bar[r].copy(), kappa), stride)
+        for r, recorder in enumerate(recorders)
+    ]
 
 
 def run_replications(
@@ -285,26 +340,32 @@ def run_replications(
 ):
     """Run ``config.replications`` independent replications.
 
-    ``stream_factory(seed)`` must build a fresh stream; replication r gets
-    seed ``config.seed + r``.  With ``workers > 1`` replications execute in
+    ``stream_factory(seed)`` must build a fresh sampler with ``draw_batch``;
+    replication r gets seed ``config.seed + r``.  The seeds are split into
+    ``workers`` contiguous blocks, and each block advances in lockstep (see
+    :func:`_run_lockstep`).  With more than one block, the blocks execute in
     separate processes (everything passed in must be picklable).  Results are
-    returned in replication order either way.
+    returned in replication order and do not depend on ``workers``.
     """
+    n_rep = config.replications
+    n_blocks = max(1, min(workers, n_rep))
+    cuts = [n_rep * b // n_blocks for b in range(n_blocks + 1)]
     tasks = [
         (
             problem,
             stream_factory,
-            replace(config, seed=config.seed + r, replications=1),
+            config,
+            [config.seed + r for r in range(lo, hi)],
             oracle,
             w0,
             track_pocket,
         )
-        for r in range(config.replications)
+        for lo, hi in zip(cuts, cuts[1:])
     ]
-    if workers <= 1 or len(tasks) == 1:
-        return [_run_one(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, tasks))
+    if n_blocks == 1:
+        return _run_lockstep(tasks[0])
+    with concurrent.futures.ProcessPoolExecutor(max_workers=n_blocks) as pool:
+        return [result for block in pool.map(_run_lockstep, tasks) for result in block]
 
 
 @dataclass(eq=False)

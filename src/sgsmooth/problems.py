@@ -1,10 +1,11 @@
 """Built-in problem families: regularized SVM, stochastic LASSO, TV denoising.
 
 Each family provides the per-sample (instantaneous) subgradient used by the
-streaming loop, plus whatever exact quantities are available: the LASSO risk
-and its subgradient are closed-form under the linear regression model, the
-SVM ones can be evaluated exactly on a frozen sample set or estimated by
-Monte Carlo, and the TV objective is deterministic.
+streaming loop (the SVM set and LASSO also its row-wise batch form, used by
+the lockstep replications), plus whatever exact quantities are available:
+the LASSO risk and its subgradient are closed-form under the linear
+regression model, the SVM ones can be evaluated exactly on a frozen sample
+set or estimated by Monte Carlo, and the TV objective is deterministic.
 
 Subgradient conventions are fixed once and kept for the whole run:
 ``sgn(0) = 0`` everywhere, and the hinge indicator is active at margin
@@ -64,6 +65,12 @@ def hinge_loss(w, sample, rho):
         raise ValueError(f"dimension mismatch: w has {w.shape}, h has {h.shape}")
     margin = sample.gamma * (h @ w)
     return 0.5 * rho * (w @ w) + max(0.0, 1.0 - margin)
+
+
+def _row_dots(H, W):
+    # one vector dot per row, the same kernel as the per-sample h @ w; einsum
+    # sums in another order and moves results by an ulp
+    return np.matmul(H[:, None, :], W[:, :, None])[:, 0, 0]
 
 
 def _check_label(gamma):
@@ -187,6 +194,11 @@ class SvmSampleSet:
         if sample.gamma * (sample.h @ w) <= 1.0:
             g = g - sample.gamma * sample.h
         return g
+
+    def subgradient_batch(self, W, H, y):
+        """Row r is ``instantaneous_subgradient(W[r], Sample(H[r], y[r]))``, bit for bit."""
+        margin = y * _row_dots(H, W)
+        return self.rho * W - (y * (margin <= 1.0))[:, None] * H
 
     def risk(self, w):
         """Exact regularized hinge risk on the set."""
@@ -357,6 +369,11 @@ class LassoProblem:
         h = sample.h
         residual = sample.gamma - h @ w
         return self.delta * np.sign(w) - residual * h
+
+    def subgradient_batch(self, W, H, y):
+        """Row r is ``instantaneous_subgradient(W[r], Sample(H[r], y[r]))``, bit for bit."""
+        residual = y - _row_dots(H, W)
+        return self.delta * np.sign(W) - residual[:, None] * H
 
     def true_subgradient(self, w):
         """Exact subgradient cov_h (w - w_true) + delta sgn(w)."""

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sgsmooth import cli, data, problems
 from sgsmooth.problems import GrayImage
@@ -258,6 +261,54 @@ def test_denoise_requires_some_input():
     assert cli.main(["denoise", "--lam", "0.1"]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("flags", [
+    ["--mu", "0.6"],
+    ["--mu", "0"],
+    ["--mu", "nan"],
+    ["--lam=-1"],
+    ["--noise-std=-1"],
+    ["--noise-std", "nan"],
+    ["--kappa", "abc"],
+])
+def test_denoise_bad_flag_is_config_error(tmp_path, capsys, flags):
+    clean = piecewise_image(tmp_path)
+    argv = ["denoise", "--clean", str(clean), "--noise-std", "0.1", "--iterations", "2",
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv + flags) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert flags[0].split("=")[0] in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "denoised.pgm").exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_pgm(tmp_path_factory):
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "tiny.pgm"
+    data.write_pgm(GrayImage(np.arange(16.0).reshape(4, 4) * 16.0, peak=255.0), path)
+    return path
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(
+    mu=st.floats(),
+    lam=st.floats(),
+    noise_std=st.floats(),
+    kappa=st.one_of(st.just("auto"), st.text(), st.floats().map(repr)),
+)
+@example(mu=0.002, lam=0.08, noise_std=1e200, kappa="auto")  # the PSNR's MSE overflows
+def test_denoise_flag_fuzz_exits_with_documented_code(tiny_pgm, mu, lam, noise_std, kappa):
+    # '=' keeps argparse from reading values such as '-inf' as option names
+    rc = cli.main([
+        "denoise", "--clean", str(tiny_pgm), f"--noise-std={noise_std!r}",
+        f"--mu={mu!r}", f"--lam={lam!r}", f"--kappa={kappa}", "--iterations", "1",
+        "--out", str(tiny_pgm.parent / "out"),
+    ])
+    assert rc in (cli.EXIT_OK, cli.EXIT_PROPERTY, cli.EXIT_CONFIG, cli.EXIT_IO)
+    valid = mu > 0 and math.isfinite(mu) and lam >= 0 and math.isfinite(lam)
+    if not (valid and noise_std >= 0 and math.isfinite(noise_std)):
+        assert rc == cli.EXIT_CONFIG
+
+
 # ---------- svm-train ----------
 
 
@@ -324,3 +375,13 @@ def test_svm_train_non_finite_feature_is_parse_error(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert "line 2" in err and "non-finite" in err
     assert not (tmp_path / "o" / "model.txt").exists()
+
+
+def test_svm_train_negative_epochs_is_config_error(tmp_path, capsys):
+    path = tmp_path / "toy.libsvm"
+    path.write_text("+1 1:1.0\n-1 1:-1.0\n")
+    rc = cli.main(["svm-train", "--train", str(path), "--epochs", "-1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--epochs" in err and "Traceback" not in err

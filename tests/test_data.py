@@ -233,6 +233,13 @@ def test_psnr_values():
     assert data.psnr(c, d) == pytest.approx(20.0, rel=1e-12)
 
 
+def test_psnr_of_overflowing_mse_is_minus_inf():
+    a = GrayImage(np.zeros((4, 4)), peak=255.0)
+    b = GrayImage(np.full((4, 4), 1e200), peak=255.0)
+    with np.errstate(over="ignore"):
+        assert data.psnr(a, b) == -math.inf
+
+
 def test_psnr_shift_symmetry():
     rng = np.random.default_rng(13)
     base = rng.uniform(size=(8, 8))

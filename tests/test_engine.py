@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -24,18 +26,7 @@ def null_stream(n):
     return iter([None] * n)
 
 
-# ---------- sgd_step ----------
-
-
-def test_sgd_step_zero_subgradient_is_fixed_point():
-    w = np.array([0.0, 0.0])
-    out = engine.sgd_step(w, np.array([0.0, 0.0]), 0.1)
-    np.testing.assert_array_equal(out, w)
-
-
-def test_sgd_step_one_step_arithmetic():
-    out = engine.sgd_step(np.array([1.0]), np.array([2.0]), 0.1)
-    np.testing.assert_allclose(out, [0.8], rtol=0, atol=1e-15)
+# ---------- one step ----------
 
 
 def test_sgd_step_composes_with_lasso_subgradient():
@@ -43,26 +34,17 @@ def test_sgd_step_composes_with_lasso_subgradient():
     p = problems.LassoProblem(
         delta=0.01, w_true=np.array([1.0, 0.0]), cov_h=np.eye(2), noise_var=0.0
     )
-    w = np.array([0.5, -0.5])
-    s = problems.Sample(np.array([2.0, 1.0]), 3.0)
+    W = np.array([[0.5, -0.5]])
     # residual = 3 - (2*0.5 + 1*(-0.5)) = 2.5
     # g = delta*sgn(w) - residual*h = (0.01 - 5.0, -0.01 - 2.5)
-    g = p.instantaneous_subgradient(w, s)
-    np.testing.assert_allclose(g, [0.01 - 5.0, -0.01 - 2.5], rtol=0, atol=1e-15)
-    out = engine.sgd_step(w, g, 0.1)
+    G = p.subgradient_batch(W, np.array([[2.0, 1.0]]), np.array([3.0]))
+    np.testing.assert_allclose(G, [[0.01 - 5.0, -0.01 - 2.5]], rtol=0, atol=1e-15)
+    # the engine's step: G *= mu; W -= G
+    G *= 0.1
+    W -= G
     np.testing.assert_allclose(
-        out, [0.5 - 0.1 * (-4.99), -0.5 - 0.1 * (-2.51)], rtol=0, atol=1e-15
+        W, [[0.5 - 0.1 * (-4.99), -0.5 - 0.1 * (-2.51)]], rtol=0, atol=1e-15
     )
-
-
-def test_sgd_step_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        engine.sgd_step(np.zeros(3), np.zeros(2), 0.1)
-
-
-def test_sgd_step_rejects_non_finite():
-    with pytest.raises(NumericError):
-        engine.sgd_step(np.array([1.0]), np.array([np.nan]), 0.1)
 
 
 # ---------- smoothing algebra ----------
@@ -269,8 +251,6 @@ def test_run_replications_parallel_matches_serial():
         delta=0.005, w_true=np.array([1.0, 0.0]), cov_h=np.eye(2), noise_var=0.01
     )
     spec = data.RegressionStreamSpec(p.w_true, p.cov_h, p.noise_var)
-    import functools
-
     factory = functools.partial(data.make_sampler, spec)
     w_star = p.optimum()
     oracle = engine.RiskOracle(p.risk, w_star, p.risk(w_star))
@@ -284,6 +264,65 @@ def test_run_replications_parallel_matches_serial():
         np.testing.assert_array_equal(
             a.trajectory.smoothed_excess_risk, b.trajectory.smoothed_excess_risk
         )
+
+
+def lockstep_case(kind):
+    if kind == "lasso":
+        dim = 30
+        w_true = np.zeros(dim)
+        w_true[0], w_true[1] = 1.0, -1.0
+        p = problems.LassoProblem(delta=0.005, w_true=w_true, cov_h=np.eye(dim), noise_var=0.01)
+        factory = functools.partial(
+            data.make_sampler, data.RegressionStreamSpec(p.w_true, p.cov_h, p.noise_var)
+        )
+        w_star = p.optimum()
+    else:
+        spec = data.TwoClassGaussianSpec.symmetric(np.array([0.75, 0.75, 0.75]))
+        feats, labels = data.TwoClassGaussianSampler(spec, 21).draw_batch(2000)
+        p = problems.SvmSampleSet(feats, labels, 0.01)
+        factory = functools.partial(data.SetSampler, feats, labels)
+        w_star = p.minimize(20_000)
+    return p, factory, engine.RiskOracle(p.risk, w_star, p.risk(w_star))
+
+
+@pytest.mark.parametrize("kind", ["lasso", "svm"])
+@pytest.mark.parametrize("case", ["oracle", "w0-pocket", "no-oracle"])
+def test_run_replications_rows_equal_run_bit_for_bit(kind, case):
+    p, factory, oracle = lockstep_case(kind)
+    kwargs = {
+        "oracle": {"oracle": oracle},
+        "w0-pocket": {"oracle": oracle, "w0": 0.5 * oracle.w_star, "track_pocket": True},
+        "no-oracle": {},
+    }[case]
+    # 1300 is not a multiple of the 512-sample draw block
+    cfg = engine.RunConfig(
+        mu=0.01, kappa=0.95, iterations=1300, record_stride=100, seed=5, replications=3
+    )
+    refs = [engine.run(p, iter(factory(cfg.seed + r)), cfg, **kwargs) for r in range(3)]
+    for workers in (1, 2):
+        results = engine.run_replications(p, factory, cfg, workers=workers, **kwargs)
+        assert len(results) == 3
+        for res, ref in zip(results, refs):
+            np.testing.assert_array_equal(res.w, ref.w)
+            np.testing.assert_array_equal(res.smoothing.w_bar, ref.smoothing.w_bar)
+            assert res.smoothing.s == ref.smoothing.s
+            for name in ("iterations", "excess_risk", "smoothed_excess_risk", "msd",
+                         "smoothed_msd"):
+                np.testing.assert_array_equal(
+                    getattr(res.trajectory, name), getattr(ref.trajectory, name)
+                )
+            if case == "no-oracle":
+                assert len(res.trajectory.iterates) == 13
+                for a, b in zip(res.trajectory.iterates, ref.trajectory.iterates):
+                    np.testing.assert_array_equal(a, b)
+            else:
+                assert res.trajectory.iterates is None
+                assert res.trajectory.iterations.size == 13
+            if case == "w0-pocket":
+                np.testing.assert_array_equal(res.pocket[0], ref.pocket[0])
+                assert res.pocket[1] == ref.pocket[1]
+            else:
+                assert res.pocket is None
 
 
 def test_resolve_kappa():
@@ -322,8 +361,6 @@ def test_small_scale_lasso_run_meets_steady_state_bound():
     w_true[0], w_true[1] = 1.0, -1.0
     p = problems.LassoProblem(delta=0.002, w_true=w_true, cov_h=np.eye(dim), noise_var=0.01)
     spec = data.RegressionStreamSpec(p.w_true, p.cov_h, p.noise_var)
-    import functools
-
     factory = functools.partial(data.make_sampler, spec)
     w_star = p.optimum()
     oracle = engine.RiskOracle(p.risk, w_star, p.risk(w_star))

@@ -224,6 +224,43 @@ def test_svm_negative_excess_risk_lies_within_certified_gap():
     assert np.all(stats.smoothed_excess_risk >= -cert.gap)
 
 
+def assert_batch_rows_match(p, W, H, y):
+    G = p.subgradient_batch(W, H, y)
+    assert G.shape == W.shape
+    for r in range(W.shape[0]):
+        np.testing.assert_array_equal(G[r], p.instantaneous_subgradient(W[r], Sample(H[r], y[r])))
+
+
+def test_svm_subgradient_batch_rows_equal_instantaneous():
+    sset = frozen_svm_set(n=50, seed=3)
+    rng = np.random.default_rng(12)
+    W = np.vstack([
+        np.zeros(3),                   # w = 0: every margin is 0, hinge active
+        [1.0, 0.0, 0.0],               # margin exactly 1 below: active
+        [0.5, -0.25, 2.0],             # label -1 below
+        rng.normal(size=(5, 3)),
+    ])
+    H = np.vstack([[1.0, 2.0, -1.0], [1.0, 0.0, 0.0], [0.5, 2.0, 1.0], rng.normal(size=(5, 3))])
+    y = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+    assert y[1] * (H[1] @ W[1]) == 1.0
+    assert_batch_rows_match(sset, W, H, y)
+    G = sset.subgradient_batch(W[:2], H[:2], y[:2])
+    np.testing.assert_array_equal(G[0], H[0])  # -gamma*h with gamma=-1
+    np.testing.assert_array_equal(G[1], sset.rho * W[1] - H[1])
+
+
+def test_lasso_subgradient_batch_rows_equal_instantaneous():
+    p = make_lasso(dim=40, delta=0.01)
+    rng = np.random.default_rng(13)
+    W = rng.normal(size=(6, 40))
+    W[0] = 0.0                         # sgn(0) = 0 on every coordinate
+    W[1, ::3] = 0.0
+    H = rng.normal(size=(6, 40))
+    y = H @ p.w_true + 0.1 * rng.normal(size=6)
+    assert_batch_rows_match(p, W, H, y)
+    np.testing.assert_array_equal(p.subgradient_batch(W[:1], H[:1], y[:1])[0], -y[0] * H[0])
+
+
 def test_hinge_loss_values():
     assert problems.hinge_loss(np.zeros(2), Sample(np.array([3.0, 1.0]), 1.0), 0.2) == 1.0
     w = np.array([1.0, 0.0])
