@@ -30,7 +30,6 @@ from .problems import (
 )
 from .theory import (
     ProblemConstants,
-    RateReport,
     estimate_lasso_a,
     finite_horizon_bound,
     finite_horizon_envelope,

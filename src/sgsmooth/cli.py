@@ -299,12 +299,16 @@ def cmd_run(ns):
         f"replications={run_cfg.replications} workers={workers}",
         f"msd0 = ||w_0 - w_star||^2 = {msd0!r}",
     ]
+    final_line = None
     if stats.iterations.size:
+        final_line = (
+            f"final smoothed excess risk = {float(stats.smoothed_excess_risk[-1])!r} "
+            f"+- {stats.smoothed_excess_risk_stderr[-1]:.3g}"
+        )
         lines += [
             f"final raw excess risk (mean of {stats.replications}) = "
             f"{float(stats.excess_risk[-1])!r}",
-            f"final smoothed excess risk = {float(stats.smoothed_excess_risk[-1])!r} "
-            f"+- {stats.smoothed_excess_risk_stderr[-1]:.3g}",
+            final_line,
             f"final raw msd = {float(stats.msd[-1])!r}",
             f"final smoothed msd = {float(stats.smoothed_msd[-1])!r}",
         ]
@@ -324,8 +328,8 @@ def cmd_run(ns):
     summary_path = out_dir / "summary.txt"
     summary_path.write_text("\n".join(lines) + "\n", encoding="ascii")
     print(f"wrote {csv_path} and {summary_path}")
-    if stats.iterations.size:
-        print(lines[-5] if bound_fn is not None else lines[-2])
+    if final_line is not None:
+        print(final_line)
     return EXIT_OK
 
 
@@ -408,12 +412,8 @@ def cmd_verify(ns):
 
     rng = np.random.default_rng(seed + 3)
     probe_points = _noise_probes(bundle.w_star, dim, rng, probes)
-    if bundle.kind == "lasso":
-        sampler_factory = functools.partial(data.make_sampler, bundle.spec)
-    else:
-        sampler_factory = bundle.stream_factory
     mean_ok, var_ok, worst = _check_noise(
-        p, sampler_factory, bundle.w_star, k.beta2, k.sigma2,
+        p, bundle.stream_factory, bundle.w_star, k.beta2, k.sigma2,
         probe_points, n_noise, rng, seed + 4,
     )
     all_ok &= _report_check(
@@ -557,7 +557,7 @@ def cmd_svm_train(ns):
             f"mu*rho={ns.mu * ns.rho:.6g} puts the smoothing factor {kappa:.6g} "
             "outside [0,1); reduce mu or rho"
         )
-    problem = problems.SvmProblem(rho=ns.rho, dim=dim)
+    problem = problems.SvmSampleSet(train.features, train.labels, ns.rho)
     run_cfg = engine.RunConfig(
         mu=ns.mu,
         kappa=kappa,
@@ -578,15 +578,12 @@ def cmd_svm_train(ns):
     model_path = out_dir / "model.txt"
     model_path.write_text("".join(f"{float(x)!r}\n" for x in w_bar), encoding="ascii")
 
-    def accuracy(ds):
-        pred = np.where(ds.features @ w_bar >= 0.0, 1.0, -1.0)
-        return float(np.mean(pred == ds.labels))
-
     print(f"trained on {train.n} samples x {ns.epochs} epoch(s), dim={dim}, "
           f"rho={ns.rho}, mu={ns.mu}, kappa={kappa!r}")
-    print(f"train accuracy = {accuracy(train):.4f}")
+    print(f"train accuracy = {problem.accuracy(w_bar):.4f}")
     if test is not None:
-        print(f"test accuracy = {accuracy(test):.4f} ({test.n} samples)")
+        test_set = problems.SvmSampleSet(test.features, test.labels, ns.rho)
+        print(f"test accuracy = {test_set.accuracy(w_bar):.4f} ({test.n} samples)")
     print(f"wrote {model_path} in {elapsed:.2f} s")
     return EXIT_OK
 

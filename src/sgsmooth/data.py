@@ -4,6 +4,11 @@ All randomness flows through seeded PCG64 generators, and Gaussian variates
 are produced by the inverse-CDF transform of 64-bit uniforms (see
 :func:`standard_normal`), so a (spec, seed) pair always reproduces the same
 sample sequence.
+
+Every sampler defines one sampling method, ``draw_batch(n)``, which returns
+``(features (n, dim), targets (n,))``.  ``draw()`` and iteration, the
+per-sample forms used by the reference loop :func:`sgsmooth.engine.run`,
+are views of it, defined once in a shared base class.
 """
 
 from dataclasses import dataclass
@@ -115,34 +120,27 @@ class TwoClassGaussianSpec:
         return self.mean_pos.shape[0]
 
 
-def gen_regression_sample(spec, rng):
-    """Draw one regression sample using the caller's generator.
+class _Sampler:
+    """Per-sample views of the subclass's ``draw_batch(n)``, the one sampling path.
 
-    Consumes dim + 1 normal variates: the regressor entries, then the noise.
+    ``draw()`` is the single row of ``draw_batch(1)`` and iteration yields the
+    rows of successive ``draw_batch(SAMPLE_BLOCK)`` blocks.  Every sampler
+    consumes a fixed amount of generator output per row, so the three views
+    give the same sample sequence.
     """
-    chol = _cholesky_or_none(spec.cov_h, spec.dim)
-    z = standard_normal(rng, spec.dim + 1)
-    h = z[:-1] if chol is None else chol @ z[:-1]
-    noise = math.sqrt(spec.noise_var) * z[-1]
-    return Sample(h, float(h @ spec.w_true + noise))
+
+    def draw(self):
+        feats, targets = self.draw_batch(1)
+        return Sample(feats[0], float(targets[0]))
+
+    def __iter__(self):
+        while True:
+            feats, targets = self.draw_batch(SAMPLE_BLOCK)
+            for k in range(SAMPLE_BLOCK):
+                yield Sample(feats[k], targets[k])
 
 
-def gen_svm_sample(spec, rng):
-    """Draw one labelled two-class Gaussian sample using the caller's generator.
-
-    Consumes dim + 1 uniforms: the label coin flip, then the feature normals.
-    """
-    u = uniform_open(rng, spec.dim + 1)
-    positive = u[0] < spec.prior_pos
-    mean = spec.mean_pos if positive else spec.mean_neg
-    cov = spec.cov_pos if positive else spec.cov_neg
-    chol = _cholesky_or_none(cov, spec.dim)
-    z = ndtri(u[1:])
-    h = mean + (z if chol is None else chol @ z)
-    return Sample(h, 1.0 if positive else -1.0)
-
-
-class RegressionSampler:
+class RegressionSampler(_Sampler):
     """Stateful stream of regression samples; draws are buffered in blocks."""
 
     def __init__(self, spec, seed):
@@ -159,18 +157,8 @@ class RegressionSampler:
         noise = self._sigma * z[:, -1]
         return feats, feats @ self.spec.w_true + noise
 
-    def draw(self):
-        feats, targets = self.draw_batch(1)
-        return Sample(feats[0], float(targets[0]))
 
-    def __iter__(self):
-        while True:
-            feats, targets = self.draw_batch(SAMPLE_BLOCK)
-            for k in range(SAMPLE_BLOCK):
-                yield Sample(feats[k], targets[k])
-
-
-class TwoClassGaussianSampler:
+class TwoClassGaussianSampler(_Sampler):
     """Stateful stream of two-class Gaussian samples."""
 
     def __init__(self, spec, seed):
@@ -198,18 +186,8 @@ class TwoClassGaussianSampler:
         )
         return feats, labels
 
-    def draw(self):
-        feats, labels = self.draw_batch(1)
-        return Sample(feats[0], float(labels[0]))
 
-    def __iter__(self):
-        while True:
-            feats, labels = self.draw_batch(SAMPLE_BLOCK)
-            for k in range(SAMPLE_BLOCK):
-                yield Sample(feats[k], labels[k])
-
-
-class SetSampler:
+class SetSampler(_Sampler):
     """Uniform-with-replacement sampling from a frozen (features, labels) set."""
 
     def __init__(self, features, labels, seed):
@@ -221,16 +199,6 @@ class SetSampler:
     def draw_batch(self, n):
         idx = self._rng.integers(0, self.features.shape[0], size=n)
         return self.features[idx], self.labels[idx]
-
-    def draw(self):
-        k = int(self._rng.integers(0, self.features.shape[0]))
-        return Sample(self.features[k], float(self.labels[k]))
-
-    def __iter__(self):
-        while True:
-            idx = self._rng.integers(0, self.features.shape[0], size=SAMPLE_BLOCK)
-            for k in idx:
-                yield Sample(self.features[k], float(self.labels[k]))
 
 
 def make_sampler(spec, seed):
@@ -256,10 +224,6 @@ class DatasetFile:
     @property
     def dim(self):
         return self.features.shape[1]
-
-    def samples(self):
-        for k in range(self.n):
-            yield Sample(self.features[k], float(self.labels[k]))
 
 
 _LABEL_MAP = {"+1": 1.0, "1": 1.0, "-1": -1.0, "0": -1.0}

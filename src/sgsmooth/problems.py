@@ -1,11 +1,14 @@
 """Built-in problem families: regularized SVM, stochastic LASSO, TV denoising.
 
 Each family provides the per-sample (instantaneous) subgradient used by the
-streaming loop (the SVM set and LASSO also its row-wise batch form, used by
-the lockstep replications), plus whatever exact quantities are available:
-the LASSO risk and its subgradient are closed-form under the linear
-regression model, the SVM ones can be evaluated exactly on a frozen sample
-set or estimated by Monte Carlo, and the TV objective is deterministic.
+reference loop :func:`sgsmooth.engine.run`; the SVM set and LASSO also
+provide its row-wise batch form ``subgradient_batch(W, H, y)``, which the
+lockstep replications and the gradient-noise check run on.  Exact
+quantities come with them: the LASSO risk and its subgradient are
+closed-form under the linear regression model, the SVM ones are evaluated
+exactly on a frozen sample set (:class:`SvmSampleSet`), and the TV objective
+is deterministic.  :class:`SvmProblem` keeps only the per-sample SVM
+subgradient.
 
 Subgradient conventions are fixed once and kept for the whole run:
 ``sgn(0) = 0`` everywhere, and the hinge indicator is active at margin
@@ -114,28 +117,6 @@ class SvmProblem:
         if sample.gamma * (h @ w) <= 1.0:
             g = g - sample.gamma * h
         return g
-
-    def loss(self, w, sample):
-        return hinge_loss(w, sample, self.rho)
-
-    def true_subgradient_mc(self, w, sampler, n):
-        """Monte-Carlo mean of the instantaneous subgradient over n fresh draws."""
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        w = np.asarray(w, dtype=float)
-        feats, labels = sampler.draw_batch(n)
-        margins = labels * (feats @ w)
-        active = (margins <= 1.0).astype(float)
-        return self.rho * w - ((labels * active) @ feats) / n
-
-    def risk_mc(self, w, sampler, n):
-        """Monte-Carlo risk estimate over n fresh draws from ``sampler``."""
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        w = np.asarray(w, dtype=float)
-        feats, labels = sampler.draw_batch(n)
-        margins = labels * (feats @ w)
-        return 0.5 * self.rho * (w @ w) + np.maximum(0.0, 1.0 - margins).mean()
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ assumptions actually hold on live samplers.
 
 from dataclasses import dataclass
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -255,28 +255,6 @@ def svm_tight_bound(mu, rho, w_star_norm2, trace_rh):
 
 
 @dataclass(frozen=True, eq=False)
-class RateReport:
-    """Computed rate/bound summary for one (mu, constants) pair."""
-
-    alpha: float
-    mu_max: float
-    steady_state_excess_risk: float
-    msd_bound: float
-    fitted_alpha: Optional[float] = None
-
-
-def rate_report(mu, constants, fitted_alpha=None):
-    bounds = steady_state_bounds(mu, constants)
-    return RateReport(
-        alpha=rate_alpha(mu, constants),
-        mu_max=step_size_ceiling(constants),
-        steady_state_excess_risk=bounds.excess_risk,
-        msd_bound=bounds.msd,
-        fitted_alpha=fitted_alpha,
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class NoiseMomentReport:
     """Empirical gradient-noise moments at a fixed probe point."""
 
@@ -292,35 +270,23 @@ def verify_noise_moments(problem, sampler, w, n):
     """Estimate E[s] and E||s||^2 of the gradient noise at a fixed iterate.
 
     The noise is the instantaneous subgradient minus the problem's true
-    subgradient at ``w``, measured over ``n`` fresh draws.
+    subgradient at ``w``, measured over one ``sampler.draw_batch(n)`` through
+    the problem's ``subgradient_batch``.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     w = np.asarray(w, dtype=float)
-    g_true = problem.true_subgradient(w)
-    dim = w.shape[0]
-    total = np.zeros(dim)
-    total_sq = np.zeros(dim)
-    q_sum = 0.0
-    q_sq = 0.0
-    for _ in range(n):
-        s = problem.instantaneous_subgradient(w, sampler.draw()) - g_true
-        total += s
-        total_sq += s * s
-        q = float(s @ s)
-        q_sum += q
-        q_sq += q * q
-    mean = total / n
-    comp_var = np.maximum(total_sq - n * mean * mean, 0.0) / (n - 1)
-    msq = q_sum / n
-    msq_var = max(q_sq - n * msq * msq, 0.0) / (n - 1)
+    H, y = sampler.draw_batch(n)
+    s = problem.subgradient_batch(np.broadcast_to(w, H.shape), H, y)
+    s -= problem.true_subgradient(w)
+    q = np.einsum("ij,ij->i", s, s)
     return NoiseMomentReport(
         w=w,
         n=n,
-        mean=mean,
-        mean_stderr=np.sqrt(comp_var / n),
-        second_moment=msq,
-        second_moment_stderr=math.sqrt(msq_var / n),
+        mean=s.mean(axis=0),
+        mean_stderr=np.sqrt(s.var(axis=0, ddof=1) / n),
+        second_moment=float(q.mean()),
+        second_moment_stderr=math.sqrt(q.var(ddof=1) / n),
     )
 
 

@@ -94,6 +94,18 @@ def test_run_lasso_quick_stays_below_bound_column(tmp_path):
     assert 0.0 <= smoothed <= bound
 
 
+def test_run_prints_the_final_smoothed_excess_risk(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, LASSO_QUICK, iterations=2000, replications=1, out=tmp_path / "out"
+    )
+    assert cli.main(["run", "--config", str(cfg), "--workers", "1"]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1]
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert printed.startswith("final smoothed excess risk = ")
+    assert printed in summary
+    assert any(line.startswith("finite-horizon bound") for line in summary)
+
+
 def test_run_is_byte_deterministic(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

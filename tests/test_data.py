@@ -69,14 +69,11 @@ def test_regression_sampler_sequence_is_access_pattern_invariant():
     batched = data.RegressionSampler(spec, 9).draw_batch(5)
     it = iter(data.RegressionSampler(spec, 9))
     streamed = [next(it) for _ in range(5)]
-    free = np.random.default_rng(9)
     for k in range(5):
         np.testing.assert_array_equal(singles[k].h, batched[0][k])
         assert singles[k].gamma == batched[1][k]
         np.testing.assert_array_equal(singles[k].h, streamed[k].h)
-        gen = data.gen_regression_sample(spec, free)
-        np.testing.assert_array_equal(singles[k].h, gen.h)
-        assert singles[k].gamma == gen.gamma
+        assert singles[k].gamma == streamed[k].gamma
 
 
 def test_two_class_sampler_sequence_is_access_pattern_invariant():
@@ -84,9 +81,31 @@ def test_two_class_sampler_sequence_is_access_pattern_invariant():
     singles_src = data.TwoClassGaussianSampler(spec, 10)
     singles = [singles_src.draw() for _ in range(6)]
     feats, labels = data.TwoClassGaussianSampler(spec, 10).draw_batch(6)
+    it = iter(data.TwoClassGaussianSampler(spec, 10))
+    streamed = [next(it) for _ in range(6)]
     for k in range(6):
         np.testing.assert_array_equal(singles[k].h, feats[k])
         assert singles[k].gamma == labels[k]
+        np.testing.assert_array_equal(singles[k].h, streamed[k].h)
+        assert singles[k].gamma == streamed[k].gamma
+
+
+def test_set_sampler_sequence_is_access_pattern_invariant():
+    rng = np.random.default_rng(12)
+    feats = rng.normal(size=(7, 3))
+    labels = np.where(rng.random(7) < 0.5, 1.0, -1.0)
+    n = 600  # more than one iteration block
+    singles_src = data.SetSampler(feats, labels, 13)
+    singles = [singles_src.draw() for _ in range(n)]
+    batch_feats, batch_labels = data.SetSampler(feats, labels, 13).draw_batch(n)
+    it = iter(data.SetSampler(feats, labels, 13))
+    streamed = [next(it) for _ in range(n)]
+    assert len({s.gamma for s in singles}) == 2
+    for k in range(n):
+        np.testing.assert_array_equal(singles[k].h, batch_feats[k])
+        assert singles[k].gamma == batch_labels[k]
+        np.testing.assert_array_equal(singles[k].h, streamed[k].h)
+        assert singles[k].gamma == streamed[k].gamma
 
 
 def test_correlated_draws_follow_cholesky():
@@ -123,13 +142,12 @@ def test_svm_stream_second_moment_trace():
     assert abs(emp - expected) <= 0.05
 
 
-def test_gen_sample_functions_match_model():
-    rng = np.random.default_rng(11)
+def test_sampler_draw_matches_model():
     spec = data.RegressionStreamSpec(np.array([2.0]), np.eye(1), 0.0)
-    s = data.gen_regression_sample(spec, rng)
+    s = data.RegressionSampler(spec, 11).draw()
     assert s.gamma == pytest.approx(2.0 * s.h[0])
     spec2 = data.TwoClassGaussianSpec.symmetric(np.array([1.0]), prior_pos=0.0)
-    s2 = data.gen_svm_sample(spec2, rng)
+    s2 = data.TwoClassGaussianSampler(spec2, 11).draw()
     assert s2.gamma == -1.0
 
 

@@ -75,57 +75,42 @@ def test_svm_rejects_bad_label():
         p.instantaneous_subgradient(np.zeros(2), Sample(np.zeros(2), 0.5))
 
 
-def test_svm_mc_subgradient_single_draw_matches_instantaneous():
-    p = problems.SvmProblem(rho=0.05, dim=3)
-    spec = data.TwoClassGaussianSpec.symmetric(np.array([0.5, 0.2, -0.1]))
-    w = np.array([0.3, -0.4, 0.1])
-    g_mc = p.true_subgradient_mc(w, data.TwoClassGaussianSampler(spec, 5), 1)
-    g_one = p.instantaneous_subgradient(
-        w, data.TwoClassGaussianSampler(spec, 5).draw()
-    )
-    np.testing.assert_allclose(g_mc, g_one, rtol=1e-12)
+def drawn_set(spec, seed, n, rho):
+    """Frozen SVM set of n draws: its exact risk and subgradient are
+    Monte-Carlo estimates of the stream's."""
+    feats, labels = data.TwoClassGaussianSampler(spec, seed).draw_batch(n)
+    return problems.SvmSampleSet(feats, labels, rho)
 
 
 def test_svm_mc_subgradient_matches_analytic_mean_at_zero():
     # at w = 0 every margin is 0 <= 1, so the mean is -E[gamma h] = -m exactly
     m = np.array([0.8, -0.3, 0.5])
-    p = problems.SvmProblem(rho=0.05, dim=3)
     spec = data.TwoClassGaussianSpec.symmetric(m)
     n = 40_000
-    g = p.true_subgradient_mc(np.zeros(3), data.TwoClassGaussianSampler(spec, 8), n)
+    g = drawn_set(spec, 8, n, rho=0.05).subgradient(np.zeros(3))
     stderr = math.sqrt((1.0 + float(m @ m) / 3) / n)  # crude per-component scale
     np.testing.assert_allclose(g, -m, atol=4 * stderr + 0.01)
 
 
 def test_svm_mc_subgradient_scaling_consistency():
-    p = problems.SvmProblem(rho=0.05, dim=3)
     spec = data.TwoClassGaussianSpec.symmetric(np.array([0.5, 0.5, 0.5]))
     w = np.array([0.2, 0.1, -0.3])
-    small = p.true_subgradient_mc(w, data.TwoClassGaussianSampler(spec, 21), 10_000)
-    big = p.true_subgradient_mc(w, data.TwoClassGaussianSampler(spec, 22), 40_000)
+    small = drawn_set(spec, 21, 10_000, rho=0.05).subgradient(w)
+    big = drawn_set(spec, 22, 40_000, rho=0.05).subgradient(w)
     # component std is O(1); combined standard error of the difference
     se = math.sqrt(1.0 / 10_000 + 1.0 / 40_000)
     assert np.max(np.abs(small - big)) <= 5 * se
 
 
 def test_svm_risk_mc_at_zero_is_exactly_one():
-    p = problems.SvmProblem(rho=0.7, dim=2)
     spec = data.TwoClassGaussianSpec.symmetric(np.array([1.0, 0.0]))
-    r = p.risk_mc(np.zeros(2), data.TwoClassGaussianSampler(spec, 3), 500)
-    assert r == 1.0
+    assert drawn_set(spec, 3, 500, rho=0.7).risk(np.zeros(2)) == 1.0
 
 
 def test_svm_risk_mc_all_margins_large_leaves_only_regularizer():
-    p = problems.SvmProblem(rho=0.5, dim=2)
-
-    class SeparableSampler:
-        def draw_batch(self, n):
-            feats = np.tile([5.0, 0.0], (n, 1))
-            return feats, np.ones(n)
-
+    sset = problems.SvmSampleSet(np.tile([5.0, 0.0], (100, 1)), np.ones(100), rho=0.5)
     w = np.array([1.0, 0.0])  # margin = 5 > 1 for every sample
-    r = p.risk_mc(w, SeparableSampler(), 100)
-    assert r == pytest.approx(0.5 * 0.5 * 1.0, abs=0)
+    assert sset.risk(w) == pytest.approx(0.5 * 0.5 * 1.0, abs=0)
 
 
 def test_svm_empirical_minimizer_is_locally_optimal():
@@ -141,8 +126,7 @@ def test_svm_empirical_minimizer_is_locally_optimal():
 
 def frozen_svm_set(n=5000, seed=11, rho=0.01):
     spec = data.TwoClassGaussianSpec.symmetric(np.array([0.75, 0.75, 0.75]))
-    feats, labels = data.TwoClassGaussianSampler(spec, seed).draw_batch(n)
-    return problems.SvmSampleSet(feats, labels, rho)
+    return drawn_set(spec, seed, n, rho)
 
 
 def test_svm_duality_gap_bounds_every_risk_difference():

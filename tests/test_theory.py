@@ -282,12 +282,49 @@ def test_noise_moments_zero_noise_problem_is_exactly_zero():
     )
 
     class DeterministicSampler:
-        def draw(self):
-            return problems.Sample(np.array([1.0]), 2.0)  # h h^T = cov exactly
+        def draw_batch(self, n):
+            return np.ones((n, 1)), np.full(n, 2.0)  # h h^T = cov exactly
 
     report = theory.verify_noise_moments(p, DeterministicSampler(), np.array([0.7]), 100)
     np.testing.assert_array_equal(report.mean, [0.0])
     assert report.second_moment == 0.0
+
+
+def noise_moments_per_draw(problem, sampler, w, n):
+    # reference: one draw and one instantaneous subgradient at a time
+    g_true = problem.true_subgradient(w)
+    s = np.array([
+        problem.instantaneous_subgradient(w, sampler.draw()) - g_true for _ in range(n)
+    ])
+    q = np.array([float(row @ row) for row in s])
+    return (
+        s.mean(axis=0),
+        s.std(axis=0, ddof=1) / math.sqrt(n),
+        q.mean(),
+        q.std(ddof=1) / math.sqrt(n),
+    )
+
+
+@pytest.mark.parametrize("kind", ["lasso", "svm-set"])
+def test_noise_moments_match_a_per_draw_loop(kind):
+    if kind == "lasso":
+        p = make_lasso()
+        spec = data.RegressionStreamSpec(p.w_true, p.cov_h, p.noise_var)
+        make = lambda: data.RegressionSampler(spec, 31)
+        w = p.optimum() + np.array([0.3, -0.1, 0.0, 0.2, -0.4])
+    else:
+        spec = data.TwoClassGaussianSpec.symmetric(np.array([0.7, -0.2, 0.4]))
+        feats, labels = data.TwoClassGaussianSampler(spec, 32).draw_batch(2_000)
+        p = problems.SvmSampleSet(feats, labels, rho=0.01)
+        make = lambda: data.SetSampler(feats, labels, 33)
+        w = np.array([0.5, 0.5, -0.5])
+    n = 3_000
+    report = theory.verify_noise_moments(p, make(), w, n)
+    mean, mean_se, msq, msq_se = noise_moments_per_draw(p, make(), w, n)
+    np.testing.assert_allclose(report.mean, mean, rtol=1e-12)
+    np.testing.assert_allclose(report.mean_stderr, mean_se, rtol=1e-12)
+    assert report.second_moment == pytest.approx(msq, rel=1e-12)
+    assert report.second_moment_stderr == pytest.approx(msq_se, rel=1e-12)
 
 
 def test_noise_moments_svm_variance_below_trace():
@@ -421,14 +458,3 @@ def test_alpha_in_unit_interval_below_ceiling():
         for frac in (1e-6, 0.1, 0.5, 0.99):
             alpha = theory.rate_alpha(frac * ceiling, k)
             assert 0.0 < alpha < 1.0
-
-
-def test_rate_report_fields():
-    k = constants(eta=1.0, c=1.0, d=0.1, sigma2=0.5)
-    rep = theory.rate_report(0.01, k, fitted_alpha=0.99)
-    assert rep.alpha == theory.rate_alpha(0.01, k)
-    assert rep.mu_max == theory.step_size_ceiling(k)
-    assert rep.fitted_alpha == 0.99
-    ss = theory.steady_state_bounds(0.01, k)
-    assert rep.steady_state_excess_risk == ss.excess_risk
-    assert rep.msd_bound == ss.msd
