@@ -40,10 +40,20 @@ CSV_HEADER = "iteration,excess_risk_raw,excess_risk_smoothed,msd,bound"
 
 def _load_config(path):
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path!r} is malformed: {exc}") from None
     if not read:
         raise FileNotFoundError(f"config file {path!r} not found")
     return parser
+
+
+def _finite(section, key, value, raw):
+    # NaN fails every comparison, so no range check after this one can catch it
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+    return value
 
 
 def _get(cfg, section, key, cast, default=None, required=False):
@@ -51,11 +61,17 @@ def _get(cfg, section, key, cast, default=None, required=False):
         if required:
             raise ConfigError(f"[{section}] {key} is required")
         return default
-    raw = cfg.get(section, key)
     try:
-        return cast(raw)
+        raw = cfg.get(section, key)
+    except configparser.Error as exc:  # e.g. a bare '%' fails interpolation
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
+    try:
+        val = cast(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
+    if cast is float:
+        _finite(section, key, val, raw)
+    return val
 
 
 def _positive(cfg, section, key, cast, default=None, required=False):
@@ -78,7 +94,7 @@ def _parse_sparse_vector(raw, dim):
         if not 0 <= idx < dim:
             raise ConfigError(f"[problem] w_true: index {idx} outside 0..{dim - 1}")
         vec[idx] = val
-    return vec
+    return _finite("problem", "w_true", vec, raw)
 
 
 def _run_config(cfg, seed_override=None):
@@ -111,6 +127,8 @@ class _LassoBundle:
         dim = _positive(cfg, "problem", "dim", int, required=True)
         delta = _positive(cfg, "problem", "delta", float, required=True)
         noise_var = _get(cfg, "problem", "noise_var", float, default=0.01)
+        if noise_var < 0:
+            raise ConfigError(f"[problem] noise_var must be nonnegative, got {noise_var}")
         w_true_raw = _get(cfg, "problem", "w_true", str, required=True)
         w_true = _parse_sparse_vector(w_true_raw, dim)
         self.problem = problems.LassoProblem(
@@ -171,8 +189,11 @@ class _SvmBundle:
             mean = np.array([float(tok) for tok in mean_raw.split(",")])
         except ValueError:
             raise ConfigError(f"[problem] mean: cannot parse {mean_raw!r}") from None
+        _finite("problem", "mean", mean, mean_raw)
         cov_scale = _positive(cfg, "problem", "cov_scale", float, default=1.0)
         prior_pos = _get(cfg, "problem", "prior_pos", float, default=0.5)
+        if not 0.0 <= prior_pos <= 1.0:
+            raise ConfigError(f"[problem] prior_pos must lie in [0, 1], got {prior_pos}")
         train_size = _positive(cfg, "problem", "train_size", int, default=100_000)
         oracle_iters = _positive(cfg, "problem", "oracle_iterations", int, default=100_000)
 
@@ -551,7 +572,10 @@ def cmd_svm_train(ns):
     if test is not None:
         test = _pad_dataset(test, dim)
 
-    kappa = 1.0 - 2.0 * ns.mu * ns.rho + 2.0 * (ns.mu * ns.rho) ** 2
+    # kappa < 1 needs mu*rho < 1; testing that first keeps the square from overflowing
+    kappa = math.inf
+    if ns.mu * ns.rho < 1.0:
+        kappa = 1.0 - 2.0 * ns.mu * ns.rho + 2.0 * (ns.mu * ns.rho) ** 2
     if not 0.0 <= kappa < 1.0:
         raise ConfigError(
             f"mu*rho={ns.mu * ns.rho:.6g} puts the smoothing factor {kappa:.6g} "

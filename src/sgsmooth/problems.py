@@ -429,15 +429,22 @@ def tv_value(img):
     return float(np.abs(np.diff(p, axis=0)).sum() + np.abs(np.diff(p, axis=1)).sum())
 
 
+def _sgn_diff(hi, lo):
+    # sgn(hi - lo) as int8.  For finite floats this is exact: with gradual
+    # underflow hi - lo is 0 only when hi == lo, and an overflow to +-inf
+    # keeps its sign.
+    return (hi > lo).view(np.int8) - (hi < lo).view(np.int8)
+
+
 def _tv_sign_sum(p):
     # sum over existing neighbors of sgn(pixel - neighbor); shares the
     # dropped-boundary convention of tv_value so the step is a true
-    # subgradient of fidelity + lam * tv_value.
-    g = np.zeros_like(p)
-    d = np.sign(p[1:, :] - p[:-1, :])
+    # subgradient of fidelity + lam * tv_value.  The sum lies in [-4, 4].
+    g = np.zeros(p.shape, dtype=np.int8)
+    d = _sgn_diff(p[1:, :], p[:-1, :])
     g[1:, :] += d
     g[:-1, :] -= d
-    d = np.sign(p[:, 1:] - p[:, :-1])
+    d = _sgn_diff(p[:, 1:], p[:, :-1])
     g[:, 1:] += d
     g[:, :-1] -= d
     return g
@@ -454,5 +461,6 @@ def tv_subgradient_step(img, noisy, mu, lam):
     if mu <= 0 or lam < 0:
         raise ValueError("mu must be positive and lam nonnegative")
     p = img.pixels
-    g = (p - noisy.pixels) + lam * _tv_sign_sum(p)
+    # float(lam): an int lam times the int8 sign sum would wrap
+    g = (p - noisy.pixels) + float(lam) * _tv_sign_sum(p)
     return GrayImage(p - mu * g, peak=img.peak)

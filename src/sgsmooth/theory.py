@@ -54,6 +54,12 @@ class ProblemConstants:
         # when eta <= c
         if self.eta > self.c * (1 + 1e-12):
             raise ValueError(f"eta={self.eta} exceeds c={self.c}")
+        try:
+            self.e2, self.f2  # a Python float's ** raises where numpy gives inf
+        except OverflowError:
+            raise UnsupportedConfiguration(
+                f"c={self.c:.6g} or d={self.d:.6g} is too large: e^2 or f^2 overflows"
+            ) from None
 
     @property
     def e2(self):

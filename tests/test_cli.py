@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -149,6 +151,103 @@ def test_run_unparseable_kappa_is_config_error(tmp_path, capsys):
     assert "[run] kappa" in err and "Traceback" not in err
 
 
+LASSO_NO_RUN = LASSO_QUICK.format(iterations=0, replications=1, out="unused")
+
+
+@pytest.mark.parametrize("text", [
+    b"kind = lasso\n",  # no section header
+    LASSO_NO_RUN.encode() + b"[problem]\nkind = svm\n",  # repeated section
+    LASSO_NO_RUN.replace("kind = lasso", "kind lasso").encode(),  # no '='
+    LASSO_NO_RUN.encode() + b"# \xff\n",  # not UTF-8
+    LASSO_NO_RUN.replace("delta = 0.002", "delta = 5%").encode(),  # bad interpolation
+], ids=["no-header", "duplicate-section", "no-equals", "non-utf8", "interpolation"])
+def test_run_malformed_ini_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(text)
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("template, old, new", [
+    (LASSO_QUICK, "noise_var = 0.01", "noise_var = nan"),
+    (LASSO_QUICK, "noise_var = 0.01", "noise_var = -1"),
+    (LASSO_QUICK, "delta = 0.002", "delta = nan"),
+    (LASSO_QUICK, "w_true = 0:1.0 1:-1.0", "w_true = 0:nan"),
+    (LASSO_QUICK, "mu = 0.001", "mu = nan"),
+    (SVM_QUICK, "mean = 0.8,0.4", "mean = 1,nan"),
+    (SVM_QUICK, "rho = 0.05", "rho = nan"),
+    (SVM_QUICK, "prior_pos = 0.5", "prior_pos = nan"),
+    (SVM_QUICK, "prior_pos = 0.5", "prior_pos = 2"),
+    (SVM_QUICK, "cov_scale = 1.0", "cov_scale = inf"),
+])
+def test_run_non_finite_or_out_of_range_number_is_config_error(tmp_path, capsys,
+                                                              template, old, new):
+    assert old in template
+    cfg = write_config(tmp_path, template.replace(old, new), iterations=1000,
+                       replications=1, out=tmp_path / "out")
+    assert cli.main(["run", "--config", str(cfg), "--workers", "1"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert new.split(" =")[0] in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "curves.csv").exists()
+
+
+LASSO_TINY = """
+[problem]
+kind = lasso
+dim = 3
+delta = 0.01
+noise_var = 0.01
+w_true = 0:1.0 1:-0.5
+a_mc_samples = 1000
+
+[run]
+mu = 0.01
+kappa = auto
+iterations = 200
+record_stride = 100
+seed = 3
+replications = 1
+"""
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config-fuzz")
+
+
+def run_config_bytes(work, text):
+    # an uncaught exception fails the test; stderr must not carry one either
+    path = work / "fuzz.ini"
+    path.write_bytes(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["run", "--config", str(path), "--workers", "1",
+                       "--out", str(work / "out")])
+    assert rc in (cli.EXIT_OK, cli.EXIT_PROPERTY, cli.EXIT_CONFIG, cli.EXIT_IO)
+    assert "Traceback" not in err.getvalue()
+
+
+# one line of any encodable text: no line break, so no size key can be added
+ONE_LINE = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\r\n"))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(key=st.sampled_from(["delta", "noise_var", "mu", "kappa"]),
+       value=st.one_of(ONE_LINE, st.floats().map(repr)))
+@example(key="delta", value="3.870500758797579e+153")  # d = 2 delta sqrt(3); d**2 overflows
+def test_run_config_value_fuzz_exits_with_documented_code(fuzz_dir, key, value):
+    old = next(line for line in LASSO_TINY.splitlines() if line.startswith(key + " ="))
+    run_config_bytes(fuzz_dir, LASSO_TINY.replace(old, f"{key} = {value}").encode())
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(text=st.one_of(st.binary(), st.binary().map(lambda tail: LASSO_TINY.encode() + tail)))
+def test_run_config_bytes_fuzz_exits_with_documented_code(fuzz_dir, text):
+    # every size key is already set, so an appended copy is a duplicate (exit 2)
+    run_config_bytes(fuzz_dir, text)
+
+
 def test_run_svm_summary_reports_oracle_certificate(tmp_path):
     cfg = write_config(tmp_path, SVM_QUICK, iterations=0, out=tmp_path / "out")
     assert cli.main(["run", "--config", str(cfg)]) == 0
@@ -180,6 +279,16 @@ def test_verify_svm_quick_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 4  # no monotonicity suite without a closed-form w*
     assert "FAIL" not in out
+
+
+def test_verify_non_finite_scale_is_config_error(tmp_path, capsys):
+    # NaN probe points would make every comparison false, so no check could fail
+    cfg = write_config(tmp_path, LASSO_QUICK.replace("probes = 3", "probes = 3\nscale = nan"),
+                       iterations=0, replications=1, out=tmp_path / "out")
+    assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "[verify] scale" in captured.err and "Traceback" not in captured.err
 
 
 # ---------- denoise ----------
@@ -397,3 +506,14 @@ def test_svm_train_negative_epochs_is_config_error(tmp_path, capsys):
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "--epochs" in err and "Traceback" not in err
+
+
+def test_svm_train_huge_step_is_config_error(tmp_path, capsys):
+    # (mu*rho)**2 of a finite mu*rho above 1e154 used to raise OverflowError
+    path = tmp_path / "toy.libsvm"
+    path.write_text("+1 1:1.0\n-1 1:-1.0\n")
+    rc = cli.main(["svm-train", "--train", str(path), "--mu", "1e200", "--rho", "1",
+                   "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "mu*rho" in err and "Traceback" not in err

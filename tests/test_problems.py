@@ -500,6 +500,53 @@ def test_tv_step_is_true_subgradient_of_implemented_objective():
         assert objective(y) >= lower - 1e-9
 
 
+def tv_sign_sum_reference(p):
+    # the float np.sign form the int8 comparison kernel replaces
+    with np.errstate(over="ignore"):  # +-max differences overflow to +-inf
+        down = np.sign(p[1:, :] - p[:-1, :])
+        right = np.sign(p[:, 1:] - p[:, :-1])
+    g = np.zeros_like(p)
+    g[1:, :] += down
+    g[:-1, :] -= down
+    g[:, 1:] += right
+    g[:, :-1] -= right
+    return g
+
+
+def tv_sign_sum_cases():
+    rng = np.random.default_rng(21)
+    tiny = np.finfo(float).smallest_subnormal
+    big = np.finfo(float).max
+    extremes = np.array([0.0, -0.0, tiny, -tiny, np.finfo(float).tiny, 1.0,
+                         np.nextafter(1.0, 2.0), big, -big])
+    return {
+        "integer-ties": rng.integers(0, 3, size=(17, 23)).astype(float),
+        "zeros-subnormals-max": rng.choice(extremes, size=(19, 13)),
+        "normals": rng.normal(size=(31, 29)),
+        "2x2": np.array([[1.0, -0.0], [0.0, 5e-324]]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(tv_sign_sum_cases()))
+def test_tv_sign_sum_equals_float_sign_reference(name):
+    p = tv_sign_sum_cases()[name]
+    got = problems._tv_sign_sum(p)
+    assert np.array_equal(got, tv_sign_sum_reference(p))
+    assert np.abs(got).max() <= 4
+
+
+def test_tv_step_pixels_are_float64_and_match_reference():
+    rng = np.random.default_rng(22)
+    p = rng.uniform(size=(6, 5))
+    noisy = rng.uniform(size=(6, 5))
+    # an integer lam must not wrap in the int8 sign sum
+    out = problems.tv_subgradient_step(GrayImage(p, peak=1.0), GrayImage(noisy, peak=1.0),
+                                       mu=0.1, lam=100)
+    assert out.pixels.dtype == np.float64
+    expected = p - 0.1 * ((p - noisy) + 100.0 * tv_sign_sum_reference(p))
+    assert np.array_equal(out.pixels, expected)
+
+
 def test_gray_image_validation():
     with pytest.raises(ValueError):
         GrayImage(np.zeros((1, 5)), peak=1.0)
