@@ -9,7 +9,9 @@ maintains the exponentially smoothed iterate
     w_bar_i = (1 - 1/S_i) * w_bar_{i-1} + (1/S_i) * w_i
 
 which is the realizable substitute for best-iterate tracking when the risk
-cannot be evaluated online.  A single run is strictly sequential.
+cannot be evaluated online.  Every loop that smooths, here and in the
+``denoise`` command, takes the step with :func:`smooth_in_place`.  A single
+run is strictly sequential.
 
 :func:`run_replications` advances independent replications in lockstep, as
 the rows of one (R, dim) matrix, each row fed by its own sampler.  It needs
@@ -48,11 +50,23 @@ def init_smoothing(w0, kappa):
     return SmoothingState(1.0, np.array(w0, dtype=float), kappa)
 
 
+def smooth_in_place(w_bar, w, s, scratch):
+    """One smoothing step in place: w_bar <- (1 - 1/s) w_bar + w / s.
+
+    ``s`` is the new weight sum S_i.  ``scratch``, shaped like ``w_bar``,
+    receives w / s, so nothing is allocated.
+    """
+    # the (1 - 1/S) form makes kappa = 0 reduce to the last iterate exactly
+    w_bar *= 1.0 - 1.0 / s
+    np.divide(w, s, out=scratch)
+    w_bar += scratch
+
+
 def smoothing_update(state, w):
     """Advance the smoothing recursion by one iterate; returns a new state."""
     s = state.kappa * state.s + 1.0
-    # the (1 - 1/S) form makes kappa = 0 reduce to the last iterate exactly
-    w_bar = (1.0 - 1.0 / s) * state.w_bar + np.asarray(w, dtype=float) / s
+    w_bar = np.array(state.w_bar, dtype=float)
+    smooth_in_place(w_bar, np.asarray(w, dtype=float), s, np.empty_like(w_bar))
     return SmoothingState(s, w_bar, state.kappa)
 
 
@@ -264,6 +278,7 @@ def run(problem, stream, config, *, oracle=None, w0=None, track_pocket=False):
     subgrad = problem.instantaneous_subgradient
 
     w_bar = w.copy()
+    scratch = np.empty_like(w)
     s_sum = 1.0
     it = iter(stream)
     recorder = _Recorder(oracle, w, track_pocket)
@@ -278,8 +293,7 @@ def run(problem, stream, config, *, oracle=None, w0=None, track_pocket=False):
         g = subgrad(w, sample)
         w -= mu * g
         s_sum = kappa * s_sum + 1.0
-        w_bar *= 1.0 - 1.0 / s_sum
-        w_bar += w / s_sum
+        smooth_in_place(w_bar, w, s_sum, scratch)
         if i % stride == 0:
             recorder.record(i, w, w_bar)
 
@@ -302,6 +316,7 @@ def _run_lockstep(args):
     samplers = [stream_factory(seed) for seed in seeds]
     W = np.tile(w, (len(seeds), 1))
     W_bar = W.copy()
+    scratch = np.empty_like(W)
     s_sum = 1.0
     recorders = [_Recorder(oracle, w, track_pocket) for _ in seeds]
 
@@ -315,8 +330,7 @@ def _run_lockstep(args):
             G *= mu
             W -= G
             s_sum = kappa * s_sum + 1.0
-            W_bar *= 1.0 - 1.0 / s_sum
-            W_bar += W / s_sum
+            smooth_in_place(W_bar, W, s_sum, scratch)
             i = start + k + 1
             if i % stride == 0:
                 for recorder, w_row, w_bar_row in zip(recorders, W, W_bar):

@@ -429,38 +429,108 @@ def tv_value(img):
     return float(np.abs(np.diff(p, axis=0)).sum() + np.abs(np.diff(p, axis=1)).sum())
 
 
-def _sgn_diff(hi, lo):
-    # sgn(hi - lo) as int8.  For finite floats this is exact: with gradual
+def _sgn_diff(hi, lo, gt, lt):
+    # sgn(hi - lo) as int8, written over the comparison bytes gt and lt and
+    # returned as a view of gt.  For finite floats this is exact: with gradual
     # underflow hi - lo is 0 only when hi == lo, and an overflow to +-inf
     # keeps its sign.
-    return (hi > lo).view(np.int8) - (hi < lo).view(np.int8)
+    np.greater(hi, lo, out=gt)
+    np.less(hi, lo, out=lt)
+    d = gt.view(np.int8)
+    np.subtract(d, lt.view(np.int8), out=d)
+    return d
 
 
-def _tv_sign_sum(p):
-    # sum over existing neighbors of sgn(pixel - neighbor); shares the
+class TvBuffers(NamedTuple):
+    """Working memory of :func:`tv_step_rows` for bands of up to ``rows`` rows.
+
+    Allocated once per band and reused every step, so a step allocates
+    nothing.  ``scratch`` is free again once a step returns.
+    """
+
+    sign: np.ndarray  # int8 sign sum, one row per band row
+    gt: np.ndarray  # comparison bytes, flat, room for the halo pairs
+    lt: np.ndarray
+    scratch: np.ndarray  # float64, one row per band row
+    finite: np.ndarray  # finiteness mask of the new rows
+
+    @classmethod
+    def allocate(cls, rows, width):
+        pairs = (rows + 1) * width
+        return cls(
+            np.empty((rows, width), dtype=np.int8),
+            np.empty(pairs, dtype=bool),
+            np.empty(pairs, dtype=bool),
+            np.empty((rows, width)),
+            np.empty((rows, width), dtype=bool),
+        )
+
+
+def _tv_sign_sum_rows(p, lo, hi, buf):
+    # rows [lo, hi) of the sum over existing neighbors of sgn(pixel - neighbor),
+    # read from one halo row above and below the band; shares the
     # dropped-boundary convention of tv_value so the step is a true
     # subgradient of fidelity + lam * tv_value.  The sum lies in [-4, 4].
-    g = np.zeros(p.shape, dtype=np.int8)
-    d = _sgn_diff(p[1:, :], p[:-1, :])
-    g[1:, :] += d
-    g[:-1, :] -= d
-    d = _sgn_diff(p[:, 1:], p[:, :-1])
+    height, width = p.shape
+    rows = hi - lo
+    g = buf.sign[:rows]
+    g.fill(0)
+    top, bottom = max(lo - 1, 0), min(hi + 1, height)
+    pairs = bottom - top - 1  # vertical pairs (r, r + 1) with r in [top, bottom - 1)
+    d = _sgn_diff(p[top + 1 : bottom], p[top : bottom - 1],
+                  buf.gt[: pairs * width].reshape(pairs, width),
+                  buf.lt[: pairs * width].reshape(pairs, width))
+    up = lo - top  # 1 when the band has a halo row above
+    g[1 - up :] += d[: rows - 1 + up]
+    down = min(hi, height - 1) - lo  # band rows with a neighbor below
+    g[:down] -= d[up : up + down]
+    n = rows * (width - 1)
+    d = _sgn_diff(p[lo:hi, 1:], p[lo:hi, :-1],
+                  buf.gt[:n].reshape(rows, width - 1), buf.lt[:n].reshape(rows, width - 1))
     g[:, 1:] += d
     g[:, :-1] -= d
     return g
+
+
+def tv_step_rows(p, noisy, out, lo, hi, mu, lam, buf):
+    """Write rows [lo, hi) of the next TV subgradient iterate into ``out``.
+
+    The rows are ``p - ((p - noisy) + lam * S(p)) * mu`` with S the sign sum,
+    read from rows lo - 1 .. hi of ``p``; ``out`` must not be ``p``.  ``buf``
+    is a :class:`TvBuffers` of at least ``hi - lo`` rows, and nothing else is
+    allocated.  Raises :class:`NumericError` when a new pixel is not finite.
+    Bands that cover the image may run concurrently: each reads only ``p``
+    and ``noisy`` and writes only its own rows.  Arguments are not checked
+    here; :func:`tv_subgradient_step` checks them.
+    """
+    rows = hi - lo
+    g = _tv_sign_sum_rows(p, lo, hi, buf)
+    band, new = p[lo:hi], out[lo:hi]
+    scratch = buf.scratch[:rows]
+    np.subtract(band, noisy[lo:hi], out=scratch)
+    # float(lam): an int lam times the int8 sign sum would wrap
+    np.multiply(g, float(lam), out=new)
+    scratch += new
+    scratch *= mu
+    np.subtract(band, scratch, out=new)
+    finite = buf.finite[:rows]
+    np.isfinite(new, out=finite)
+    if not finite.all():
+        raise NumericError(f"image contains non-finite pixels in rows {lo}..{hi - 1}")
 
 
 def tv_subgradient_step(img, noisy, mu, lam):
     """One subgradient step on (1/2)||I - I_noisy||_F^2 + lam * TV(I).
 
     Returns a new image; pixels are not clipped to the display range during
-    iteration.
+    iteration.  This is :func:`tv_step_rows` on the whole image.
     """
     if img.shape != noisy.shape:
         raise ValueError(f"dimension mismatch: {img.shape} vs {noisy.shape}")
     if mu <= 0 or lam < 0:
         raise ValueError("mu must be positive and lam nonnegative")
     p = img.pixels
-    # float(lam): an int lam times the int8 sign sum would wrap
-    g = (p - noisy.pixels) + float(lam) * _tv_sign_sum(p)
-    return GrayImage(p - mu * g, peak=img.peak)
+    height, width = p.shape
+    out = np.empty((height, width))
+    tv_step_rows(p, noisy.pixels, out, 0, height, mu, lam, TvBuffers.allocate(height, width))
+    return GrayImage(out, peak=img.peak)

@@ -304,12 +304,11 @@ def verify_affine_lipschitz(true_subgrad, dim, c, d, n_pairs, rng, scale=3.0):
     """Count pairs violating ||g(w1) - g(w2)|| <= c ||w1 - w2|| + d.
 
     Probe points are Gaussian with the given scale; violations are counted
-    beyond a 1e-9 relative slack.
+    beyond a 1e-9 relative slack.  All probe points come from one draw, in
+    the order w1, w2 of pair 1, then of pair 2, and so on.
     """
     violations = 0
-    for _ in range(n_pairs):
-        w1 = scale * standard_normal(rng, dim)
-        w2 = scale * standard_normal(rng, dim)
+    for w1, w2 in scale * standard_normal(rng, (n_pairs, 2, dim)):
         lhs = float(np.linalg.norm(true_subgrad(w1) - true_subgrad(w2)))
         rhs = c * float(np.linalg.norm(w1 - w2)) + d
         if _relative_violation(lhs, rhs):
@@ -320,9 +319,7 @@ def verify_affine_lipschitz(true_subgrad, dim, c, d, n_pairs, rng, scale=3.0):
 def verify_subgradient_inequality(risk, subgrad, dim, n_pairs, rng, scale=3.0):
     """Count pairs violating J(w) >= J(w0) + g(w0).(w - w0) beyond 1e-9 slack."""
     violations = 0
-    for _ in range(n_pairs):
-        w = scale * standard_normal(rng, dim)
-        w0 = scale * standard_normal(rng, dim)
+    for w, w0 in scale * standard_normal(rng, (n_pairs, 2, dim)):
         lower = risk(w0) + float(subgrad(w0) @ (w - w0))
         if _relative_violation(lower, risk(w)):
             violations += 1
@@ -333,8 +330,7 @@ def verify_strong_monotonicity(true_subgrad, w_star, eta, dim, n_points, rng, sc
     """Count points violating ||g(w)|| >= eta ||w - w*|| beyond 1e-9 slack."""
     w_star = np.asarray(w_star, dtype=float)
     violations = 0
-    for _ in range(n_points):
-        w = scale * standard_normal(rng, dim)
+    for w in scale * standard_normal(rng, (n_points, dim)):
         lhs = eta * float(np.linalg.norm(w - w_star))
         if _relative_violation(lhs, float(np.linalg.norm(true_subgrad(w)))):
             violations += 1

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sgsmooth import cli, data, problems
+from sgsmooth import cli, data, engine, problems
 from sgsmooth.problems import GrayImage
 
 
@@ -117,6 +119,16 @@ def test_run_is_byte_deterministic(tmp_path):
     assert cli.main(["run", "--config", str(cfg), "--out", str(out_a)]) == 0
     assert cli.main(["run", "--config", str(cfg), "--out", str(out_b), "--workers", "2"]) == 0
     assert (out_a / "curves.csv").read_bytes() == (out_b / "curves.csv").read_bytes()
+
+
+def test_run_negative_workers_is_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, LASSO_QUICK, iterations=200, replications=1, out=tmp_path / "out"
+    )
+    assert cli.main(["run", "--config", str(cfg), "--workers=-3"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--workers" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_svm_quick(tmp_path):
@@ -390,6 +402,8 @@ def test_denoise_requires_some_input():
     ["--noise-std=-1"],
     ["--noise-std", "nan"],
     ["--kappa", "abc"],
+    ["--iterations=-3"],
+    ["--workers=-3"],
 ])
 def test_denoise_bad_flag_is_config_error(tmp_path, capsys, flags):
     clean = piecewise_image(tmp_path)
@@ -399,6 +413,88 @@ def test_denoise_bad_flag_is_config_error(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert flags[0].split("=")[0] in err and "Traceback" not in err
     assert not (tmp_path / "out" / "denoised.pgm").exists()
+
+
+def denoise_reference(noisy, mu, lam, kappa, iterations):
+    # the whole-image loop that the row bands replace
+    img = noisy
+    state = engine.init_smoothing(noisy.pixels, kappa)
+    for _ in range(iterations):
+        img = problems.tv_subgradient_step(img, noisy, mu, lam)
+        state = engine.smoothing_update(state, img.pixels)
+    return state.w_bar
+
+
+@pytest.mark.parametrize("height", [2, 3, 7, 16])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("iterations", [0, 1, 2, 25])
+def test_banded_denoise_equals_whole_image_loop(height, workers, iterations):
+    rng = np.random.default_rng(height)
+    noisy = GrayImage(rng.normal(size=(height, 6)), peak=1.0)
+    got = cli._denoise(noisy, 0.05, 0.3, 0.9, iterations, workers)
+    assert np.array_equal(got, denoise_reference(noisy, 0.05, 0.3, 0.9, iterations))
+
+
+@pytest.mark.parametrize("chunk_pixels", [cli.TV_CHUNK_PIXELS, 7])
+def test_banded_denoise_survives_a_thread_switch_storm(monkeypatch, chunk_pixels):
+    # more workers than cores and a tiny switch interval: a chunk lost or run
+    # twice breaks equality with the reference
+    monkeypatch.setattr(cli, "TV_CHUNK_PIXELS", chunk_pixels)
+    noisy = GrayImage(np.random.default_rng(5).normal(size=(40, 9)), peak=1.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = cli._denoise(noisy, 0.05, 0.3, 0.9, 30, 6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, denoise_reference(noisy, 0.05, 0.3, 0.9, 30))
+
+
+@pytest.mark.parametrize("height", [2, 3, 7])
+def test_denoise_output_does_not_depend_on_workers(tmp_path, height):
+    rng = np.random.default_rng(height)
+    path = tmp_path / "noisy.pgm"
+    data.write_pgm(GrayImage(rng.integers(0, 256, (height, 5)).astype(float)), path)
+    outputs = []
+    for workers in ("0", "1", "2", "3"):  # 0 is the default
+        out = tmp_path / f"out{workers}"
+        before = threading.active_count()
+        assert cli.main(["denoise", "--input", str(path), "--lam", "0.3", "--mu", "0.05",
+                         "--iterations", "40", "--workers", workers, "--out", str(out)]) == 0
+        assert threading.active_count() == before
+        outputs.append((out / "denoised.pgm").read_bytes())
+    assert outputs.count(outputs[0]) == len(outputs)
+
+
+def test_denoise_divergence_is_property_failure(tmp_path, capsys):
+    # step 1 stays finite; step 2 overflows inside the row bands
+    clean = piecewise_image(tmp_path)
+    before = threading.active_count()
+    rc = cli.main(["denoise", "--clean", str(clean), "--noise-std", "0.1", "--kappa", "0.5",
+                   "--mu", "1e300", "--iterations", "5", "--workers", "2",
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_PROPERTY
+    assert threading.active_count() == before
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "denoised.pgm").exists()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(blob=st.one_of(
+    st.binary(),
+    st.builds(lambda width, height, tail: f"P5\n{width} {height}\n255\n".encode() + tail,
+              st.integers(-1, 5), st.integers(-1, 5), st.binary(max_size=40)),
+))
+def test_denoise_pgm_bytes_fuzz_exits_with_documented_code(fuzz_dir, blob):
+    path = fuzz_dir / "fuzz.pgm"
+    path.write_bytes(blob)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["denoise", "--input", str(path), "--iterations", "2",
+                       "--out", str(fuzz_dir / "out")])
+    assert rc in (cli.EXIT_OK, cli.EXIT_PROPERTY, cli.EXIT_CONFIG, cli.EXIT_IO)
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.fixture(scope="module")

@@ -529,10 +529,17 @@ def tv_sign_sum_cases():
 
 @pytest.mark.parametrize("name", sorted(tv_sign_sum_cases()))
 def test_tv_sign_sum_equals_float_sign_reference(name):
+    # every row band [lo, hi), read through its halo rows, against the
+    # reference rows; a band with spare buffer rows must not mind them
     p = tv_sign_sum_cases()[name]
-    got = problems._tv_sign_sum(p)
-    assert np.array_equal(got, tv_sign_sum_reference(p))
-    assert np.abs(got).max() <= 4
+    ref = tv_sign_sum_reference(p)
+    height, width = p.shape
+    for lo in range(height):
+        for hi in range(lo + 1, height + 1):
+            buf = problems.TvBuffers.allocate(hi - lo + lo % 2, width)
+            got = problems._tv_sign_sum_rows(p, lo, hi, buf)
+            assert np.array_equal(got, ref[lo:hi]), (lo, hi)
+            assert np.abs(got).max() <= 4
 
 
 def test_tv_step_pixels_are_float64_and_match_reference():
@@ -545,6 +552,18 @@ def test_tv_step_pixels_are_float64_and_match_reference():
     assert out.pixels.dtype == np.float64
     expected = p - 0.1 * ((p - noisy) + 100.0 * tv_sign_sum_reference(p))
     assert np.array_equal(out.pixels, expected)
+
+
+def test_tv_step_rows_rejects_a_non_finite_band():
+    # only the band's rows are written and checked; the error names them
+    p = np.zeros((6, 4))
+    p[2, 1] = 1.0
+    out = np.zeros((6, 4))
+    buf = problems.TvBuffers.allocate(2, 4)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="rows 1..2"):
+        problems.tv_step_rows(p, np.zeros((6, 4)), out, 1, 3, 1e308, 10.0, buf)
+    assert not out[[0, 3, 4, 5]].any()
+    problems.tv_step_rows(p, np.zeros((6, 4)), out, 4, 6, 1e308, 10.0, buf)
 
 
 def test_gray_image_validation():

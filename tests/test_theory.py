@@ -395,6 +395,33 @@ def test_strong_monotonicity_lasso():
     assert viol == 0
 
 
+def test_verify_checkers_probe_the_per_point_draw_sequence():
+    # one batched draw must hand the checkers the points that one
+    # standard_normal call per point gave, in the same order
+    dim, n, seed = 3, 6, 23
+    rng = np.random.default_rng(seed)
+    points = [2.0 * data.standard_normal(rng, dim) for _ in range(2 * n)]
+    seen = []
+
+    def record(w):
+        seen.append(np.array(w))
+        return 0.0 * w
+
+    theory.verify_affine_lipschitz(record, dim, 1.0, 0.0, n, np.random.default_rng(seed),
+                                   scale=2.0)
+    assert len(seen) == 2 * n and all(map(np.array_equal, seen, points))
+    seen.clear()
+    theory.verify_strong_monotonicity(record, np.zeros(dim), 1.0, dim, 2 * n,
+                                      np.random.default_rng(seed), scale=2.0)
+    assert len(seen) == 2 * n and all(map(np.array_equal, seen, points))
+    seen.clear()
+    # per pair: risk(w0), subgrad(w0), risk(w) with w drawn before w0
+    theory.verify_subgradient_inequality(lambda w: float(record(w) @ w), record, dim, n,
+                                         np.random.default_rng(seed), scale=2.0)
+    order = [points[k] for j in range(n) for k in (2 * j + 1, 2 * j + 1, 2 * j)]
+    assert len(seen) == 3 * n and all(map(np.array_equal, seen, order))
+
+
 # ---------- rate fitting ----------
 
 
