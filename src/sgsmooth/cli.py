@@ -524,7 +524,6 @@ def _denoise(noisy, mu, lam, kappa, iterations, workers):
     once.
     """
     w_bar = noisy.pixels.copy()
-    s = 1.0
     if iterations == 0:
         return w_bar
     p = problems.tv_subgradient_step(noisy, noisy, mu, lam).pixels
@@ -534,7 +533,7 @@ def _denoise(noisy, mu, lam, kappa, iterations, workers):
     cuts = [height * c // n_chunks for c in range(n_chunks + 1)]
     chunks = [(lo, hi, problems.TvBuffers.allocate(hi - lo, width))
               for lo, hi in zip(cuts, cuts[1:])]
-    s = kappa * s + 1.0
+    s = kappa + 1.0  # S_1 = kappa S_0 + 1 with S_0 = 1
     for lo, hi, buf in chunks:
         engine.smooth_in_place(w_bar[lo:hi], p[lo:hi], s, buf.scratch[: hi - lo])
     todo = queue.SimpleQueue()
@@ -725,8 +724,9 @@ def _build_parser():
     p_den.add_argument("--kappa", default="auto")
     p_den.add_argument("--seed", type=int, default=0)
     p_den.add_argument("--workers", type=int, default=0,
-                       help="row bands run on threads (default 0: one per usable "
-                       "CPU, at most the image height); the output does not depend on it")
+                       help="threads that share each step's row chunks (default 0: one "
+                       "per usable CPU, at most the image height); the output does not "
+                       "depend on it")
     p_den.add_argument("--out", default="out")
     p_den.add_argument("--no-normalize", dest="normalize", action="store_false",
                        help="work in 8-bit units (peak 255) instead of [0,1]")

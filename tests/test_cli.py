@@ -416,7 +416,7 @@ def test_denoise_bad_flag_is_config_error(tmp_path, capsys, flags):
 
 
 def denoise_reference(noisy, mu, lam, kappa, iterations):
-    # the whole-image loop that the row bands replace
+    # the whole-image loop that the row chunks replace
     img = noisy
     state = engine.init_smoothing(noisy.pixels, kappa)
     for _ in range(iterations):
@@ -467,7 +467,7 @@ def test_denoise_output_does_not_depend_on_workers(tmp_path, height):
 
 
 def test_denoise_divergence_is_property_failure(tmp_path, capsys):
-    # step 1 stays finite; step 2 overflows inside the row bands
+    # step 1 stays finite; step 2 overflows inside the row chunks
     clean = piecewise_image(tmp_path)
     before = threading.active_count()
     rc = cli.main(["denoise", "--clean", str(clean), "--noise-std", "0.1", "--kappa", "0.5",
