@@ -278,6 +278,12 @@ def _require(flag, value, ok, what):
         raise ConfigError(f"{flag} must be {what}, got {value!r}")
 
 
+def _require_count(flag, value):
+    # an int flag: math.isfinite would overflow on a huge one
+    if value < 0:
+        raise ConfigError(f"{flag} must be nonnegative, got {value!r}")
+
+
 def _workers(requested, cap):
     # --workers 0 means the default: one per usable CPU, at most cap
     if requested:
@@ -288,7 +294,7 @@ def _workers(requested, cap):
 
 
 def cmd_run(ns):
-    _require("--workers", ns.workers, ns.workers >= 0, "nonnegative")
+    _require_count("--workers", ns.workers)
     cfg = _load_config(ns.config)
     run_cfg = _run_config(cfg, ns.seed)
     bundle = _build_bundle(cfg, run_cfg.seed)
@@ -556,8 +562,7 @@ def _denoise(noisy, mu, lam, kappa, iterations, workers):
 def cmd_denoise(ns):
     _require("--mu", ns.mu, ns.mu > 0.0, "positive and finite")
     _require("--lam", ns.lam, ns.lam >= 0.0, "nonnegative and finite")
-    _require("--iterations", ns.iterations, ns.iterations >= 0, "nonnegative")
-    _require("--workers", ns.workers, ns.workers >= 0, "nonnegative")
+    _require_count("--iterations", ns.iterations)
     if ns.noise_std is not None:
         _require("--noise-std", ns.noise_std, ns.noise_std >= 0.0, "nonnegative and finite")
     if ns.kappa == "auto":
@@ -601,7 +606,7 @@ def cmd_denoise(ns):
     t0 = time.perf_counter()
     # denoising starts from the observation
     w_bar = _denoise(noisy, ns.mu, ns.lam, kappa, ns.iterations,
-                     _workers(ns.workers, noisy.shape[0]))
+                     _workers(0, noisy.shape[0]))
     denoised = problems.GrayImage(w_bar, peak=peak)
     elapsed = time.perf_counter() - t0
 
@@ -723,10 +728,6 @@ def _build_parser():
     p_den.add_argument("--iterations", type=int, default=300)
     p_den.add_argument("--kappa", default="auto")
     p_den.add_argument("--seed", type=int, default=0)
-    p_den.add_argument("--workers", type=int, default=0,
-                       help="threads that share each step's row chunks (default 0: one "
-                       "per usable CPU, at most the image height); the output does not "
-                       "depend on it")
     p_den.add_argument("--out", default="out")
     p_den.add_argument("--no-normalize", dest="normalize", action="store_false",
                        help="work in 8-bit units (peak 255) instead of [0,1]")

@@ -121,11 +121,12 @@ def test_run_is_byte_deterministic(tmp_path):
     assert (out_a / "curves.csv").read_bytes() == (out_b / "curves.csv").read_bytes()
 
 
-def test_run_negative_workers_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("workers", ["-3", "-1" + "0" * 400])
+def test_run_negative_workers_is_config_error(tmp_path, capsys, workers):
     cfg = write_config(
         tmp_path, LASSO_QUICK, iterations=200, replications=1, out=tmp_path / "out"
     )
-    assert cli.main(["run", "--config", str(cfg), "--workers=-3"]) == cli.EXIT_CONFIG
+    assert cli.main(["run", "--config", str(cfg), f"--workers={workers}"]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "--workers" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
@@ -403,7 +404,7 @@ def test_denoise_requires_some_input():
     ["--noise-std", "nan"],
     ["--kappa", "abc"],
     ["--iterations=-3"],
-    ["--workers=-3"],
+    ["--iterations=-1" + "0" * 400],  # too large for a float
 ])
 def test_denoise_bad_flag_is_config_error(tmp_path, capsys, flags):
     clean = piecewise_image(tmp_path)
@@ -451,19 +452,14 @@ def test_banded_denoise_survives_a_thread_switch_storm(monkeypatch, chunk_pixels
 
 
 @pytest.mark.parametrize("height", [2, 3, 7])
-def test_denoise_output_does_not_depend_on_workers(tmp_path, height):
+def test_denoise_leaves_no_thread_running(tmp_path, height):
     rng = np.random.default_rng(height)
     path = tmp_path / "noisy.pgm"
     data.write_pgm(GrayImage(rng.integers(0, 256, (height, 5)).astype(float)), path)
-    outputs = []
-    for workers in ("0", "1", "2", "3"):  # 0 is the default
-        out = tmp_path / f"out{workers}"
-        before = threading.active_count()
-        assert cli.main(["denoise", "--input", str(path), "--lam", "0.3", "--mu", "0.05",
-                         "--iterations", "40", "--workers", workers, "--out", str(out)]) == 0
-        assert threading.active_count() == before
-        outputs.append((out / "denoised.pgm").read_bytes())
-    assert outputs.count(outputs[0]) == len(outputs)
+    before = threading.active_count()
+    assert cli.main(["denoise", "--input", str(path), "--lam", "0.3", "--mu", "0.05",
+                     "--iterations", "40", "--out", str(tmp_path / "out")]) == 0
+    assert threading.active_count() == before
 
 
 def test_denoise_divergence_is_property_failure(tmp_path, capsys):
@@ -471,7 +467,7 @@ def test_denoise_divergence_is_property_failure(tmp_path, capsys):
     clean = piecewise_image(tmp_path)
     before = threading.active_count()
     rc = cli.main(["denoise", "--clean", str(clean), "--noise-std", "0.1", "--kappa", "0.5",
-                   "--mu", "1e300", "--iterations", "5", "--workers", "2",
+                   "--mu", "1e300", "--iterations", "5",
                    "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_PROPERTY
     assert threading.active_count() == before
