@@ -6,12 +6,10 @@ directory and the README for the key reference).  Exit codes: 0 success,
 """
 
 import argparse
-import concurrent.futures
 import configparser
 import functools
 import math
 import os
-import queue
 import sys
 import time
 from pathlib import Path
@@ -495,39 +493,22 @@ def _tv_alpha(mu):
     return 1.0 - mu + 2.0 * mu * mu
 
 
-# Pixels per chunk of a denoise step.  A chunk's float64 rows (512 KiB
-# each) stay in a core's L2 cache across the passes of one step, which
-# measured faster than whole-image passes even on one thread.
+# Pixels per chunk of a denoise step.  A chunk's float64 rows stay in the
+# core's L2 cache across the passes of one step, which measured faster than
+# whole-image passes.
 TV_CHUNK_PIXELS = 65536
 
 
-def _tv_chunk(p, noisy, p_next, w_bar, mu, lam, s, lo, hi, buf):
-    problems.tv_step_rows(p, noisy, p_next, lo, hi, mu, lam, buf)
-    engine.smooth_in_place(w_bar[lo:hi], p_next[lo:hi], s, buf.scratch[: hi - lo])
-
-
-def _drain(todo, step):
-    # every thread of a denoise step runs this until no chunk is left
-    while True:
-        try:
-            chunk = todo.get_nowait()
-        except queue.Empty:
-            return
-        step(*chunk)
-
-
-def _denoise(noisy, mu, lam, kappa, iterations, workers):
+def _denoise(noisy, mu, lam, kappa, iterations):
     """Smoothed iterate, as pixels, after ``iterations`` TV steps from ``noisy``.
 
     The first step goes through problems.tv_subgradient_step, which checks
-    mu, lam and the shapes.  Each later step is cut into horizontal row
-    chunks, at least one per worker, that up to ``workers`` threads take
-    from a queue (numpy releases the GIL); a thread that is held up leaves
-    its share to the others.  A chunk writes its rows of the next iterate
-    and advances the same rows of the smoothed image.  Every operation is
-    elementwise, so the result depends neither on ``workers`` nor on the
-    chunks.  Iterates are double-buffered and every buffer is allocated
-    once.
+    mu, lam and the shapes.  Each later step runs over horizontal row
+    chunks of about ``TV_CHUNK_PIXELS`` pixels, one after the other on the
+    calling thread: a chunk writes its rows of the next iterate and
+    advances the same rows of the smoothed image.  Every operation is
+    elementwise, so the result does not depend on the chunks.  Iterates
+    are double-buffered, and one set of chunk buffers is allocated once.
     """
     w_bar = noisy.pixels.copy()
     if iterations == 0:
@@ -535,27 +516,19 @@ def _denoise(noisy, mu, lam, kappa, iterations, workers):
     p = problems.tv_subgradient_step(noisy, noisy, mu, lam).pixels
     p_next = np.empty_like(p)
     height, width = p.shape
-    n_chunks = min(height, max(workers, -(-height * width // TV_CHUNK_PIXELS)))
+    n_chunks = min(height, -(-height * width // TV_CHUNK_PIXELS))
     cuts = [height * c // n_chunks for c in range(n_chunks + 1)]
-    chunks = [(lo, hi, problems.TvBuffers.allocate(hi - lo, width))
-              for lo, hi in zip(cuts, cuts[1:])]
+    chunks = list(zip(cuts, cuts[1:]))
+    buf = problems.TvBuffers.allocate(max(hi - lo for lo, hi in chunks), width)
     s = kappa + 1.0  # S_1 = kappa S_0 + 1 with S_0 = 1
-    for lo, hi, buf in chunks:
+    for lo, hi in chunks:
         engine.smooth_in_place(w_bar[lo:hi], p[lo:hi], s, buf.scratch[: hi - lo])
-    todo = queue.SimpleQueue()
-    # the calling thread drains the queue too; one worker starts no thread
-    helpers = min(workers, n_chunks) - 1
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
-        for _ in range(iterations - 1):
-            s = kappa * s + 1.0
-            step = functools.partial(_tv_chunk, p, noisy.pixels, p_next, w_bar, mu, lam, s)
-            for chunk in chunks:
-                todo.put(chunk)
-            futures = [pool.submit(_drain, todo, step) for _ in range(helpers)]
-            _drain(todo, step)
-            for future in futures:
-                future.result()
-            p, p_next = p_next, p
+    for _ in range(iterations - 1):
+        s = kappa * s + 1.0
+        for lo, hi in chunks:
+            problems.tv_step_rows(p, noisy.pixels, p_next, lo, hi, mu, lam, buf)
+            engine.smooth_in_place(w_bar[lo:hi], p_next[lo:hi], s, buf.scratch[: hi - lo])
+        p, p_next = p_next, p
     return w_bar
 
 
@@ -605,8 +578,7 @@ def cmd_denoise(ns):
 
     t0 = time.perf_counter()
     # denoising starts from the observation
-    w_bar = _denoise(noisy, ns.mu, ns.lam, kappa, ns.iterations,
-                     _workers(0, noisy.shape[0]))
+    w_bar = _denoise(noisy, ns.mu, ns.lam, kappa, ns.iterations)
     denoised = problems.GrayImage(w_bar, peak=peak)
     elapsed = time.perf_counter() - t0
 

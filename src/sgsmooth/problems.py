@@ -444,8 +444,8 @@ def _sgn_diff(hi, lo, gt, lt):
 class TvBuffers(NamedTuple):
     """Working memory of :func:`tv_step_rows` for bands of up to ``rows`` rows.
 
-    Allocated once per band and reused every step, so a step allocates
-    nothing.  ``scratch`` is free again once a step returns.
+    Allocated once and reused for every band of every step, so a step
+    allocates nothing.  ``scratch`` is free again once a band returns.
     """
 
     sign: np.ndarray  # int8 sign sum, one row per band row
@@ -499,9 +499,8 @@ def tv_step_rows(p, noisy, out, lo, hi, mu, lam, buf):
     read from rows lo - 1 .. hi of ``p``; ``out`` must not be ``p``.  ``buf``
     is a :class:`TvBuffers` of at least ``hi - lo`` rows, and nothing else is
     allocated.  Raises :class:`NumericError` when a new pixel is not finite.
-    Bands that cover the image may run concurrently: each reads only ``p``
-    and ``noisy`` and writes only its own rows.  Arguments are not checked
-    here; :func:`tv_subgradient_step` checks them.
+    A band reads only ``p`` and ``noisy`` and writes only its own rows.
+    Arguments are not checked here; :func:`tv_subgradient_step` checks them.
     """
     rows = hi - lo
     g = _tv_sign_sum_rows(p, lo, hi, buf)

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import math
-import sys
 import threading
 
 import numpy as np
@@ -427,39 +426,15 @@ def denoise_reference(noisy, mu, lam, kappa, iterations):
 
 
 @pytest.mark.parametrize("height", [2, 3, 7, 16])
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("chunk_pixels", [cli.TV_CHUNK_PIXELS, 7, 1])
 @pytest.mark.parametrize("iterations", [0, 1, 2, 25])
-def test_banded_denoise_equals_whole_image_loop(height, workers, iterations):
+def test_banded_denoise_equals_whole_image_loop(monkeypatch, height, chunk_pixels, iterations):
+    # one chunk, chunks of one or two rows, and one row each
+    monkeypatch.setattr(cli, "TV_CHUNK_PIXELS", chunk_pixels)
     rng = np.random.default_rng(height)
     noisy = GrayImage(rng.normal(size=(height, 6)), peak=1.0)
-    got = cli._denoise(noisy, 0.05, 0.3, 0.9, iterations, workers)
+    got = cli._denoise(noisy, 0.05, 0.3, 0.9, iterations)
     assert np.array_equal(got, denoise_reference(noisy, 0.05, 0.3, 0.9, iterations))
-
-
-@pytest.mark.parametrize("chunk_pixels", [cli.TV_CHUNK_PIXELS, 7])
-def test_banded_denoise_survives_a_thread_switch_storm(monkeypatch, chunk_pixels):
-    # more workers than cores and a tiny switch interval: a chunk lost or run
-    # twice breaks equality with the reference
-    monkeypatch.setattr(cli, "TV_CHUNK_PIXELS", chunk_pixels)
-    noisy = GrayImage(np.random.default_rng(5).normal(size=(40, 9)), peak=1.0)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = cli._denoise(noisy, 0.05, 0.3, 0.9, 30, 6)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(got, denoise_reference(noisy, 0.05, 0.3, 0.9, 30))
-
-
-@pytest.mark.parametrize("height", [2, 3, 7])
-def test_denoise_leaves_no_thread_running(tmp_path, height):
-    rng = np.random.default_rng(height)
-    path = tmp_path / "noisy.pgm"
-    data.write_pgm(GrayImage(rng.integers(0, 256, (height, 5)).astype(float)), path)
-    before = threading.active_count()
-    assert cli.main(["denoise", "--input", str(path), "--lam", "0.3", "--mu", "0.05",
-                     "--iterations", "40", "--out", str(tmp_path / "out")]) == 0
-    assert threading.active_count() == before
 
 
 def test_denoise_divergence_is_property_failure(tmp_path, capsys):
