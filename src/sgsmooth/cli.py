@@ -260,11 +260,15 @@ def _constants_lines(tag, k, mu):
 
 def _build_bundle(cfg, seed):
     kind = _get(cfg, "problem", "kind", str, required=True).strip().lower()
-    if kind == "lasso":
-        return _LassoBundle(cfg, seed)
-    if kind == "svm":
-        return _SvmBundle(cfg, seed)
-    raise ConfigError(f"[problem] kind must be 'lasso' or 'svm', got {kind!r}")
+    bundle = {"lasso": _LassoBundle, "svm": _SvmBundle}.get(kind)
+    if bundle is None:
+        raise ConfigError(f"[problem] kind must be 'lasso' or 'svm', got {kind!r}")
+    try:
+        return bundle(cfg, seed)
+    except MemoryError as exc:
+        raise ConfigError(
+            f"[problem] dim, a_mc_samples or train_size is too large: {exc}"
+        ) from None
 
 
 # ---------- run ----------

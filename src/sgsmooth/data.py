@@ -272,7 +272,10 @@ def parse_libsvm(text, dim=None):
     width = max_index if dim is None else dim
     if width < max_index:
         raise ParseError(f"dataset has index {max_index} beyond dim={dim}")
-    features = np.zeros((len(rows), width))
+    try:
+        features = np.zeros((len(rows), width))
+    except MemoryError:
+        raise ParseError(f"a {len(rows)} x {width} feature matrix is too large to hold") from None
     labels = np.empty(len(rows))
     for k, (label, entries) in enumerate(rows):
         labels[k] = label

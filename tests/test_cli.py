@@ -260,6 +260,28 @@ def test_run_config_bytes_fuzz_exits_with_documented_code(fuzz_dir, text):
     run_config_bytes(fuzz_dir, text)
 
 
+# 10**15 floats are 7 PiB: far past any address space, so numpy fails at once
+HUGE = "1000000000000000"
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("template, old", [
+    (LASSO_TINY, "dim = 3"),
+    (LASSO_TINY, "a_mc_samples = 1000"),
+    (SVM_QUICK.format(iterations=200, out="unused"), "train_size = 4000"),
+], ids=["dim", "a_mc_samples", "train_size"])
+def test_size_too_large_to_allocate_is_config_error(tmp_path, capsys, command, template, old):
+    key = old.split(" =")[0]
+    path = tmp_path / "huge.ini"
+    path.write_text(template.replace(old, f"{key} = {HUGE}"))
+    argv = [command, "--config", str(path)] + (["--out", str(tmp_path / "out")]
+                                              if command == "run" else [])
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and "too large" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_svm_summary_reports_oracle_certificate(tmp_path):
     cfg = write_config(tmp_path, SVM_QUICK, iterations=0, out=tmp_path / "out")
     assert cli.main(["run", "--config", str(cfg)]) == 0
@@ -573,6 +595,54 @@ def test_svm_train_negative_epochs_is_config_error(tmp_path, capsys):
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "--epochs" in err and "Traceback" not in err
+
+
+def test_svm_train_feature_index_too_large_to_allocate_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "huge.libsvm"
+    path.write_text(f"+1 1:0.5 {HUGE}:1\n")
+    rc = cli.main(["svm-train", "--train", str(path), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "too large" in err and "Traceback" not in err
+
+
+def small_indices(text):
+    # any index parse_libsvm would read stays below 1000, so the matrix stays small
+    for line in text.splitlines():
+        for tok in line.split("#", 1)[0].split()[1:]:
+            try:
+                if int(tok.split(":", 1)[0]) >= 1000:
+                    return False
+            except ValueError:
+                pass
+    return True
+
+
+# a well-formed line with indices in 1..999; finite values of any size
+LIBSVM_LINE = st.builds(
+    lambda label, idx, vals: " ".join([label] + [f"{i}:{v!r}" for i, v in zip(idx, vals)]),
+    st.sampled_from(["+1", "-1", "1", "0"]),
+    st.lists(st.integers(1, 999), unique=True, max_size=6).map(sorted),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(text=st.one_of(
+    st.text(st.characters(exclude_categories=("Cs",))).filter(small_indices),
+    st.lists(LIBSVM_LINE, max_size=8).map("\n".join),
+    st.lists(st.one_of(LIBSVM_LINE, ONE_LINE), max_size=8).map("\n".join).filter(small_indices),
+))
+@example(text=f"+1 1:0.5 {HUGE}:1\n")  # the feature matrix cannot be allocated
+def test_svm_train_libsvm_text_fuzz_exits_with_documented_code(fuzz_dir, text):
+    path = fuzz_dir / "fuzz.libsvm"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["svm-train", "--train", str(path), "--epochs", "1",
+                       "--out", str(fuzz_dir / "out")])
+    assert rc in (cli.EXIT_OK, cli.EXIT_PROPERTY, cli.EXIT_CONFIG, cli.EXIT_IO)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_svm_train_huge_step_is_config_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,59 @@ def test_estimate_lasso_a_identity_fast_path_matches_general_path():
     p2 = problems.LassoProblem(delta=0.01, w_true=np.zeros(3), cov_h=cov, noise_var=0.0)
     slow = theory.estimate_lasso_a(p2, 500, features=feats)
     assert fast.value == pytest.approx(slow.value, rel=1e-10)
+
+
+def whole_draw_a(problem, n, seed):
+    # the estimate from one (n, dim) draw held at once, reduced as one array
+    m = problem.dim
+    z = data.standard_normal(np.random.default_rng(seed), (n, m))
+    if problem._identity_cov:
+        q = np.einsum("ij,ij->i", z, z)
+        norms = np.abs(1.0 - q) if m == 1 else np.maximum(1.0, np.abs(1.0 - q))
+    else:
+        cov = problem.cov_h
+        feats = z @ np.linalg.cholesky(cov).T
+        diff = cov[None, :, :] - feats[:, :, None] * feats[:, None, :]
+        norms = np.abs(np.linalg.eigvalsh(diff)).max(axis=1)
+    draws = 2.0 * norms**2
+    stderr = float(draws.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    return float(draws.mean()), stderr
+
+
+@pytest.mark.parametrize("m", [1, 3, 100])
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1300])
+def test_estimate_lasso_a_blocks_equal_one_whole_draw(n, m):
+    p = problems.LassoProblem(delta=0.01, w_true=np.zeros(m), cov_h=np.eye(m), noise_var=0.0)
+    est = theory.estimate_lasso_a(p, n, seed=21)
+    value, stderr = whole_draw_a(p, n, 21)
+    assert est.value == value  # bit for bit
+    assert est.stderr == stderr
+
+
+@pytest.mark.parametrize("m", [3, 30])
+def test_estimate_lasso_a_general_covariance_matches_one_whole_draw(m):
+    rng = np.random.default_rng(22)
+    a = rng.normal(size=(m, m))
+    cov = a @ a.T / m + 0.5 * np.eye(m)
+    p = problems.LassoProblem(delta=0.01, w_true=np.zeros(m), cov_h=cov, noise_var=0.0)
+    est = theory.estimate_lasso_a(p, 1300, seed=23)
+    value, stderr = whole_draw_a(p, 1300, 23)
+    assert est.value == pytest.approx(value, rel=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+def test_estimate_lasso_a_memory_does_not_hold_the_whole_draw():
+    n, m = 20_000, 100
+    p = problems.LassoProblem(delta=0.01, w_true=np.zeros(m), cov_h=np.eye(m), noise_var=0.0)
+    theory.estimate_lasso_a(p, 10)  # first-call allocations are not the draw's
+    tracemalloc.start()
+    try:
+        theory.estimate_lasso_a(p, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # numpy reports its buffers to tracemalloc; one (n, m) float64 draw is 16 MB
+    assert peak < n * m * 8 / 8
 
 
 def test_gaussian_noise_modulus_matches_direct_moment():
