@@ -204,7 +204,10 @@ class _SvmBundle:
         feats, labels = sampler.draw_batch(train_size)
         self.sample_set = problems.SvmSampleSet(feats, labels, rho)
         self.problem = self.sample_set
-        self.stream_factory = functools.partial(data.SetSampler, feats, labels)
+        # signed rows with label +1: the same samples in the form subgradient_batch reads
+        self.stream_factory = functools.partial(
+            data.SetSampler, self.sample_set.signed, np.ones_like(labels)
+        )
         self.oracle_cap = oracle_iters
         self.certificate = self.sample_set.minimize(oracle_iters, full_output=True)
         self.w_star = self.certificate.w
@@ -307,13 +310,18 @@ def cmd_run(ns):
     workers = _workers(ns.workers, run_cfg.replications)
 
     t0 = time.perf_counter()
-    results = engine.run_replications(
-        bundle.problem,
-        bundle.stream_factory,
-        run_cfg,
-        oracle=bundle.oracle,
-        workers=workers,
-    )
+    try:
+        results = engine.run_replications(
+            bundle.problem,
+            bundle.stream_factory,
+            run_cfg,
+            oracle=bundle.oracle,
+            workers=workers,
+        )
+    except MemoryError as exc:
+        raise ConfigError(
+            f"[run] replications = {run_cfg.replications} is too large: {exc}"
+        ) from None
     elapsed = time.perf_counter() - t0
     stats = engine.average_trajectories([r.trajectory for r in results])
 
@@ -650,9 +658,18 @@ def cmd_svm_train(ns):
         train, epochs=ns.epochs, shuffle_seed=None if ns.no_shuffle else ns.seed
     )
     t0 = time.perf_counter()
-    result = engine.run(problem, stream, run_cfg)
-    elapsed = time.perf_counter() - t0
-    w_bar = result.smoothing.w_bar
+    # finite features can still overflow a margin; that is a failed run, not a model
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            result = engine.run(problem, stream, run_cfg)
+            elapsed = time.perf_counter() - t0
+            w_bar = result.smoothing.w_bar
+            train_acc = problem.accuracy(w_bar)
+            if test is not None:
+                test_set = problems.SvmSampleSet(test.features, test.labels, ns.rho)
+                test_acc = test_set.accuracy(w_bar)
+    except FloatingPointError as exc:
+        raise NumericError(f"training diverged: {exc}") from None
 
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -661,10 +678,9 @@ def cmd_svm_train(ns):
 
     print(f"trained on {train.n} samples x {ns.epochs} epoch(s), dim={dim}, "
           f"rho={ns.rho}, mu={ns.mu}, kappa={kappa!r}")
-    print(f"train accuracy = {problem.accuracy(w_bar):.4f}")
+    print(f"train accuracy = {train_acc:.4f}")
     if test is not None:
-        test_set = problems.SvmSampleSet(test.features, test.labels, ns.rho)
-        print(f"test accuracy = {test_set.accuracy(w_bar):.4f} ({test.n} samples)")
+        print(f"test accuracy = {test_acc:.4f} ({test.n} samples)")
     print(f"wrote {model_path} in {elapsed:.2f} s")
     return EXIT_OK
 

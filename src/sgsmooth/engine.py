@@ -15,10 +15,13 @@ run is strictly sequential.
 
 :func:`run_replications` advances independent replications in lockstep, as
 the rows of one (R, dim) matrix, each row fed by its own sampler.  It needs
-the problem's ``subgradient_batch(W, H, y)`` and a stream factory whose
-samplers have ``draw_batch(n)``; row r then equals :func:`run` on
-``iter(stream_factory(seed + r))`` bit for bit.  Blocks of replications may
-run in parallel processes.
+the problem's ``subgradient_batch(W, H, y, out)``, which writes the rows'
+subgradients into ``out``, and a stream factory whose samplers have
+``draw_batch(n)``; row r then equals :func:`run` on the same samples bit
+for bit.  The SVM set's batch form reads signed rows, so its lockstep
+stream samples :attr:`sgsmooth.problems.SvmSampleSet.signed` where
+:func:`run` reads (h, gamma).  Blocks of replications may run in parallel
+processes.
 """
 
 from dataclasses import dataclass, replace
@@ -304,7 +307,10 @@ def _run_lockstep(args):
     """Replications seeded ``seeds``, advanced together as rows of a matrix.
 
     The arithmetic is that of :func:`run`, one row per replication, with
-    ``G *= mu; W -= G`` keeping the rounding of ``w -= mu * g``.
+    ``G *= mu; W -= G`` keeping the rounding of ``w -= mu * g``.  The step
+    writes into buffers allocated once.  Overflow is not warned about: the
+    iterates are checked once per block and a non-finite one raises
+    :class:`NumericError` naming the block.
     """
     problem, stream_factory, config, seeds, oracle, w0, track_pocket = args
     kappa, w = _start(problem, config, oracle, w0, track_pocket)
@@ -313,28 +319,33 @@ def _run_lockstep(args):
     n_iters = config.iterations
     subgrad = problem.subgradient_batch
 
-    samplers = [stream_factory(seed) for seed in seeds]
+    # the (R, dim) state first, so a size too large to hold fails at once
     W = np.tile(w, (len(seeds), 1))
     W_bar = W.copy()
     scratch = np.empty_like(W)
+    G = np.empty_like(W)
     s_sum = 1.0
+    samplers = [stream_factory(seed) for seed in seeds]
     recorders = [_Recorder(oracle, w, track_pocket) for _ in seeds]
 
-    for start in range(0, n_iters, SAMPLE_BLOCK):
-        draws = [sampler.draw_batch(SAMPLE_BLOCK) for sampler in samplers]
-        # (block, R, dim) and (block, R): step k reads contiguous rows
-        H = np.stack([h for h, _ in draws], axis=1)
-        Y = np.stack([y for _, y in draws], axis=1)
-        for k in range(min(SAMPLE_BLOCK, n_iters - start)):
-            G = subgrad(W, H[k], Y[k])
-            G *= mu
-            W -= G
-            s_sum = kappa * s_sum + 1.0
-            smooth_in_place(W_bar, W, s_sum, scratch)
-            i = start + k + 1
-            if i % stride == 0:
-                for recorder, w_row, w_bar_row in zip(recorders, W, W_bar):
-                    recorder.record(i, w_row, w_bar_row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_iters, SAMPLE_BLOCK):
+            stop = min(start + SAMPLE_BLOCK, n_iters)
+            draws = [sampler.draw_batch(SAMPLE_BLOCK) for sampler in samplers]
+            # (block, R, dim) and (block, R): step k reads contiguous rows
+            H = np.stack([h for h, _ in draws], axis=1)
+            Y = np.stack([y for _, y in draws], axis=1)
+            for i, h, y in zip(range(start + 1, stop + 1), H, Y):
+                subgrad(W, h, y, out=G)
+                G *= mu
+                W -= G
+                s_sum = kappa * s_sum + 1.0
+                smooth_in_place(W_bar, W, s_sum, scratch)
+                if i % stride == 0:
+                    for recorder, w_row, w_bar_row in zip(recorders, W, W_bar):
+                        recorder.record(i, w_row, w_bar_row)
+            if not np.isfinite(W).all():
+                raise NumericError(f"iterate diverged in iterations {start + 1}..{stop}")
 
     return [
         recorder.result(W[r].copy(), SmoothingState(s_sum, W_bar[r].copy(), kappa), stride)
@@ -359,7 +370,8 @@ def run_replications(
     ``workers`` contiguous blocks, and each block advances in lockstep (see
     :func:`_run_lockstep`).  With more than one block, the blocks execute in
     separate processes (everything passed in must be picklable).  Results are
-    returned in replication order and do not depend on ``workers``.
+    returned in replication order and do not depend on ``workers``.  Too
+    many replications to hold raise ``MemoryError`` before any sampling.
     """
     n_rep = config.replications
     n_blocks = max(1, min(workers, n_rep))
@@ -369,7 +381,7 @@ def run_replications(
             problem,
             stream_factory,
             config,
-            [config.seed + r for r in range(lo, hi)],
+            range(config.seed + lo, config.seed + hi),
             oracle,
             w0,
             track_pocket,

@@ -2,8 +2,9 @@
 
 Each family provides the per-sample (instantaneous) subgradient used by the
 reference loop :func:`sgsmooth.engine.run`; the SVM set and LASSO also
-provide its row-wise batch form ``subgradient_batch(W, H, y)``, which the
-lockstep replications and the gradient-noise check run on.  Exact
+provide its row-wise batch form ``subgradient_batch(W, H, y, out=None)``,
+which the lockstep replications and the gradient-noise check run on; the
+SVM set's reads signed rows gamma * h (:attr:`SvmSampleSet.signed`).  Exact
 quantities come with them: the LASSO risk and its subgradient are
 closed-form under the linear regression model, the SVM ones are evaluated
 exactly on a frozen sample set (:class:`SvmSampleSet`), and the TV objective
@@ -73,7 +74,7 @@ def hinge_loss(w, sample, rho):
 def _row_dots(H, W):
     # one vector dot per row, the same kernel as the per-sample h @ w; einsum
     # sums in another order and moves results by an ulp
-    return np.matmul(H[:, None, :], W[:, :, None])[:, 0, 0]
+    return np.vecdot(H, W)
 
 
 def _check_label(gamma):
@@ -155,14 +156,18 @@ class SvmSampleSet:
         return self.features.shape[1]
 
     @cached_property
-    def _signed(self):
-        # gamma_k * h_k rows, C order for A @ w
+    def signed(self):
+        """Signed rows s_k = gamma_k h_k, the rows :meth:`subgradient_batch` reads.
+
+        C order for s @ w.  A sign flip commutes with rounding, so s_k . w
+        equals gamma_k (h_k . w) bit for bit.
+        """
         return np.ascontiguousarray(self.labels[:, None] * self.features)
 
     @cached_property
     def _signed_f(self):
         # Fortran order so mask @ A is a fast gemv as well
-        return np.asfortranarray(self._signed)
+        return np.asfortranarray(self.signed)
 
     @cached_property
     def trace_second_moment(self):
@@ -176,21 +181,31 @@ class SvmSampleSet:
             g = g - sample.gamma * sample.h
         return g
 
-    def subgradient_batch(self, W, H, y):
-        """Row r is ``instantaneous_subgradient(W[r], Sample(H[r], y[r]))``, bit for bit."""
-        margin = y * _row_dots(H, W)
-        return self.rho * W - (y * (margin <= 1.0))[:, None] * H
+    def subgradient_batch(self, W, H, y, out=None):
+        """Row r is rho W[r] - [s_r . W[r] <= 1] s_r for the signed row s_r = H[r].
+
+        With s_r = gamma h this is ``instantaneous_subgradient(W[r],
+        Sample(h, gamma))`` bit for bit; ``y`` is unused, since the label is
+        already in the row.  Streams for it sample :attr:`signed`, and with
+        label +1 (the sample (gamma h, +1) has the same subgradient) they
+        also feed :meth:`instantaneous_subgradient`.  The result is written
+        into ``out`` when given.
+        """
+        active = _row_dots(H, W) <= 1.0
+        out = np.multiply(W, self.rho, out=out)
+        np.subtract(out, H, out=out, where=active[:, None])
+        return out
 
     def risk(self, w):
         """Exact regularized hinge risk on the set."""
         w = np.asarray(w, dtype=float)
-        margins = self._signed @ w
+        margins = self.signed @ w
         return 0.5 * self.rho * (w @ w) + np.maximum(0.0, 1.0 - margins).mean()
 
     def subgradient(self, w):
         """Exact subgradient of :meth:`risk` (indicator active at margin 1)."""
         w = np.asarray(w, dtype=float)
-        active = (self._signed @ w <= 1.0).astype(float)
+        active = (self.signed @ w <= 1.0).astype(float)
         return self.rho * w - (active @ self._signed_f) / self.n
 
     # engine/theory duck-typing alias
@@ -214,14 +229,14 @@ class SvmSampleSet:
         w = np.asarray(w, dtype=float)
         n = self.n
         rho = self.rho
-        margins = self._signed @ w
+        margins = self.signed @ w
         widest = _GAP_BANDS[-1]
         below = margins < 1.0 - widest
         near = ~below & (margins <= 1.0 + widest)
         # u without the band rows, times rho n; only band rows vary below
         base = rho * n * w - below @ self._signed_f
         slack = 1.0 - margins[near]
-        s_near = self._signed[near]
+        s_near = self.signed[near]
         best = math.inf
         for band in _GAP_BANDS:
             alpha = (slack > band).astype(float)
@@ -248,7 +263,7 @@ class SvmSampleSet:
         """
         if n_iters < 1:
             raise ValueError("n_iters must be at least 1")
-        signed = self._signed
+        signed = self.signed
         signed_f = self._signed_f
         n = float(self.n)
         rho = self.rho
@@ -351,10 +366,16 @@ class LassoProblem:
         residual = sample.gamma - h @ w
         return self.delta * np.sign(w) - residual * h
 
-    def subgradient_batch(self, W, H, y):
-        """Row r is ``instantaneous_subgradient(W[r], Sample(H[r], y[r]))``, bit for bit."""
+    def subgradient_batch(self, W, H, y, out=None):
+        """Row r is ``instantaneous_subgradient(W[r], Sample(H[r], y[r]))``, bit for bit.
+
+        The result is written into ``out`` when given.
+        """
         residual = y - _row_dots(H, W)
-        return self.delta * np.sign(W) - residual[:, None] * H
+        out = np.sign(W, out=out)
+        out *= self.delta
+        out -= residual[:, None] * H
+        return out
 
     def true_subgradient(self, w):
         """Exact subgradient cov_h (w - w_true) + delta sgn(w)."""

@@ -99,7 +99,7 @@ def svm_experiment():
     t0 = time.perf_counter()
     results = engine.run_replications(
         sset,
-        functools.partial(data.SetSampler, feats, labels),
+        functools.partial(data.SetSampler, sset.signed, np.ones_like(labels)),
         config,
         oracle=oracle,
         workers=min(os.cpu_count() or 1, 4),

@@ -131,6 +131,35 @@ def test_run_negative_workers_is_config_error(tmp_path, capsys, workers):
     assert not (tmp_path / "out").exists()
 
 
+def runtime_warnings(recwarn):
+    return [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_lasso_divergence_is_property_failure_without_warnings(tmp_path, capfd, recwarn,
+                                                                   workers):
+    # M = 100 at mu = 0.5 overflows within the first block; workers' warnings
+    # would reach fd 2, the calling process's the warning registry
+    text = LASSO_QUICK.replace("dim = 10", "dim = 100").replace("mu = 0.001", "mu = 0.5")
+    text = text.replace("kappa = 0.999", "kappa = 0.9").replace("record_stride = 200",
+                                                                "record_stride = 500")
+    cfg = write_config(tmp_path, text, iterations=5000, replications=2, out=tmp_path / "out")
+    assert cli.main(["run", "--config", str(cfg), "--workers", workers]) == cli.EXIT_PROPERTY
+    err = capfd.readouterr().err
+    assert "diverged" in err and "Traceback" not in err and "Warning" not in err
+    assert runtime_warnings(recwarn) == []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_huge_replications_is_config_error(tmp_path, capsys, workers):
+    # 10**15 rows of dim 2 cannot be allocated, so this fails at once
+    text = LASSO_QUICK.replace("dim = 10", "dim = 2")
+    cfg = write_config(tmp_path, text, iterations=200, replications=10**15, out=tmp_path / "out")
+    assert cli.main(["run", "--config", str(cfg), "--workers", workers]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "replications" in err and "too large" in err and "Traceback" not in err
+
+
 def test_run_svm_quick(tmp_path):
     cfg = write_config(
         tmp_path, SVM_QUICK, iterations=4000, out=tmp_path / "out"
@@ -643,6 +672,20 @@ def test_svm_train_libsvm_text_fuzz_exits_with_documented_code(fuzz_dir, text):
                        "--out", str(fuzz_dir / "out")])
     assert rc in (cli.EXIT_OK, cli.EXIT_PROPERTY, cli.EXIT_CONFIG, cli.EXIT_IO)
     assert "Traceback" not in err.getvalue()
+
+
+def test_svm_train_overflow_is_property_failure(tmp_path, capsys, recwarn):
+    # finite features whose margins overflow once w has grown
+    path = tmp_path / "huge.libsvm"
+    path.write_text("+1 1:1e308\n-1 1:-1e308\n")
+    rc = cli.main(["svm-train", "--train", str(path), "--epochs", "3",
+                   "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_PROPERTY
+    captured = capsys.readouterr()
+    assert "overflow" in captured.err and "Traceback" not in captured.err
+    assert "accuracy" not in captured.out
+    assert runtime_warnings(recwarn) == []
+    assert not (tmp_path / "o" / "model.txt").exists()
 
 
 def test_svm_train_huge_step_is_config_error(tmp_path, capsys):

@@ -276,6 +276,7 @@ def test_run_replications_parallel_matches_serial():
 
 
 def lockstep_case(kind):
+    # (problem, lockstep stream factory, engine.run stream factory, oracle)
     if kind == "lasso":
         dim = 30
         w_true = np.zeros(dim)
@@ -284,20 +285,23 @@ def lockstep_case(kind):
         factory = functools.partial(
             data.make_sampler, data.RegressionStreamSpec(p.w_true, p.cov_h, p.noise_var)
         )
+        ref_factory = factory
         w_star = p.optimum()
     else:
         spec = data.TwoClassGaussianSpec.symmetric(np.array([0.75, 0.75, 0.75]))
         feats, labels = data.TwoClassGaussianSampler(spec, 21).draw_batch(2000)
         p = problems.SvmSampleSet(feats, labels, 0.01)
-        factory = functools.partial(data.SetSampler, feats, labels)
+        # the batch form reads the signed rows, the reference the raw (h, gamma)
+        factory = functools.partial(data.SetSampler, p.signed, np.ones_like(labels))
+        ref_factory = functools.partial(data.SetSampler, feats, labels)
         w_star = p.minimize(20_000)
-    return p, factory, engine.RiskOracle(p.risk, w_star, p.risk(w_star))
+    return p, factory, ref_factory, engine.RiskOracle(p.risk, w_star, p.risk(w_star))
 
 
 @pytest.mark.parametrize("kind", ["lasso", "svm"])
 @pytest.mark.parametrize("case", ["oracle", "w0-pocket", "no-oracle"])
 def test_run_replications_rows_equal_run_bit_for_bit(kind, case):
-    p, factory, oracle = lockstep_case(kind)
+    p, factory, ref_factory, oracle = lockstep_case(kind)
     kwargs = {
         "oracle": {"oracle": oracle},
         "w0-pocket": {"oracle": oracle, "w0": 0.5 * oracle.w_star, "track_pocket": True},
@@ -307,7 +311,7 @@ def test_run_replications_rows_equal_run_bit_for_bit(kind, case):
     cfg = engine.RunConfig(
         mu=0.01, kappa=0.95, iterations=1300, record_stride=100, seed=5, replications=3
     )
-    refs = [engine.run(p, iter(factory(cfg.seed + r)), cfg, **kwargs) for r in range(3)]
+    refs = [engine.run(p, iter(ref_factory(cfg.seed + r)), cfg, **kwargs) for r in range(3)]
     for workers in (1, 2):
         results = engine.run_replications(p, factory, cfg, workers=workers, **kwargs)
         assert len(results) == 3
@@ -332,6 +336,31 @@ def test_run_replications_rows_equal_run_bit_for_bit(kind, case):
                 assert res.pocket[1] == ref.pocket[1]
             else:
                 assert res.pocket is None
+
+
+def test_lockstep_divergence_names_the_block_without_warnings(recwarn):
+    # no oracle, so no record reads the risk: the per-block check catches it
+    p, factory, _, _ = lockstep_case("lasso")
+    cfg = engine.RunConfig(
+        mu=0.5, kappa=0.9, iterations=5000, record_stride=10**6, seed=5, replications=2
+    )
+    errstate = np.geterr()
+    with pytest.raises(NumericError, match=r"diverged in iterations \d+\.\.\d+$") as info:
+        engine.run_replications(p, factory, cfg)
+    lo, hi = map(int, str(info.value).rsplit(" ", 1)[1].split(".."))
+    assert (lo - 1) % engine.SAMPLE_BLOCK == 0 and hi == lo + engine.SAMPLE_BLOCK - 1
+    assert np.geterr() == errstate
+    assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_lockstep_checks_a_partial_block():
+    p, factory, _, _ = lockstep_case("lasso")
+    cfg = engine.RunConfig(mu=0.01, kappa=0.9, iterations=300, record_stride=10**6,
+                           seed=5, replications=2)
+    w0 = np.zeros(p.dim)
+    w0[3] = np.inf
+    with pytest.raises(NumericError, match=r"iterations 1\.\.300$"):
+        engine.run_replications(p, factory, cfg, w0=w0)
 
 
 def test_resolve_kappa():

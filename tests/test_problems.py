@@ -168,7 +168,7 @@ def tail_average_descent(sset, n_iters):
     w_avg = np.zeros(sset.dim)
     n_avg = 0
     for t in range(n_iters):
-        active = (sset._signed @ w <= 1.0).astype(float)
+        active = (sset.signed @ w <= 1.0).astype(float)
         gsum = active @ sset._signed_f
         w -= (1.0 / (sset.rho * (t + 1))) * (sset.rho * w - gsum / sset.n)
         if t >= n_iters // 2:
@@ -199,7 +199,7 @@ def test_svm_negative_excess_risk_lies_within_certified_gap():
     config = engine.RunConfig(mu=1e-6, kappa=0.99, iterations=2000,
                               record_stride=100, seed=9, replications=3)
     results = engine.run_replications(
-        sset, functools.partial(data.SetSampler, sset.features, sset.labels), config,
+        sset, functools.partial(data.SetSampler, sset.signed, np.ones(sset.n)), config,
         oracle=oracle, w0=cert.w,
     )
     stats = engine.average_trajectories([r.trajectory for r in results])
@@ -208,29 +208,60 @@ def test_svm_negative_excess_risk_lies_within_certified_gap():
     assert np.all(stats.smoothed_excess_risk >= -cert.gap)
 
 
-def assert_batch_rows_match(p, W, H, y):
-    G = p.subgradient_batch(W, H, y)
-    assert G.shape == W.shape
-    for r in range(W.shape[0]):
-        np.testing.assert_array_equal(G[r], p.instantaneous_subgradient(W[r], Sample(H[r], y[r])))
+def assert_batch_rows_match(p, W, H, y, rows=None, batch_y=None):
+    # subgradient_batch reads ``rows`` (default H) and ``batch_y`` (default y);
+    # row r must equal the subgradient of Sample(H[r], y[r]) bit for bit, the
+    # sign of every zero included, with or without ``out``
+    rows = H if rows is None else rows
+    batch_y = y if batch_y is None else batch_y
+    refs = [p.instantaneous_subgradient(W[r], Sample(H[r], y[r])) for r in range(W.shape[0])]
+    out = np.full_like(W, np.nan)
+    G = p.subgradient_batch(W, rows, batch_y)
+    assert p.subgradient_batch(W, rows, batch_y, out=out) is out
+    for got in (G, out):
+        assert got.shape == W.shape
+        for g, ref in zip(got, refs):
+            np.testing.assert_array_equal(g, ref)
+            np.testing.assert_array_equal(np.signbit(g), np.signbit(ref))
 
 
 def test_svm_subgradient_batch_rows_equal_instantaneous():
-    sset = frozen_svm_set(n=50, seed=3)
     rng = np.random.default_rng(12)
     W = np.vstack([
         np.zeros(3),                   # w = 0: every margin is 0, hinge active
-        [1.0, 0.0, 0.0],               # margin exactly 1 below: active
-        [0.5, -0.25, 2.0],             # label -1 below
+        [1.0, 0.0, 0.0],               # margin exactly 1, label +1: active
+        [1.0, 0.0, 0.0],               # margin exactly 1, label -1: active
+        [0.5, -0.25, 2.0],             # label -1
+        [0.5, -0.25, 2.0],             # zero row: margin 0, active
+        -np.zeros(3),                  # w = -0 with a zero row
+        [2.0, -0.0, 0.5],              # margin 2, inactive: rho * w keeps -0
         rng.normal(size=(5, 3)),
     ])
-    H = np.vstack([[1.0, 2.0, -1.0], [1.0, 0.0, 0.0], [0.5, 2.0, 1.0], rng.normal(size=(5, 3))])
-    y = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
-    assert y[1] * (H[1] @ W[1]) == 1.0
-    assert_batch_rows_match(sset, W, H, y)
-    G = sset.subgradient_batch(W[:2], H[:2], y[:2])
+    H = np.vstack([
+        [1.0, 2.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.5, 2.0, 1.0],
+        np.zeros(3), np.zeros(3), [1.0, -1.0, 0.0], rng.normal(size=(5, 3)),
+    ])
+    y = np.array([-1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+    assert y[1] * (H[1] @ W[1]) == 1.0 and y[2] * (H[2] @ W[2]) == 1.0
+    assert y[6] * (H[6] @ W[6]) == 2.0
+    # the batch reads the set's signed rows; y is unused
+    sset = problems.SvmSampleSet(H, y, 0.01)
+    assert_batch_rows_match(sset, W, H, y, rows=sset.signed, batch_y=np.full_like(y, np.nan))
+    G = sset.subgradient_batch(W[:3], sset.signed[:3], y[:3])
     np.testing.assert_array_equal(G[0], H[0])  # -gamma*h with gamma=-1
     np.testing.assert_array_equal(G[1], sset.rho * W[1] - H[1])
+    np.testing.assert_array_equal(G[2], sset.rho * W[2] - H[1])
+
+
+def test_svm_signed_rows_with_label_one_are_the_same_samples():
+    # Sample(gamma h, +1) has the subgradient of Sample(h, gamma), bit for bit
+    sset = frozen_svm_set(n=200, seed=3)
+    rng = np.random.default_rng(14)
+    for k, w in enumerate(rng.normal(size=(200, 3))):
+        raw = sset.instantaneous_subgradient(w, Sample(sset.features[k], sset.labels[k]))
+        signed = sset.instantaneous_subgradient(w, Sample(sset.signed[k], 1.0))
+        np.testing.assert_array_equal(raw, signed)
+        np.testing.assert_array_equal(np.signbit(raw), np.signbit(signed))
 
 
 def test_lasso_subgradient_batch_rows_equal_instantaneous():
@@ -241,6 +272,7 @@ def test_lasso_subgradient_batch_rows_equal_instantaneous():
     W[1, ::3] = 0.0
     H = rng.normal(size=(6, 40))
     y = H @ p.w_true + 0.1 * rng.normal(size=6)
+    W[2, 1] = -0.0
     assert_batch_rows_match(p, W, H, y)
     np.testing.assert_array_equal(p.subgradient_batch(W[:1], H[:1], y[:1])[0], -y[0] * H[0])
 

@@ -364,17 +364,19 @@ def test_noise_moments_match_a_per_draw_loop(kind):
     if kind == "lasso":
         p = make_lasso()
         spec = data.RegressionStreamSpec(p.w_true, p.cov_h, p.noise_var)
-        make = lambda: data.RegressionSampler(spec, 31)
+        make = make_raw = lambda: data.RegressionSampler(spec, 31)
         w = p.optimum() + np.array([0.3, -0.1, 0.0, 0.2, -0.4])
     else:
         spec = data.TwoClassGaussianSpec.symmetric(np.array([0.7, -0.2, 0.4]))
         feats, labels = data.TwoClassGaussianSampler(spec, 32).draw_batch(2_000)
         p = problems.SvmSampleSet(feats, labels, rho=0.01)
-        make = lambda: data.SetSampler(feats, labels, 33)
+        # the batch form reads signed rows; the per-draw reference reads (h, gamma)
+        make = lambda: data.SetSampler(p.signed, np.ones_like(labels), 33)
+        make_raw = lambda: data.SetSampler(feats, labels, 33)
         w = np.array([0.5, 0.5, -0.5])
     n = 3_000
     report = theory.verify_noise_moments(p, make(), w, n)
-    mean, mean_se, msq, msq_se = noise_moments_per_draw(p, make(), w, n)
+    mean, mean_se, msq, msq_se = noise_moments_per_draw(p, make_raw(), w, n)
     np.testing.assert_allclose(report.mean, mean, rtol=1e-12)
     np.testing.assert_allclose(report.mean_stderr, mean_se, rtol=1e-12)
     assert report.second_moment == pytest.approx(msq, rel=1e-12)
@@ -385,7 +387,7 @@ def test_noise_moments_svm_variance_below_trace():
     spec = data.TwoClassGaussianSpec.symmetric(np.array([0.7, -0.2, 0.4]))
     feats, labels = data.TwoClassGaussianSampler(spec, 15).draw_batch(30_000)
     sset = problems.SvmSampleSet(feats, labels, rho=0.01)
-    sampler = data.SetSampler(feats, labels, 16)
+    sampler = data.SetSampler(sset.signed, np.ones_like(labels), 16)
     for w in (np.zeros(3), np.array([0.5, 0.5, -0.5])):
         report = theory.verify_noise_moments(sset, sampler, w, 20_000)
         assert (
