@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -131,23 +132,27 @@ def test_run_negative_workers_is_config_error(tmp_path, capsys, workers):
     assert not (tmp_path / "out").exists()
 
 
-def runtime_warnings(recwarn):
-    return [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)]
+@contextlib.contextmanager
+def runtime_warnings_raise():
+    # forked pool workers inherit the filter, so their warnings raise too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        yield
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_run_lasso_divergence_is_property_failure_without_warnings(tmp_path, capfd, recwarn,
-                                                                   workers):
-    # M = 100 at mu = 0.5 overflows within the first block; workers' warnings
-    # would reach fd 2, the calling process's the warning registry
-    text = LASSO_QUICK.replace("dim = 10", "dim = 100").replace("mu = 0.001", "mu = 0.5")
-    text = text.replace("kappa = 0.999", "kappa = 0.9").replace("record_stride = 200",
-                                                                "record_stride = 500")
+def test_run_lasso_divergence_is_property_failure_without_warnings(tmp_path, capsys, workers):
+    # M = 100 at mu = 0.5 overflows within the first block
+    text = LASSO_QUICK
+    for old, new in (("dim = 10", "dim = 100"), ("mu = 0.001", "mu = 0.5"),
+                     ("kappa = 0.999", "kappa = 0.9"), ("record_stride = 200", "record_stride = 500")):
+        text = text.replace(old, new)
     cfg = write_config(tmp_path, text, iterations=5000, replications=2, out=tmp_path / "out")
-    assert cli.main(["run", "--config", str(cfg), "--workers", workers]) == cli.EXIT_PROPERTY
-    err = capfd.readouterr().err
-    assert "diverged" in err and "Traceback" not in err and "Warning" not in err
-    assert runtime_warnings(recwarn) == []
+    with runtime_warnings_raise():
+        rc = cli.main(["run", "--config", str(cfg), "--workers", workers])
+    assert rc == cli.EXIT_PROPERTY
+    err = capsys.readouterr().err
+    assert "diverged" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -674,17 +679,17 @@ def test_svm_train_libsvm_text_fuzz_exits_with_documented_code(fuzz_dir, text):
     assert "Traceback" not in err.getvalue()
 
 
-def test_svm_train_overflow_is_property_failure(tmp_path, capsys, recwarn):
+def test_svm_train_overflow_is_property_failure(tmp_path, capsys):
     # finite features whose margins overflow once w has grown
     path = tmp_path / "huge.libsvm"
     path.write_text("+1 1:1e308\n-1 1:-1e308\n")
-    rc = cli.main(["svm-train", "--train", str(path), "--epochs", "3",
-                   "--out", str(tmp_path / "o")])
+    with runtime_warnings_raise():
+        rc = cli.main(["svm-train", "--train", str(path), "--epochs", "3",
+                       "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_PROPERTY
     captured = capsys.readouterr()
     assert "overflow" in captured.err and "Traceback" not in captured.err
     assert "accuracy" not in captured.out
-    assert runtime_warnings(recwarn) == []
     assert not (tmp_path / "o" / "model.txt").exists()
 
 
