@@ -123,7 +123,7 @@ class _LassoBundle:
 
     kind = "lasso"
 
-    def __init__(self, cfg, seed):
+    def __init__(self, cfg, seed, workers=1):
         dim = _positive(cfg, "problem", "dim", int, required=True)
         delta = _positive(cfg, "problem", "delta", float, required=True)
         noise_var = _get(cfg, "problem", "noise_var", float, default=0.01)
@@ -145,7 +145,8 @@ class _LassoBundle:
             risk_star=self.problem.risk(self.w_star),
         )
         n_mc = _positive(cfg, "problem", "a_mc_samples", int, default=100_000)
-        self.a_estimate = theory.estimate_lasso_a(self.problem, n_mc, seed=seed + 10**6)
+        self.a_estimate = theory.estimate_lasso_a(self.problem, n_mc, seed=seed + 10**6,
+                                                  workers=workers)
         self.a_gaussian = theory.lasso_gaussian_noise_modulus(self.problem)
         self.constants_mc = theory.lasso_constants(
             self.problem, self.a_estimate.value, w_star=self.w_star
@@ -182,7 +183,7 @@ class _SvmBundle:
 
     kind = "svm"
 
-    def __init__(self, cfg, seed):
+    def __init__(self, cfg, seed, workers=1):  # the set and its oracle are built serially
         rho = _positive(cfg, "problem", "rho", float, required=True)
         mean_raw = _get(cfg, "problem", "mean", str, required=True)
         try:
@@ -261,13 +262,13 @@ def _constants_lines(tag, k, mu):
     return lines
 
 
-def _build_bundle(cfg, seed):
+def _build_bundle(cfg, seed, workers=1):
     kind = _get(cfg, "problem", "kind", str, required=True).strip().lower()
     bundle = {"lasso": _LassoBundle, "svm": _SvmBundle}.get(kind)
     if bundle is None:
         raise ConfigError(f"[problem] kind must be 'lasso' or 'svm', got {kind!r}")
     try:
-        return bundle(cfg, seed)
+        return bundle(cfg, seed, workers)
     except MemoryError as exc:
         raise ConfigError(
             f"[problem] dim, a_mc_samples or train_size is too large: {exc}"
@@ -289,7 +290,7 @@ def _require_count(flag, value):
         raise ConfigError(f"{flag} must be nonnegative, got {value!r}")
 
 
-def _workers(requested, cap):
+def _workers(requested, cap=math.inf):
     # --workers 0 means the default: one per usable CPU, at most cap
     if requested:
         return requested
@@ -302,7 +303,7 @@ def cmd_run(ns):
     _require_count("--workers", ns.workers)
     cfg = _load_config(ns.config)
     run_cfg = _run_config(cfg, ns.seed)
-    bundle = _build_bundle(cfg, run_cfg.seed)
+    bundle = _build_bundle(cfg, run_cfg.seed, _workers(ns.workers))
     run_cfg = engine.resolve_kappa(run_cfg, bundle.alpha_for_auto(run_cfg.mu))
 
     out_dir = Path(ns.out or _get(cfg, "output", "dir", str, default="out"))
@@ -535,12 +536,13 @@ def _denoise(noisy, mu, lam, kappa, iterations):
     s = kappa + 1.0  # S_1 = kappa S_0 + 1 with S_0 = 1
     for lo, hi in chunks:
         engine.smooth_in_place(w_bar[lo:hi], p[lo:hi], s, buf.scratch[: hi - lo])
-    for _ in range(iterations - 1):
-        s = kappa * s + 1.0
-        for lo, hi in chunks:
-            problems.tv_step_rows(p, noisy.pixels, p_next, lo, hi, mu, lam, buf)
-            engine.smooth_in_place(w_bar[lo:hi], p_next[lo:hi], s, buf.scratch[: hi - lo])
-        p, p_next = p_next, p
+    with np.errstate(over="ignore", invalid="ignore"):  # tv_step_rows checks every pixel
+        for _ in range(iterations - 1):
+            s = kappa * s + 1.0
+            for lo, hi in chunks:
+                problems.tv_step_rows(p, noisy.pixels, p_next, lo, hi, mu, lam, buf)
+                engine.smooth_in_place(w_bar[lo:hi], p_next[lo:hi], s, buf.scratch[: hi - lo])
+            p, p_next = p_next, p
     return w_bar
 
 
@@ -700,8 +702,9 @@ def _build_parser():
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None, help="override [run] seed")
     p_run.add_argument("--workers", type=int, default=0,
-                       help="parallel replication processes (default 0: one per "
-                       "usable CPU, at most the replications)")
+                       help="processes for the replications and the LASSO a "
+                       "estimate (default 0: one per usable CPU; at most one "
+                       "per replication)")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.set_defaults(func=cmd_run)
 

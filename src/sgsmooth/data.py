@@ -3,7 +3,8 @@
 All randomness flows through seeded PCG64 generators, and Gaussian variates
 are produced by the inverse-CDF transform of 64-bit uniforms (see
 :func:`standard_normal`), so a (spec, seed) pair always reproduces the same
-sample sequence.
+sample sequence.  Each value takes one 64-bit word, so any span of a draw
+can be drawn on its own, bit for bit, from :func:`advanced_rng`.
 
 Every sampler defines one sampling method, ``draw_batch(n)``, which returns
 ``(features (n, dim), targets (n,))``.  ``draw()`` and iteration, the
@@ -24,7 +25,7 @@ from .problems import GrayImage, Sample
 
 def uniform_open(rng, size):
     """Uniforms strictly inside (0, 1): bin midpoints (k + 1/2) / 2^64 of a
-    64-bit integer draw."""
+    64-bit integer draw, exactly one generator word per value."""
     k = rng.integers(0, 2**64, size=size, dtype=np.uint64)
     return (k.astype(np.float64) + 0.5) * 2.0**-64
 
@@ -33,11 +34,19 @@ def standard_normal(rng, size):
     """Standard normal draws via the inverse normal CDF of open uniforms.
 
     Any generator producing the same 64-bit integer stream reproduces these
-    values exactly.  The samplers below consume a fixed number of values per
-    sample in row-major order, so a sample sequence does not depend on how
-    draws are batched.
+    values exactly, one word per value.  The samplers below consume a fixed
+    number of values per sample in row-major order, so a sample sequence
+    does not depend on how draws are batched.
     """
     return ndtri(uniform_open(rng, size))
+
+
+def advanced_rng(seed, k):
+    """``np.random.default_rng(seed)`` after ``k`` values of :func:`uniform_open`
+    or :func:`standard_normal`, reached by PCG64 jump-ahead in O(log k)."""
+    bits = np.random.PCG64(seed)
+    bits.advance(k)
+    return np.random.Generator(bits)
 
 
 def _cholesky_or_none(cov, dim):
@@ -319,8 +328,9 @@ def add_gaussian_noise(img, sigma, seed):
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     rng = np.random.default_rng(seed)
-    noise = sigma * standard_normal(rng, img.pixels.shape)
-    return GrayImage(img.pixels + noise, peak=img.peak)
+    with np.errstate(over="ignore"):  # GrayImage rejects an overflowed pixel
+        noisy = img.pixels + sigma * standard_normal(rng, img.pixels.shape)
+    return GrayImage(noisy, peak=img.peak)
 
 
 def mse(img, reference):
@@ -339,7 +349,8 @@ def psnr(img, reference):
     """
     if img.peak != reference.peak:
         raise ValueError("images use different peak conventions")
-    err = mse(img, reference)
+    with np.errstate(over="ignore"):
+        err = mse(img, reference)
     if err == 0.0:
         return math.inf
     if err == math.inf:

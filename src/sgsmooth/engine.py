@@ -21,7 +21,7 @@ subgradients into ``out``, and a stream factory whose samplers have
 for bit.  The SVM set's batch form reads signed rows, so its lockstep
 stream samples :attr:`sgsmooth.problems.SvmSampleSet.signed` where
 :func:`run` reads (h, gamma).  Blocks of replications may run in parallel
-processes.
+processes through :func:`parallel_map`, the package's one process pool.
 """
 
 from dataclasses import dataclass, replace
@@ -303,7 +303,16 @@ def run(problem, stream, config, *, oracle=None, w0=None, track_pocket=False):
     return recorder.result(w, SmoothingState(s_sum, w_bar, kappa), stride)
 
 
-def _run_lockstep(args):
+def parallel_map(fn, tasks):
+    """``[fn(*task) for task in tasks]``, in order: inline for one task,
+    otherwise one process per task (``fn`` and the tasks must be picklable)."""
+    if len(tasks) == 1:
+        return [fn(*tasks[0])]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
+
+
+def _run_lockstep(problem, stream_factory, config, seeds, oracle, w0, track_pocket):
     """Replications seeded ``seeds``, advanced together as rows of a matrix.
 
     The arithmetic is that of :func:`run`, one row per replication, with
@@ -312,7 +321,6 @@ def _run_lockstep(args):
     iterates are checked once per block and a non-finite one raises
     :class:`NumericError` naming the block.
     """
-    problem, stream_factory, config, seeds, oracle, w0, track_pocket = args
     kappa, w = _start(problem, config, oracle, w0, track_pocket)
     mu = config.mu
     stride = config.record_stride
@@ -368,9 +376,9 @@ def run_replications(
     ``stream_factory(seed)`` must build a fresh sampler with ``draw_batch``;
     replication r gets seed ``config.seed + r``.  The seeds are split into
     ``workers`` contiguous blocks, and each block advances in lockstep (see
-    :func:`_run_lockstep`).  With more than one block, the blocks execute in
-    separate processes (everything passed in must be picklable).  Results are
-    returned in replication order and do not depend on ``workers``.  Too
+    :func:`_run_lockstep`).  Several blocks run in separate processes
+    (:func:`parallel_map`; everything passed in must be picklable).  Results
+    are returned in replication order and do not depend on ``workers``.  Too
     many replications to hold raise ``MemoryError`` before any sampling.
     """
     n_rep = config.replications
@@ -388,10 +396,7 @@ def run_replications(
         )
         for lo, hi in zip(cuts, cuts[1:])
     ]
-    if n_blocks == 1:
-        return _run_lockstep(tasks[0])
-    with concurrent.futures.ProcessPoolExecutor(max_workers=n_blocks) as pool:
-        return [result for block in pool.map(_run_lockstep, tasks) for result in block]
+    return [result for block in parallel_map(_run_lockstep, tasks) for result in block]
 
 
 @dataclass(eq=False)

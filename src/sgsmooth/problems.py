@@ -519,7 +519,8 @@ def tv_step_rows(p, noisy, out, lo, hi, mu, lam, buf):
     The rows are ``p - ((p - noisy) + lam * S(p)) * mu`` with S the sign sum,
     read from rows lo - 1 .. hi of ``p``; ``out`` must not be ``p``.  ``buf``
     is a :class:`TvBuffers` of at least ``hi - lo`` rows, and nothing else is
-    allocated.  Raises :class:`NumericError` when a new pixel is not finite.
+    allocated.  Raises :class:`NumericError` when a new pixel is not finite,
+    so callers run it with overflow warnings off.
     A band reads only ``p`` and ``noisy`` and writes only its own rows.
     Arguments are not checked here; :func:`tv_subgradient_step` checks them.
     """
@@ -552,5 +553,6 @@ def tv_subgradient_step(img, noisy, mu, lam):
     p = img.pixels
     height, width = p.shape
     out = np.empty((height, width))
-    tv_step_rows(p, noisy.pixels, out, 0, height, mu, lam, TvBuffers.allocate(height, width))
+    with np.errstate(over="ignore", invalid="ignore"):  # the step checks its pixels
+        tv_step_rows(p, noisy.pixels, out, 0, height, mu, lam, TvBuffers.allocate(height, width))
     return GrayImage(out, peak=img.peak)

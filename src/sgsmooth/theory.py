@@ -17,7 +17,8 @@ iterate contracts geometrically with per-iteration factor
 toward a steady-state level of mu * tau^2 / 2 (and mu * tau^2 / eta in
 mean-square deviation).  This module computes those numbers for the built-in
 problem families and provides Monte-Carlo checkers that confirm the
-assumptions actually hold on live samplers.
+assumptions actually hold on live samplers.  The LASSO noise-modulus
+estimate can split its draw across processes with the same result bits.
 """
 
 from dataclasses import dataclass
@@ -26,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import standard_normal
-from .engine import SAMPLE_BLOCK
+from .data import advanced_rng, standard_normal
+from .engine import SAMPLE_BLOCK, parallel_map
 from .errors import InsufficientData, UnsupportedConfiguration
 
 
@@ -199,7 +200,11 @@ class AEstimate(NamedTuple):
     stderr: float
 
 
-def estimate_lasso_a(problem, n, seed=0, features=None):
+# fewest variates per part of a split estimate: ~75 ms of sampling, ~40 ms of pool start
+_MIN_PART_VARIATES = 2**21
+
+
+def estimate_lasso_a(problem, n, seed=0, features=None, workers=1):
     """Monte-Carlo estimate of a = 2 E ||R_h - h h^T||^2 (spectral norm).
 
     Draws ``n`` regressors from the problem's Gaussian model (or uses the
@@ -207,27 +212,48 @@ def estimate_lasso_a(problem, n, seed=0, features=None):
     of the covariance estimation error.  Returns the estimate with its
     standard error.  Rows are drawn and reduced to their norm
     ``SAMPLE_BLOCK`` at a time, in the order of one (n, dim) draw, so memory
-    is 8 bytes per draw plus one fixed block (16 bytes per draw while the
-    standard deviation is taken).
+    is 16 bytes per draw plus one fixed block.  Up to ``workers`` processes
+    each draw a span of whole blocks, about ``_MIN_PART_VARIATES`` variates
+    or more, seeked to with :func:`sgsmooth.data.advanced_rng`, so the result
+    does not depend on ``workers``.  ``features`` are reduced in-process.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     m = problem.dim
-    cov = problem.cov_h
-    identity = problem._identity_cov
-    if features is None:
-        rng = np.random.default_rng(seed)
-        chol = None if identity else np.linalg.cholesky(cov)
-    else:
+    if features is not None:
         features = np.asarray(features, dtype=float)
         if features.shape != (n, m):
             raise ValueError("features must have shape (n, dim)")
+        workers = 1
 
     # the general path stacks one dim x dim matrix per row: keep that batch small
-    rows = SAMPLE_BLOCK if identity else max(1, min(SAMPLE_BLOCK, 2**22 // (m * m)))
-    norms = np.empty(n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
+    rows = SAMPLE_BLOCK if problem._identity_cov else max(1, min(SAMPLE_BLOCK, 2**22 // (m * m)))
+    norms = np.empty(n)  # before any process starts, so a size too large fails at once
+    blocks = -(-n // rows)
+    parts = max(1, min(workers, blocks, n * m // _MIN_PART_VARIATES))
+    cuts = [min(n, rows * (blocks * k // parts)) for k in range(parts + 1)]
+    spans = [(problem, seed, features, rows, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    np.concatenate(parallel_map(_a_norms, spans), out=norms)
+
+    draws = norms  # 2 * norms**2, in place
+    draws *= norms
+    draws *= 2.0
+    value = float(draws.mean())
+    stderr = float(draws.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    return AEstimate(value, stderr)
+
+
+def _a_norms(problem, seed, features, rows, lo, hi):
+    """Norms ||R_h - h h^T|| of rows [lo, hi) of the estimate, ``rows`` at a time."""
+    m = problem.dim
+    cov = problem.cov_h
+    identity = problem._identity_cov
+    if features is None:
+        rng = advanced_rng(seed, lo * m)
+        chol = None if identity else np.linalg.cholesky(cov)
+    norms = np.empty(hi - lo)
+    for start in range(lo, hi, rows):
+        stop = min(start + rows, hi)
         if features is not None:
             block = features[start:stop]
         else:
@@ -238,17 +264,11 @@ def estimate_lasso_a(problem, n, seed=0, features=None):
             # I - h h^T has eigenvalues 1 - ||h||^2 (along h) and, for M >= 2,
             # 1 on the orthogonal complement.
             q = np.abs(1.0 - np.einsum("ij,ij->i", block, block))
-            norms[start:stop] = q if m == 1 else np.maximum(1.0, q)
+            norms[start - lo : stop - lo] = q if m == 1 else np.maximum(1.0, q)
         else:
             diff = cov[None, :, :] - block[:, :, None] * block[:, None, :]
-            norms[start:stop] = np.abs(np.linalg.eigvalsh(diff)).max(axis=1)
-
-    draws = norms  # 2 * norms**2, in place
-    draws *= norms
-    draws *= 2.0
-    value = float(draws.mean())
-    stderr = float(draws.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return AEstimate(value, stderr)
+            norms[start - lo : stop - lo] = np.abs(np.linalg.eigvalsh(diff)).max(axis=1)
+    return norms
 
 
 class SvmTightBound(NamedTuple):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import io
 import math
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sgsmooth import cli, data, engine, problems
+from sgsmooth import cli, data, engine, problems, theory
 from sgsmooth.problems import GrayImage
 
 
@@ -316,6 +317,45 @@ def test_size_too_large_to_allocate_is_config_error(tmp_path, capsys, command, t
     assert not (tmp_path / "out").exists()
 
 
+def test_huge_a_mc_samples_fails_before_a_process_starts(tmp_path, capsys, monkeypatch):
+    # 3 * 10**15 variates would split, but the norms cannot be allocated first
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    path = tmp_path / "huge.ini"
+    path.write_text(LASSO_TINY.replace("a_mc_samples = 1000", f"a_mc_samples = {HUGE}"))
+    argv = ["run", "--config", str(path), "--workers", "2", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "a_mc_samples" in err and "too large" in err and "Traceback" not in err
+
+
+def test_run_summary_does_not_depend_on_the_split_a_estimate(tmp_path, monkeypatch):
+    # 42000 x 100 variates are above two parts' minimum, so --workers 2 splits
+    parts = []
+
+    def counting_map(fn, tasks):
+        parts.append(len(tasks))
+        return engine.parallel_map(fn, tasks)
+
+    monkeypatch.setattr(theory, "parallel_map", counting_map)
+    text = LASSO_QUICK.replace("dim = 10", "dim = 100").replace(
+        "a_mc_samples = 20000", "a_mc_samples = 42000")
+    assert 42000 * 100 >= 2 * theory._MIN_PART_VARIATES
+    cfg = write_config(tmp_path, text, iterations=400, replications=1, out=tmp_path / "unused")
+    summaries = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        assert cli.main(["run", "--config", str(cfg), "--workers", workers, "--out", str(out)]) == 0
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert lines[-1].startswith("elapsed_seconds = ")
+        summaries.append([line.replace(f" workers={workers}", "") for line in lines[:-1]])
+    assert parts == [1, 2]
+    assert summaries[0] == summaries[1]
+    assert any(line.startswith("noise modulus a (Monte-Carlo") for line in summaries[0])
+
+
 def test_run_svm_summary_reports_oracle_certificate(tmp_path):
     cfg = write_config(tmp_path, SVM_QUICK, iterations=0, out=tmp_path / "out")
     assert cli.main(["run", "--config", str(cfg)]) == 0
@@ -497,9 +537,10 @@ def test_denoise_divergence_is_property_failure(tmp_path, capsys):
     # step 1 stays finite; step 2 overflows inside the row chunks
     clean = piecewise_image(tmp_path)
     before = threading.active_count()
-    rc = cli.main(["denoise", "--clean", str(clean), "--noise-std", "0.1", "--kappa", "0.5",
-                   "--mu", "1e300", "--iterations", "5",
-                   "--out", str(tmp_path / "out")])
+    with runtime_warnings_raise():
+        rc = cli.main(["denoise", "--clean", str(clean), "--noise-std", "0.1", "--kappa", "0.5",
+                       "--mu", "1e300", "--iterations", "5",
+                       "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_PROPERTY
     assert threading.active_count() == before
     err = capsys.readouterr().err
@@ -540,13 +581,15 @@ def tiny_pgm(tmp_path_factory):
     kappa=st.one_of(st.just("auto"), st.text(), st.floats().map(repr)),
 )
 @example(mu=0.002, lam=0.08, noise_std=1e200, kappa="auto")  # the PSNR's MSE overflows
+@example(mu=0.002, lam=0.08, noise_std=1e308, kappa="auto")  # the noisy pixels overflow
 def test_denoise_flag_fuzz_exits_with_documented_code(tiny_pgm, mu, lam, noise_std, kappa):
     # '=' keeps argparse from reading values such as '-inf' as option names
-    rc = cli.main([
-        "denoise", "--clean", str(tiny_pgm), f"--noise-std={noise_std!r}",
-        f"--mu={mu!r}", f"--lam={lam!r}", f"--kappa={kappa}", "--iterations", "1",
-        "--out", str(tiny_pgm.parent / "out"),
-    ])
+    with runtime_warnings_raise():
+        rc = cli.main([
+            "denoise", "--clean", str(tiny_pgm), f"--noise-std={noise_std!r}",
+            f"--mu={mu!r}", f"--lam={lam!r}", f"--kappa={kappa}", "--iterations", "1",
+            "--out", str(tiny_pgm.parent / "out"),
+        ])
     assert rc in (cli.EXIT_OK, cli.EXIT_PROPERTY, cli.EXIT_CONFIG, cli.EXIT_IO)
     valid = mu > 0 and math.isfinite(mu) and lam >= 0 and math.isfinite(lam)
     if not (valid and noise_std >= 0 and math.isfinite(noise_std)):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,14 @@ def test_standard_normal_reproducible():
     a = data.standard_normal(np.random.default_rng(42), (3, 4))
     b = data.standard_normal(np.random.default_rng(42), (3, 4))
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [0, 1, 511, 51237])
+def test_advanced_rng_draws_the_tail_of_one_long_draw(k):
+    # one 64-bit word per value: a numpy change to full-range integers breaks this
+    tail = data.standard_normal(data.advanced_rng(19, k), (300, 3))
+    whole = data.standard_normal(np.random.default_rng(19), k + 900)
+    assert np.array_equal(tail.ravel(), whole[k:])
 
 
 # ---------- regression stream ----------
@@ -254,7 +263,8 @@ def test_psnr_values():
 def test_psnr_of_overflowing_mse_is_minus_inf():
     a = GrayImage(np.zeros((4, 4)), peak=255.0)
     b = GrayImage(np.full((4, 4), 1e200), peak=255.0)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert data.psnr(a, b) == -math.inf
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 
@@ -248,6 +249,58 @@ def test_estimate_lasso_a_general_covariance_matches_one_whole_draw(m):
     value, stderr = whole_draw_a(p, 1300, 23)
     assert est.value == pytest.approx(value, rel=1e-12)
     assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+def lasso_a_problem(kind, m):
+    cov = np.eye(m)
+    if kind == "general":
+        a = np.random.default_rng(22).normal(size=(m, m))
+        cov = a @ a.T / m + 0.5 * np.eye(m)
+    return problems.LassoProblem(delta=0.01, w_true=np.zeros(m), cov_h=cov, noise_var=0.0)
+
+
+# blocks are 512 rows, and 419 on the general path at M = 100
+@pytest.mark.parametrize("kind, m, n", [
+    ("identity", 1, 1), ("identity", 1, 513), ("identity", 1, 1537),
+    ("identity", 3, 511), ("identity", 3, 512), ("identity", 3, 513),
+    ("identity", 3, 1024), ("identity", 3, 1025), ("identity", 3, 1537),
+    ("general", 3, 513), ("general", 3, 1537), ("general", 100, 420),
+])
+def test_estimate_lasso_a_split_is_bit_identical(monkeypatch, kind, m, n):
+    p = lasso_a_problem(kind, m)
+    ref = theory.estimate_lasso_a(p, n, seed=31)
+    # every block may be a part of its own, so small draws split too
+    monkeypatch.setattr(theory, "_MIN_PART_VARIATES", 1)
+    parts = []
+
+    def counting_map(fn, tasks):
+        parts.append(len(tasks))
+        return engine.parallel_map(fn, tasks)
+
+    monkeypatch.setattr(theory, "parallel_map", counting_map)
+    blocks = -(-n // (419 if m == 100 else 512))
+    for workers in (1, 2, 3):
+        est = theory.estimate_lasso_a(p, n, seed=31, workers=workers)
+        assert est.value.hex() == ref.value.hex()
+        assert est.stderr.hex() == ref.stderr.hex()
+        assert parts[-1] == min(workers, blocks)
+
+
+def test_estimate_lasso_a_below_the_part_minimum_starts_no_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    m = 100
+    p = lasso_a_problem("identity", m)
+    n = 2 * theory._MIN_PART_VARIATES // m  # the largest n of one part at M = 100
+    assert n * m < 2 * theory._MIN_PART_VARIATES <= (n + 1) * m
+    for workers in (1, 2, 64):
+        theory.estimate_lasso_a(p, n, seed=3, workers=workers)
+    # supplied features are reduced in this process, however many workers
+    monkeypatch.setattr(theory, "_MIN_PART_VARIATES", 1)
+    feats = np.random.default_rng(4).normal(size=(2000, 3))
+    theory.estimate_lasso_a(lasso_a_problem("identity", 3), 2000, features=feats, workers=2)
 
 
 def test_estimate_lasso_a_memory_does_not_hold_the_whole_draw():
