@@ -291,9 +291,9 @@ def _require_count(flag, value):
 
 
 def _workers(requested, cap=math.inf):
-    # --workers 0 means the default: one per usable CPU, at most cap
+    # --workers 0 means the default: one per usable CPU; either way at most cap
     if requested:
-        return requested
+        return min(requested, cap)
     if hasattr(os, "sched_getaffinity"):
         return min(len(os.sched_getaffinity(0)), cap)
     return min(os.cpu_count() or 1, cap)
@@ -447,7 +447,7 @@ def cmd_verify(ns):
 
     rng = np.random.default_rng(seed + 1)
     viol = theory.verify_subgradient_inequality(
-        p.risk, p.true_subgradient, dim, pairs, rng, scale=scale
+        p.risk, p.risk_and_subgradient, dim, pairs, rng, scale=scale
     )
     all_ok &= _report_check(
         "subgradient-inequality",

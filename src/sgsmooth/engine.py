@@ -10,18 +10,29 @@ maintains the exponentially smoothed iterate
 
 which is the realizable substitute for best-iterate tracking when the risk
 cannot be evaluated online.  Every loop that smooths, here and in the
-``denoise`` command, takes the step with :func:`smooth_in_place`.  A single
-run is strictly sequential.
+``denoise`` command, takes the step from :func:`smoothing_terms` and
+:func:`smooth_step`, one iterate at a time through :func:`smooth_in_place`
+or a block at a time in the lockstep.  A single run is strictly sequential.
 
 :func:`run_replications` advances independent replications in lockstep, as
 the rows of one (R, dim) matrix, each row fed by its own sampler.  It needs
-the problem's ``subgradient_batch(W, H, y, out)``, which writes the rows'
-subgradients into ``out``, and a stream factory whose samplers have
-``draw_batch(n)``; row r then equals :func:`run` on the same samples bit
-for bit.  The SVM set's batch form reads signed rows, so its lockstep
-stream samples :attr:`sgsmooth.problems.SvmSampleSet.signed` where
+the problem's ``subgradient_batch(W, H, y, out, work)``, which writes the
+rows' subgradients into ``out`` and its temporaries into ``work``, made
+once per run by the problem's ``batch_work(R)``, and a stream factory whose
+samplers have ``draw_batch(n)``; row r then equals :func:`run` on the same
+samples bit for bit.  The SVM set's batch form reads signed rows, so its
+lockstep stream samples :attr:`sgsmooth.problems.SvmSampleSet.signed` where
 :func:`run` reads (h, gamma).  Blocks of replications may run in parallel
 processes through :func:`parallel_map`, the package's one process pool.
+
+At a few rows of a few coordinates a numpy call costs its dispatch, not
+its arithmetic, and a Python float or a broadcast column nearly doubles
+that.  So the lockstep step writes the iterates of a block of
+``SAMPLE_BLOCK`` steps into the rows of a history, then takes every
+w_i / S_i of the block in one division and runs the block's smoothing
+steps, two calls each (:func:`smoothing_terms`, :func:`smooth_step`).
+Every call of the loop takes operands of its output's shape or 0-d
+arrays, and every buffer is allocated once per run.
 """
 
 from dataclasses import dataclass, replace
@@ -53,16 +64,32 @@ def init_smoothing(w0, kappa):
     return SmoothingState(1.0, np.array(w0, dtype=float), kappa)
 
 
+def smoothing_terms(w, s, quotient):
+    """Terms of the smoothing steps that take in ``w`` at weight sums ``s``.
+
+    Writes w / s into ``quotient`` and returns the factor 1 - 1/s, so the
+    step is ``smooth_step(w_bar, factor, quotient)``.  ``s`` is one new
+    weight sum S_i, or a column of them for a stack of iterates, one step
+    each.
+    """
+    np.divide(w, s, out=quotient)
+    # the (1 - 1/S) form makes kappa = 0 reduce to the last iterate exactly
+    return 1.0 - 1.0 / s
+
+
+def smooth_step(w_bar, factor, quotient):
+    """One smoothing step in place: w_bar <- factor * w_bar + quotient."""
+    w_bar *= factor
+    w_bar += quotient
+
+
 def smooth_in_place(w_bar, w, s, scratch):
     """One smoothing step in place: w_bar <- (1 - 1/s) w_bar + w / s.
 
     ``s`` is the new weight sum S_i.  ``scratch``, shaped like ``w_bar``,
     receives w / s, so nothing is allocated.
     """
-    # the (1 - 1/S) form makes kappa = 0 reduce to the last iterate exactly
-    w_bar *= 1.0 - 1.0 / s
-    np.divide(w, s, out=scratch)
-    w_bar += scratch
+    smooth_step(w_bar, smoothing_terms(w, s, scratch), scratch)
 
 
 def smoothing_update(state, w):
@@ -316,45 +343,64 @@ def _run_lockstep(problem, stream_factory, config, seeds, oracle, w0, track_pock
     """Replications seeded ``seeds``, advanced together as rows of a matrix.
 
     The arithmetic is that of :func:`run`, one row per replication, with
-    ``G *= mu; W -= G`` keeping the rounding of ``w -= mu * g``.  The step
-    writes into buffers allocated once.  Overflow is not warned about: the
-    iterates are checked once per block and a non-finite one raises
-    :class:`NumericError` naming the block.
+    ``G *= mu`` then ``W - G`` keeping the rounding of ``w -= mu * g``.  A
+    block of steps writes iterate k into row k of a (block + 1, R, dim)
+    history, row 0 holding the last iterate of the block before; then one
+    division by the block's weight sums gives every w_i / S_i, and the
+    smoothing steps and the records follow in order.  Overflow is not
+    warned about: the iterates are checked once per block and a non-finite
+    one raises :class:`NumericError` naming the block.
     """
     kappa, w = _start(problem, config, oracle, w0, track_pocket)
-    mu = config.mu
+    mu = np.array(config.mu)  # 0-d: numpy converts a float on every call
     stride = config.record_stride
     n_iters = config.iterations
     subgrad = problem.subgradient_batch
+    n_rep, dim = len(seeds), w.shape[0]
 
-    # the (R, dim) state first, so a size too large to hold fails at once
-    W = np.tile(w, (len(seeds), 1))
-    W_bar = W.copy()
-    scratch = np.empty_like(W)
-    G = np.empty_like(W)
+    # the buffers first, (R, dim) before (block, R, dim), so a size too
+    # large to hold fails at once
+    W_bar = np.tile(w, (n_rep, 1))
+    G = np.empty_like(W_bar)
+    work = problem.batch_work(n_rep)
+    history = np.empty((SAMPLE_BLOCK + 1, n_rep, dim))
+    quotients = np.empty((SAMPLE_BLOCK, n_rep, dim))
+    factors = np.empty_like(quotients)
+    H = np.empty_like(quotients)  # (block, R, dim): step k reads contiguous rows
+    Y = np.empty((SAMPLE_BLOCK, n_rep))
+    history[0] = w
+    # row views made once; indexing an array makes a new view on every call
+    W_rows, c_rows, q_rows = list(history), list(factors), list(quotients)
+    H_rows, Y_rows = list(H), list(Y)
     s_sum = 1.0
     samplers = [stream_factory(seed) for seed in seeds]
     recorders = [_Recorder(oracle, w, track_pocket) for _ in seeds]
 
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_iters, SAMPLE_BLOCK):
-            stop = min(start + SAMPLE_BLOCK, n_iters)
+            n = min(SAMPLE_BLOCK, n_iters - start)
             draws = [sampler.draw_batch(SAMPLE_BLOCK) for sampler in samplers]
-            # (block, R, dim) and (block, R): step k reads contiguous rows
-            H = np.stack([h for h, _ in draws], axis=1)
-            Y = np.stack([y for _, y in draws], axis=1)
-            for i, h, y in zip(range(start + 1, stop + 1), H, Y):
-                subgrad(W, h, y, out=G)
-                G *= mu
-                W -= G
+            np.stack([h for h, _ in draws], axis=1, out=H)
+            np.stack([y for _, y in draws], axis=1, out=Y)
+            sums = []
+            for k in range(n):
+                subgrad(W_rows[k], H_rows[k], Y_rows[k], G, work)
+                np.multiply(G, mu, G)
+                np.subtract(W_rows[k], G, W_rows[k + 1])
                 s_sum = kappa * s_sum + 1.0
-                smooth_in_place(W_bar, W, s_sum, scratch)
+                sums.append(s_sum)
+            column = np.array(sums)[:, None, None]
+            np.copyto(factors[:n], smoothing_terms(history[1 : n + 1], column, quotients[:n]))
+            for i, c, q, W in zip(range(start + 1, start + n + 1), c_rows, q_rows, W_rows[1:]):
+                smooth_step(W_bar, c, q)
                 if i % stride == 0:
                     for recorder, w_row, w_bar_row in zip(recorders, W, W_bar):
                         recorder.record(i, w_row, w_bar_row)
-            if not np.isfinite(W).all():
-                raise NumericError(f"iterate diverged in iterations {start + 1}..{stop}")
+            if not np.isfinite(W_rows[n]).all():
+                raise NumericError(f"iterate diverged in iterations {start + 1}..{start + n}")
+            np.copyto(W_rows[0], W_rows[n])
 
+    W = W_rows[0]
     return [
         recorder.result(W[r].copy(), SmoothingState(s_sum, W_bar[r].copy(), kappa), stride)
         for r, recorder in enumerate(recorders)

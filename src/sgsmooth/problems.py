@@ -2,9 +2,10 @@
 
 Each family provides the per-sample (instantaneous) subgradient used by the
 reference loop :func:`sgsmooth.engine.run`; the SVM set and LASSO also
-provide its row-wise batch form ``subgradient_batch(W, H, y, out=None)``,
-which the lockstep replications and the gradient-noise check run on; the
-SVM set's reads signed rows gamma * h (:attr:`SvmSampleSet.signed`).  Exact
+provide its row-wise batch form ``subgradient_batch(W, H, y, out=None,
+work=None)``, which the lockstep replications and the gradient-noise check
+run on, with its working memory from ``batch_work(rows)``; the SVM set's
+reads signed rows gamma * h (:attr:`SvmSampleSet.signed`).  Exact
 quantities come with them: the LASSO risk and its subgradient are
 closed-form under the linear regression model, the SVM ones are evaluated
 exactly on a frozen sample set (:class:`SvmSampleSet`), and the TV objective
@@ -71,10 +72,43 @@ def hinge_loss(w, sample, rho):
     return 0.5 * rho * (w @ w) + max(0.0, 1.0 - margin)
 
 
-def _row_dots(H, W):
-    # one vector dot per row, the same kernel as the per-sample h @ w; einsum
-    # sums in another order and moves results by an ulp
-    return np.vecdot(H, W)
+class BatchWork(NamedTuple):
+    """Working memory and constants of ``subgradient_batch`` on R rows.
+
+    A problem's ``batch_work(R)`` makes one; a kernel given it writes its
+    temporaries here and allocates nothing but a missing ``out``.  The
+    constants are 0-d arrays and ``spread`` and ``mask_rows`` read the R-long
+    ``per_row`` and ``mask`` as (R, dim), so every operand of a kernel call
+    is 0-d or has the shape of its output: numpy would convert a Python
+    float, or broadcast a column, on every call, and at a few rows that
+    costs more than the arithmetic.  The row dots come from ``np.vecdot``,
+    the kernel of the per-sample h @ w; einsum sums in another order and
+    moves results by an ulp.
+    """
+
+    coef: np.ndarray  # 0-d: rho or delta
+    one: np.ndarray  # 0-d: the hinge threshold 1.0
+    dots: np.ndarray  # (R,) row dot products
+    per_row: np.ndarray  # (R,) LASSO residuals
+    spread: np.ndarray  # (R, dim) read-only view of per_row
+    mask: np.ndarray  # (R,) SVM hinge indicator
+    mask_rows: np.ndarray  # (R, dim) read-only view of mask
+    product: np.ndarray  # (R, dim) residual times row, or rho w - s
+
+    @classmethod
+    def allocate(cls, rows, dim, coef):
+        per_row = np.empty(rows)
+        mask = np.empty(rows, dtype=bool)
+        return cls(
+            np.array(float(coef)),
+            np.array(1.0),
+            np.empty(rows),
+            per_row,
+            np.broadcast_to(per_row[:, None], (rows, dim)),
+            mask,
+            np.broadcast_to(mask[:, None], (rows, dim)),
+            np.empty((rows, dim)),
+        )
 
 
 def _check_label(gamma):
@@ -181,7 +215,11 @@ class SvmSampleSet:
             g = g - sample.gamma * sample.h
         return g
 
-    def subgradient_batch(self, W, H, y, out=None):
+    def batch_work(self, rows):
+        """:class:`BatchWork` of :meth:`subgradient_batch` on ``rows`` rows."""
+        return BatchWork.allocate(rows, self.dim, self.rho)
+
+    def subgradient_batch(self, W, H, y, out=None, work=None):
         """Row r is rho W[r] - [s_r . W[r] <= 1] s_r for the signed row s_r = H[r].
 
         With s_r = gamma h this is ``instantaneous_subgradient(W[r],
@@ -189,23 +227,40 @@ class SvmSampleSet:
         already in the row.  Streams for it sample :attr:`signed`, and with
         label +1 (the sample (gamma h, +1) has the same subgradient) they
         also feed :meth:`instantaneous_subgradient`.  The result is written
-        into ``out`` when given.
+        into ``out`` and the temporaries into ``work`` (:meth:`batch_work`),
+        each allocated when not given.
         """
-        active = _row_dots(H, W) <= 1.0
-        out = np.multiply(W, self.rho, out=out)
-        np.subtract(out, H, out=out, where=active[:, None])
+        if work is None:
+            work = self.batch_work(len(W))
+        np.vecdot(H, W, work.dots)
+        np.less_equal(work.dots, work.one, work.mask)
+        out = np.multiply(W, work.coef, out)
+        # a masked copy costs a third of a masked subtract
+        np.subtract(out, H, work.product)
+        np.copyto(out, work.product, where=work.mask_rows)
         return out
 
     def risk(self, w):
         """Exact regularized hinge risk on the set."""
         w = np.asarray(w, dtype=float)
-        margins = self.signed @ w
-        return 0.5 * self.rho * (w @ w) + np.maximum(0.0, 1.0 - margins).mean()
+        return self._risk(w, self.signed @ w)
 
     def subgradient(self, w):
         """Exact subgradient of :meth:`risk` (indicator active at margin 1)."""
         w = np.asarray(w, dtype=float)
-        active = (self.signed @ w <= 1.0).astype(float)
+        return self._subgradient(w, self.signed @ w)
+
+    def risk_and_subgradient(self, w):
+        """(:meth:`risk`, :meth:`subgradient`) at ``w`` from one margin pass."""
+        w = np.asarray(w, dtype=float)
+        margins = self.signed @ w
+        return self._risk(w, margins), self._subgradient(w, margins)
+
+    def _risk(self, w, margins):
+        return 0.5 * self.rho * (w @ w) + np.maximum(0.0, 1.0 - margins).mean()
+
+    def _subgradient(self, w, margins):
+        active = (margins <= 1.0).astype(float)
         return self.rho * w - (active @ self._signed_f) / self.n
 
     # engine/theory duck-typing alias
@@ -366,21 +421,34 @@ class LassoProblem:
         residual = sample.gamma - h @ w
         return self.delta * np.sign(w) - residual * h
 
-    def subgradient_batch(self, W, H, y, out=None):
+    def batch_work(self, rows):
+        """:class:`BatchWork` of :meth:`subgradient_batch` on ``rows`` rows."""
+        return BatchWork.allocate(rows, self.dim, self.delta)
+
+    def subgradient_batch(self, W, H, y, out=None, work=None):
         """Row r is ``instantaneous_subgradient(W[r], Sample(H[r], y[r]))``, bit for bit.
 
-        The result is written into ``out`` when given.
+        The result is written into ``out`` and the temporaries into ``work``
+        (:meth:`batch_work`), each allocated when not given.
         """
-        residual = y - _row_dots(H, W)
-        out = np.sign(W, out=out)
-        out *= self.delta
-        out -= residual[:, None] * H
+        if work is None:
+            work = self.batch_work(len(W))
+        np.vecdot(H, W, work.dots)
+        np.subtract(y, work.dots, work.per_row)
+        out = np.sign(W, out)
+        np.multiply(out, work.coef, out)
+        np.multiply(work.spread, H, work.product)
+        np.subtract(out, work.product, out)
         return out
 
     def true_subgradient(self, w):
         """Exact subgradient cov_h (w - w_true) + delta sgn(w)."""
         w = np.asarray(w, dtype=float)
         return self.cov_h @ (w - self.w_true) + self.delta * np.sign(w)
+
+    def risk_and_subgradient(self, w):
+        """(:meth:`risk`, :meth:`true_subgradient`) at ``w``."""
+        return self.risk(w), self.true_subgradient(w)
 
     def risk(self, w):
         """Closed-form risk (1/2)(w-w_true).cov.(w-w_true) + noise_var/2 + delta||w||_1.

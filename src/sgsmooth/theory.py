@@ -345,11 +345,16 @@ def verify_affine_lipschitz(true_subgrad, dim, c, d, n_pairs, rng, scale=3.0):
     return violations
 
 
-def verify_subgradient_inequality(risk, subgrad, dim, n_pairs, rng, scale=3.0):
-    """Count pairs violating J(w) >= J(w0) + g(w0).(w - w0) beyond 1e-9 slack."""
+def verify_subgradient_inequality(risk, risk_and_subgrad, dim, n_pairs, rng, scale=3.0):
+    """Count pairs violating J(w) >= J(w0) + g(w0).(w - w0) beyond 1e-9 slack.
+
+    ``risk_and_subgrad(w0)`` returns (J(w0), g(w0)), so a problem can share
+    one pass over its data between them.
+    """
     violations = 0
     for w, w0 in scale * standard_normal(rng, (n_pairs, 2, dim)):
-        lower = risk(w0) + float(subgrad(w0) @ (w - w0))
+        risk0, g0 = risk_and_subgrad(w0)
+        lower = risk0 + float(g0 @ (w - w0))
         if _relative_violation(lower, risk(w)):
             violations += 1
     return violations

@@ -345,14 +345,16 @@ def test_run_summary_does_not_depend_on_the_split_a_estimate(tmp_path, monkeypat
     assert 42000 * 100 >= 2 * theory._MIN_PART_VARIATES
     cfg = write_config(tmp_path, text, iterations=400, replications=1, out=tmp_path / "unused")
     summaries = []
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "8"):
         out = tmp_path / f"out{workers}"
         assert cli.main(["run", "--config", str(cfg), "--workers", workers, "--out", str(out)]) == 0
         lines = (out / "summary.txt").read_text().splitlines()
         assert lines[-1].startswith("elapsed_seconds = ")
-        summaries.append([line.replace(f" workers={workers}", "") for line in lines[:-1]])
-    assert parts == [1, 2]
-    assert summaries[0] == summaries[1]
+        summaries.append(lines[:-1])
+    assert parts == [1, 2, 2]
+    # one replication runs as one block whatever --workers asks for
+    assert summaries[0] == summaries[1] == summaries[2]
+    assert any(line.endswith(" replications=1 workers=1") for line in summaries[0])
     assert any(line.startswith("noise modulus a (Monte-Carlo") for line in summaries[0])
 
 

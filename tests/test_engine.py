@@ -298,23 +298,39 @@ def lockstep_case(kind):
     return p, factory, ref_factory, engine.RiskOracle(p.risk, w_star, p.risk(w_star))
 
 
+# case: (recording kwargs, RunConfig fields changed from the 1300-iteration
+# default, which is not a multiple of the 512-sample draw block)
+LOCKSTEP_CASES = {
+    "oracle": ("oracle", {}),
+    "w0-pocket": ("w0-pocket", {}),
+    "no-oracle": ("no-oracle", {}),
+    "kappa-0": ("oracle", {"kappa": 0.0}),
+    # one record, mid-block; the first and last blocks record nothing
+    "stride-700": ("w0-pocket", {"record_stride": 700}),
+    "300-iterations": ("no-oracle", {"iterations": 300}),
+    "0-iterations": ("oracle", {"iterations": 0}),
+    "one-replication": ("oracle", {"replications": 1}),
+}
+
+
 @pytest.mark.parametrize("kind", ["lasso", "svm"])
-@pytest.mark.parametrize("case", ["oracle", "w0-pocket", "no-oracle"])
+@pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
 def test_run_replications_rows_equal_run_bit_for_bit(kind, case):
     p, factory, ref_factory, oracle = lockstep_case(kind)
+    recording, changes = LOCKSTEP_CASES[case]
     kwargs = {
         "oracle": {"oracle": oracle},
         "w0-pocket": {"oracle": oracle, "w0": 0.5 * oracle.w_star, "track_pocket": True},
         "no-oracle": {},
-    }[case]
-    # 1300 is not a multiple of the 512-sample draw block
-    cfg = engine.RunConfig(
-        mu=0.01, kappa=0.95, iterations=1300, record_stride=100, seed=5, replications=3
-    )
-    refs = [engine.run(p, iter(ref_factory(cfg.seed + r)), cfg, **kwargs) for r in range(3)]
+    }[recording]
+    fields = {"mu": 0.01, "kappa": 0.95, "iterations": 1300, "record_stride": 100,
+              "seed": 5, "replications": 3}
+    cfg = engine.RunConfig(**{**fields, **changes})
+    n_rep, n_records = cfg.replications, cfg.iterations // cfg.record_stride
+    refs = [engine.run(p, iter(ref_factory(cfg.seed + r)), cfg, **kwargs) for r in range(n_rep)]
     for workers in (1, 2):
         results = engine.run_replications(p, factory, cfg, workers=workers, **kwargs)
-        assert len(results) == 3
+        assert len(results) == n_rep
         for res, ref in zip(results, refs):
             np.testing.assert_array_equal(res.w, ref.w)
             np.testing.assert_array_equal(res.smoothing.w_bar, ref.smoothing.w_bar)
@@ -324,14 +340,14 @@ def test_run_replications_rows_equal_run_bit_for_bit(kind, case):
                 np.testing.assert_array_equal(
                     getattr(res.trajectory, name), getattr(ref.trajectory, name)
                 )
-            if case == "no-oracle":
-                assert len(res.trajectory.iterates) == 13
+            if recording == "no-oracle":
+                assert len(res.trajectory.iterates) == n_records
                 for a, b in zip(res.trajectory.iterates, ref.trajectory.iterates):
                     np.testing.assert_array_equal(a, b)
             else:
                 assert res.trajectory.iterates is None
-                assert res.trajectory.iterations.size == 13
-            if case == "w0-pocket":
+                assert res.trajectory.iterations.size == n_records
+            if recording == "w0-pocket":
                 np.testing.assert_array_equal(res.pocket[0], ref.pocket[0])
                 assert res.pocket[1] == ref.pocket[1]
             else:

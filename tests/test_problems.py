@@ -211,18 +211,26 @@ def test_svm_negative_excess_risk_lies_within_certified_gap():
 def assert_batch_rows_match(p, W, H, y, rows=None, batch_y=None):
     # subgradient_batch reads ``rows`` (default H) and ``batch_y`` (default y);
     # row r must equal the subgradient of Sample(H[r], y[r]) bit for bit, the
-    # sign of every zero included, with or without ``out``
+    # sign of every zero included, with or without ``out``, and with buffers
+    # from ``batch_work`` that a call on the rows in reverse order left stale
     rows = H if rows is None else rows
     batch_y = y if batch_y is None else batch_y
     refs = [p.instantaneous_subgradient(W[r], Sample(H[r], y[r])) for r in range(W.shape[0])]
     out = np.full_like(W, np.nan)
     G = p.subgradient_batch(W, rows, batch_y)
     assert p.subgradient_batch(W, rows, batch_y, out=out) is out
-    for got in (G, out):
+    work = p.batch_work(W.shape[0])
+    p.subgradient_batch(W, rows[::-1], batch_y[::-1], work=work)
+    stale = (work.mask.tobytes(), work.per_row.tobytes())
+    reused = np.full_like(W, np.nan)
+    assert p.subgradient_batch(W, rows, batch_y, out=reused, work=work) is reused
+    for got in (G, out, reused):
         assert got.shape == W.shape
         for g, ref in zip(got, refs):
             np.testing.assert_array_equal(g, ref)
             np.testing.assert_array_equal(np.signbit(g), np.signbit(ref))
+    # the hinge mask (SVM) or the residuals (LASSO) changed between the calls
+    assert stale != (work.mask.tobytes(), work.per_row.tobytes())
 
 
 def test_svm_subgradient_batch_rows_equal_instantaneous():
@@ -251,6 +259,27 @@ def test_svm_subgradient_batch_rows_equal_instantaneous():
     np.testing.assert_array_equal(G[0], H[0])  # -gamma*h with gamma=-1
     np.testing.assert_array_equal(G[1], sset.rho * W[1] - H[1])
     np.testing.assert_array_equal(G[2], sset.rho * W[2] - H[1])
+
+
+def test_svm_risk_and_subgradient_share_one_margin_pass_bit_for_bit():
+    sset = frozen_svm_set(n=500, seed=4)
+    rng = np.random.default_rng(15)
+    W = np.vstack([np.zeros(3), -np.zeros(3), 3.0 * rng.normal(size=(40, 3))])
+    # a point with margin exactly 1 on the first row: the indicator is active there
+    h = sset.signed[0]
+    W[2] = h / (h @ h)
+    assert sset.signed[0] @ W[2] == 1.0
+    for w in W:
+        risk, g = sset.risk_and_subgradient(w)
+        assert risk == sset.risk(w)
+        ref = sset.subgradient(w)
+        np.testing.assert_array_equal(g, ref)
+        np.testing.assert_array_equal(np.signbit(g), np.signbit(ref))
+    p = make_lasso(dim=4)
+    for w in 3.0 * rng.normal(size=(5, 4)):
+        risk, g = p.risk_and_subgradient(w)
+        assert risk == p.risk(w)
+        np.testing.assert_array_equal(g, p.true_subgradient(w))
 
 
 def test_svm_signed_rows_with_label_one_are_the_same_samples():

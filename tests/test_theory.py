@@ -479,7 +479,7 @@ def test_subgradient_inequality_lasso():
     p = make_lasso(dim=6)
     rng = np.random.default_rng(19)
     viol = theory.verify_subgradient_inequality(
-        p.risk, p.true_subgradient, 6, 10_000, rng
+        p.risk, p.risk_and_subgradient, 6, 10_000, rng
     )
     assert viol == 0
 
@@ -490,7 +490,7 @@ def test_subgradient_inequality_svm_empirical():
     sset = problems.SvmSampleSet(feats, labels, rho=0.05)
     rng = np.random.default_rng(21)
     viol = theory.verify_subgradient_inequality(
-        sset.risk, sset.subgradient, 2, 5_000, rng
+        sset.risk, sset.risk_and_subgradient, 2, 5_000, rng
     )
     assert viol == 0
 
@@ -524,11 +524,12 @@ def test_verify_checkers_probe_the_per_point_draw_sequence():
                                       np.random.default_rng(seed), scale=2.0)
     assert len(seen) == 2 * n and all(map(np.array_equal, seen, points))
     seen.clear()
-    # per pair: risk(w0), subgrad(w0), risk(w) with w drawn before w0
-    theory.verify_subgradient_inequality(lambda w: float(record(w) @ w), record, dim, n,
+    # per pair: risk and subgrad at w0, then risk(w), with w drawn before w0
+    theory.verify_subgradient_inequality(lambda w: float(record(w) @ w),
+                                         lambda w: (0.0, record(w)), dim, n,
                                          np.random.default_rng(seed), scale=2.0)
-    order = [points[k] for j in range(n) for k in (2 * j + 1, 2 * j + 1, 2 * j)]
-    assert len(seen) == 3 * n and all(map(np.array_equal, seen, order))
+    order = [points[k] for j in range(n) for k in (2 * j + 1, 2 * j)]
+    assert len(seen) == 2 * n and all(map(np.array_equal, seen, order))
 
 
 # ---------- rate fitting ----------
