@@ -23,7 +23,6 @@ from .problems import (
     Sample,
     SvmProblem,
     SvmSampleSet,
-    hinge_loss,
     soft_threshold,
     tv_subgradient_step,
     tv_value,

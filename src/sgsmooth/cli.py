@@ -103,7 +103,9 @@ def _run_config(cfg, seed_override=None):
     if kappa != "auto":
         kappa = _get(cfg, "run", "kappa", float)
     seed = _get(cfg, "run", "seed", int, default=0)
+    _require_count("[run] seed", seed)
     if seed_override is not None:
+        _require_count("--seed", seed_override)
         seed = seed_override
     try:
         return engine.RunConfig(
@@ -285,7 +287,7 @@ def _require(flag, value, ok, what):
 
 
 def _require_count(flag, value):
-    # an int flag: math.isfinite would overflow on a huge one
+    # an int flag or key: math.isfinite would overflow on a huge one
     if value < 0:
         raise ConfigError(f"{flag} must be nonnegative, got {value!r}")
 
@@ -406,7 +408,7 @@ def _noise_probes(w_star, dim, rng, count):
     return probes
 
 
-def _check_noise(problem, sampler_factory, w_star, beta2, sigma2, probes, n, rng, seed):
+def _check_noise(problem, sampler_factory, w_star, beta2, sigma2, probes, n, seed):
     mean_ok = True
     var_ok = True
     worst_ratio = 0.0
@@ -427,9 +429,6 @@ def _check_noise(problem, sampler_factory, w_star, beta2, sigma2, probes, n, rng
 def cmd_verify(ns):
     cfg = _load_config(ns.config)
     run_cfg = _run_config(cfg, ns.seed)
-    seed = run_cfg.seed
-    bundle = _build_bundle(cfg, seed)
-
     pairs = _positive(cfg, "verify", "pairs", int, default=10_000)
     n_noise = _positive(cfg, "verify", "noise_samples", int, default=20_000)
     probes = _positive(cfg, "verify", "probes", int, default=5)
@@ -437,7 +436,9 @@ def cmd_verify(ns):
     # the statistical checks are sharp (3 stderr, componentwise, zero violations
     # allowed), so their sampler seed is its own knob; rerun with another seed
     # if a borderline z-score trips on an otherwise sound problem
-    seed = _get(cfg, "verify", "seed", int, default=seed)
+    seed = _get(cfg, "verify", "seed", int, default=run_cfg.seed)
+    _require_count("[verify] seed", seed)
+    bundle = _build_bundle(cfg, run_cfg.seed)
 
     p = bundle.problem
     dim = p.dim
@@ -470,7 +471,7 @@ def cmd_verify(ns):
     probe_points = _noise_probes(bundle.w_star, dim, rng, probes)
     mean_ok, var_ok, worst = _check_noise(
         p, bundle.stream_factory, bundle.w_star, k.beta2, k.sigma2,
-        probe_points, n_noise, rng, seed + 4,
+        probe_points, n_noise, seed + 4,
     )
     all_ok &= _report_check(
         "noise-zero-mean",
@@ -550,6 +551,7 @@ def cmd_denoise(ns):
     _require("--mu", ns.mu, ns.mu > 0.0, "positive and finite")
     _require("--lam", ns.lam, ns.lam >= 0.0, "nonnegative and finite")
     _require_count("--iterations", ns.iterations)
+    _require_count("--seed", ns.seed)
     if ns.noise_std is not None:
         _require("--noise-std", ns.noise_std, ns.noise_std >= 0.0, "nonnegative and finite")
     if ns.kappa == "auto":
@@ -628,8 +630,8 @@ def _pad_dataset(ds, dim):
 def cmd_svm_train(ns):
     _require("--rho", ns.rho, ns.rho > 0.0, "positive and finite")
     _require("--mu", ns.mu, ns.mu > 0.0, "positive and finite")
-    if ns.epochs < 0:
-        raise ConfigError(f"--epochs must be nonnegative, got {ns.epochs}")
+    _require_count("--epochs", ns.epochs)
+    _require_count("--seed", ns.seed)
     train = data.load_libsvm(ns.train)
     test = data.load_libsvm(ns.test) if ns.test else None
     dim = max(train.dim, test.dim if test else 0)
@@ -649,29 +651,25 @@ def cmd_svm_train(ns):
             "outside [0,1); reduce mu or rho"
         )
     problem = problems.SvmSampleSet(train.features, train.labels, ns.rho)
-    run_cfg = engine.RunConfig(
-        mu=ns.mu,
-        kappa=kappa,
-        iterations=train.n * ns.epochs,
-        record_stride=max(1, train.n // 4),
-        seed=ns.seed,
-    )
-    stream = data.dataset_stream(
-        train, epochs=ns.epochs, shuffle_seed=None if ns.no_shuffle else ns.seed
-    )
+    # no oracle, so the run records nothing; an overflowing margin stops it
+    run_cfg = engine.RunConfig(mu=ns.mu, kappa=kappa, iterations=train.n * ns.epochs,
+                               seed=ns.seed)
+    # signed rows with label +1: the samples in the form subgradient_batch reads
+    stream_factory = functools.partial(data.EpochSampler, problem.signed, np.ones(train.n),
+                                       ns.epochs, shuffle=not ns.no_shuffle)
     t0 = time.perf_counter()
-    # finite features can still overflow a margin; that is a failed run, not a model
+    (result,) = engine.run_replications(problem, stream_factory, run_cfg)
+    elapsed = time.perf_counter() - t0
+    w_bar = result.smoothing.w_bar
+    # finite features can still overflow a score; that is a failed run, not a model
     try:
         with np.errstate(over="raise", invalid="raise"):
-            result = engine.run(problem, stream, run_cfg)
-            elapsed = time.perf_counter() - t0
-            w_bar = result.smoothing.w_bar
             train_acc = problem.accuracy(w_bar)
             if test is not None:
                 test_set = problems.SvmSampleSet(test.features, test.labels, ns.rho)
                 test_acc = test_set.accuracy(w_bar)
     except FloatingPointError as exc:
-        raise NumericError(f"training diverged: {exc}") from None
+        raise NumericError(f"scoring diverged: {exc}") from None
 
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)

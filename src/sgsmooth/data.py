@@ -7,9 +7,9 @@ sample sequence.  Each value takes one 64-bit word, so any span of a draw
 can be drawn on its own, bit for bit, from :func:`advanced_rng`.
 
 Every sampler defines one sampling method, ``draw_batch(n)``, which returns
-``(features (n, dim), targets (n,))``.  ``draw()`` and iteration, the
-per-sample forms used by the reference loop :func:`sgsmooth.engine.run`,
-are views of it, defined once in a shared base class.
+``(features (n, dim), targets (n,))``.  The random samplers' ``draw()`` and
+iteration, the per-sample forms of the reference loop
+:func:`sgsmooth.engine.run`, are views of it, defined once in a base class.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .engine import SAMPLE_BLOCK
-from .errors import FormatError, ParseError
+from .errors import FormatError, ParseError, StreamExhausted
 from .problems import GrayImage, Sample
 
 
@@ -210,6 +210,31 @@ class SetSampler(_Sampler):
         return self.features[idx], self.labels[idx]
 
 
+class EpochSampler:
+    """A frozen (features, labels) set served ``epochs`` times, every row once
+    per epoch: in set order, or with ``shuffle`` in a fresh permutation per
+    epoch from one ``default_rng(seed)``.  Drawing past the last epoch raises
+    :class:`StreamExhausted`."""
+
+    def __init__(self, features, labels, epochs, seed, shuffle=True):
+        self.features = np.asarray(features, dtype=float)
+        self.labels = np.asarray(labels, dtype=float)
+        self._rng = np.random.default_rng(seed) if shuffle else None
+        self._epochs_left = epochs
+        self._queue = np.empty(0, dtype=np.intp)  # row indices not yet drawn
+
+    def draw_batch(self, n):
+        while self._queue.size < n:
+            if self._epochs_left == 0:
+                raise StreamExhausted("the set's epochs ran out")
+            self._epochs_left -= 1
+            size = self.labels.shape[0]
+            order = np.arange(size) if self._rng is None else self._rng.permutation(size)
+            self._queue = np.concatenate([self._queue, order])
+        idx, self._queue = self._queue[:n], self._queue[n:]
+        return self.features[idx], self.labels[idx]
+
+
 def make_sampler(spec, seed):
     """Build the sampler matching a stream spec."""
     if spec.kind == "regression":
@@ -238,12 +263,12 @@ class DatasetFile:
 _LABEL_MAP = {"+1": 1.0, "1": 1.0, "-1": -1.0, "0": -1.0}
 
 
-def parse_libsvm(text, dim=None):
+def parse_libsvm(text):
     """Parse LIBSVM sparse text: per line ``label idx:val idx:val ...``.
 
     Indices are 1-based and must be strictly increasing within a line.
     Labels +1/1 map to +1 and -1/0 map to -1.  The dimension is the maximum
-    feature index seen, or ``dim`` when given (to align train/test splits).
+    feature index seen.
     """
     rows = []
     max_index = 0
@@ -278,13 +303,12 @@ def parse_libsvm(text, dim=None):
         max_index = max(max_index, prev)
         rows.append((label, entries))
 
-    width = max_index if dim is None else dim
-    if width < max_index:
-        raise ParseError(f"dataset has index {max_index} beyond dim={dim}")
     try:
-        features = np.zeros((len(rows), width))
+        features = np.zeros((len(rows), max_index))
     except MemoryError:
-        raise ParseError(f"a {len(rows)} x {width} feature matrix is too large to hold") from None
+        raise ParseError(
+            f"a {len(rows)} x {max_index} feature matrix is too large to hold"
+        ) from None
     labels = np.empty(len(rows))
     for k, (label, entries) in enumerate(rows):
         labels[k] = label
@@ -293,30 +317,9 @@ def parse_libsvm(text, dim=None):
     return DatasetFile(features, labels)
 
 
-def serialize_libsvm(dataset):
-    """Inverse of :func:`parse_libsvm` on well-formed data (zeros are skipped)."""
-    lines = []
-    for k in range(dataset.n):
-        parts = ["+1" if dataset.labels[k] > 0 else "-1"]
-        row = dataset.features[k]
-        for idx in np.flatnonzero(row):
-            parts.append(f"{idx + 1}:{float(row[idx])!r}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def load_libsvm(path, dim=None):
+def load_libsvm(path):
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        return parse_libsvm(fh.read(), dim=dim)
-
-
-def dataset_stream(dataset, epochs=1, shuffle_seed=None):
-    """Yield dataset samples for ``epochs`` passes, reshuffled per pass when seeded."""
-    rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)
-    for _ in range(epochs):
-        order = np.arange(dataset.n) if rng is None else rng.permutation(dataset.n)
-        for k in order:
-            yield Sample(dataset.features[k], float(dataset.labels[k]))
+        return parse_libsvm(fh.read())
 
 
 def add_gaussian_noise(img, sigma, seed):

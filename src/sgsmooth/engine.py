@@ -1,9 +1,7 @@
 """Generic constant step-size stochastic subgradient loop with smoothing.
 
-The loop is problem-agnostic.  :func:`run` runs one replication against any
-iterable of samples, for anything exposing ``dim`` and
-``instantaneous_subgradient(w, sample)``.  Alongside the raw iterate it
-maintains the exponentially smoothed iterate
+The loop is problem-agnostic.  Alongside the raw iterate it maintains the
+exponentially smoothed iterate
 
     S_i = kappa * S_{i-1} + 1
     w_bar_i = (1 - 1/S_i) * w_bar_{i-1} + (1/S_i) * w_i
@@ -14,16 +12,19 @@ cannot be evaluated online.  Every loop that smooths, here and in the
 :func:`smooth_step`, one iterate at a time through :func:`smooth_in_place`
 or a block at a time in the lockstep.  A single run is strictly sequential.
 
-:func:`run_replications` advances independent replications in lockstep, as
-the rows of one (R, dim) matrix, each row fed by its own sampler.  It needs
-the problem's ``subgradient_batch(W, H, y, out, work)``, which writes the
-rows' subgradients into ``out`` and its temporaries into ``work``, made
-once per run by the problem's ``batch_work(R)``, and a stream factory whose
-samplers have ``draw_batch(n)``; row r then equals :func:`run` on the same
-samples bit for bit.  The SVM set's batch form reads signed rows, so its
-lockstep stream samples :attr:`sgsmooth.problems.SvmSampleSet.signed` where
-:func:`run` reads (h, gamma).  Blocks of replications may run in parallel
-processes through :func:`parallel_map`, the package's one process pool.
+:func:`run_replications`, the one loop the commands step through, advances
+independent replications in lockstep, as the rows of one (R, dim) matrix,
+each row fed by its own sampler.  It needs the problem's
+``subgradient_batch(W, H, y, out, work)``, which writes the rows'
+subgradients into ``out`` and its temporaries into ``work``, made once per
+run by the problem's ``batch_work(R)``, and a stream factory whose samplers
+have ``draw_batch(n)``.  Row r equals the per-sample reference :func:`run`
+(any ``dim`` and ``instantaneous_subgradient(w, sample)``, any iterable of
+samples) on the same samples bit for bit; the SVM set's batch form reads
+signed rows, so its lockstep stream samples
+:attr:`sgsmooth.problems.SvmSampleSet.signed` where :func:`run` reads
+(h, gamma).  Blocks of replications may run in parallel processes through
+:func:`parallel_map`, the package's one process pool.
 
 At a few rows of a few coordinates a numpy call costs its dispatch, not
 its arithmetic, and a Python float or a broadcast column nearly doubles
@@ -44,8 +45,9 @@ import numpy as np
 
 from .errors import NumericError, StreamExhausted, UnsupportedConfiguration
 
-# Samples drawn per sampler call.  The samplers' iterators draw blocks of the
-# same size, which keeps lockstep rows on the samples that run() sees.
+# Samples drawn per sampler call, fewer in a run's last block.  The samplers'
+# iterators draw full blocks, and a short draw is the prefix of a full one, so
+# lockstep rows stay on the samples that run() sees.
 SAMPLE_BLOCK = 512
 
 
@@ -213,7 +215,6 @@ class Trajectory:
     msd: np.ndarray
     smoothed_msd: np.ndarray
     iteration_stride: int
-    iterates: Optional[list] = None
 
 
 class RunResult(NamedTuple):
@@ -227,20 +228,18 @@ class _Recorder:
     """Records and pocket of one replication, every ``record_stride`` steps.
 
     Both loops call it, so a lockstep row records exactly what :func:`run`
-    would.
+    would.  Without an oracle it records nothing.
     """
 
     def __init__(self, oracle, w0, track_pocket):
         self.oracle = oracle
         self.track_pocket = track_pocket
         self.columns = ([], [], [], [], [])
-        self.snapshots = [] if oracle is None else None
         self.pocket = (w0.copy(), float(oracle.risk(w0))) if track_pocket else None
 
     def record(self, i, w, w_bar):
         oracle = self.oracle
         if oracle is None:
-            self.snapshots.append(w.copy())
             return
         risk_raw = float(oracle.risk(w))
         if not math.isfinite(risk_raw):
@@ -265,7 +264,6 @@ class _Recorder:
             msd=np.asarray(rec_b, dtype=float),
             smoothed_msd=np.asarray(rec_b_sm, dtype=float),
             iteration_stride=stride,
-            iterates=self.snapshots,
         )
         return RunResult(w, smoothing, trajectory, self.pocket)
 
@@ -296,8 +294,7 @@ def run(problem, stream, config, *, oracle=None, w0=None, track_pocket=False):
     config : RunConfig
         ``config.kappa`` must already be numeric (see :func:`resolve_kappa`).
     oracle : RiskOracle, optional
-        Enables excess-risk / MSD recording and pocket tracking.  Without it
-        only iterate snapshots are recorded.
+        Enables excess-risk / MSD recording and pocket tracking.
     w0 : array, optional
         Start point; defaults to the zero vector.
     """
@@ -347,9 +344,11 @@ def _run_lockstep(problem, stream_factory, config, seeds, oracle, w0, track_pock
     block of steps writes iterate k into row k of a (block + 1, R, dim)
     history, row 0 holding the last iterate of the block before; then one
     division by the block's weight sums gives every w_i / S_i, and the
-    smoothing steps and the records follow in order.  Overflow is not
-    warned about: the iterates are checked once per block and a non-finite
-    one raises :class:`NumericError` naming the block.
+    smoothing steps and the records follow in order.  The last block draws
+    only the rows it steps on.  Overflow and invalid operations raise
+    instead of warning, and the first one in a block raises
+    :class:`NumericError` naming the cause and the block; the iterates are
+    also checked once per block, for non-finite input that raises nothing.
     """
     kappa, w = _start(problem, config, oracle, w0, track_pocket)
     mu = np.array(config.mu)  # 0-d: numpy converts a float on every call
@@ -376,28 +375,32 @@ def _run_lockstep(problem, stream_factory, config, seeds, oracle, w0, track_pock
     samplers = [stream_factory(seed) for seed in seeds]
     recorders = [_Recorder(oracle, w, track_pocket) for _ in seeds]
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="raise", invalid="raise"):
         for start in range(0, n_iters, SAMPLE_BLOCK):
             n = min(SAMPLE_BLOCK, n_iters - start)
-            draws = [sampler.draw_batch(SAMPLE_BLOCK) for sampler in samplers]
-            np.stack([h for h, _ in draws], axis=1, out=H)
-            np.stack([y for _, y in draws], axis=1, out=Y)
-            sums = []
-            for k in range(n):
-                subgrad(W_rows[k], H_rows[k], Y_rows[k], G, work)
-                np.multiply(G, mu, G)
-                np.subtract(W_rows[k], G, W_rows[k + 1])
-                s_sum = kappa * s_sum + 1.0
-                sums.append(s_sum)
-            column = np.array(sums)[:, None, None]
-            np.copyto(factors[:n], smoothing_terms(history[1 : n + 1], column, quotients[:n]))
-            for i, c, q, W in zip(range(start + 1, start + n + 1), c_rows, q_rows, W_rows[1:]):
-                smooth_step(W_bar, c, q)
-                if i % stride == 0:
-                    for recorder, w_row, w_bar_row in zip(recorders, W, W_bar):
-                        recorder.record(i, w_row, w_bar_row)
+            block = f"iterations {start + 1}..{start + n}"
+            try:
+                draws = [sampler.draw_batch(n) for sampler in samplers]
+                np.stack([h for h, _ in draws], axis=1, out=H[:n])
+                np.stack([y for _, y in draws], axis=1, out=Y[:n])
+                sums = []
+                for k in range(n):
+                    subgrad(W_rows[k], H_rows[k], Y_rows[k], G, work)
+                    np.multiply(G, mu, G)
+                    np.subtract(W_rows[k], G, W_rows[k + 1])
+                    s_sum = kappa * s_sum + 1.0
+                    sums.append(s_sum)
+                column = np.array(sums)[:, None, None]
+                np.copyto(factors[:n], smoothing_terms(history[1 : n + 1], column, quotients[:n]))
+                for i, c, q, W in zip(range(start + 1, start + n + 1), c_rows, q_rows, W_rows[1:]):
+                    smooth_step(W_bar, c, q)
+                    if i % stride == 0:
+                        for recorder, w_row, w_bar_row in zip(recorders, W, W_bar):
+                            recorder.record(i, w_row, w_bar_row)
+            except FloatingPointError as exc:
+                raise NumericError(f"{exc}: iterate diverged in {block}") from None
             if not np.isfinite(W_rows[n]).all():
-                raise NumericError(f"iterate diverged in iterations {start + 1}..{start + n}")
+                raise NumericError(f"iterate diverged in {block}")
             np.copyto(W_rows[0], W_rows[n])
 
     W = W_rows[0]

@@ -1,12 +1,13 @@
 """Built-in problem families: regularized SVM, stochastic LASSO, TV denoising.
 
-Each family provides the per-sample (instantaneous) subgradient used by the
-reference loop :func:`sgsmooth.engine.run`; the SVM set and LASSO also
-provide its row-wise batch form ``subgradient_batch(W, H, y, out=None,
-work=None)``, which the lockstep replications and the gradient-noise check
-run on, with its working memory from ``batch_work(rows)``; the SVM set's
-reads signed rows gamma * h (:attr:`SvmSampleSet.signed`).  Exact
-quantities come with them: the LASSO risk and its subgradient are
+The SVM set and LASSO provide the row-wise subgradient
+``subgradient_batch(W, H, y, out=None, work=None)``, which the lockstep
+replications and the gradient-noise check run on, with its working memory
+from ``batch_work(rows)``; the SVM set's reads signed rows gamma * h
+(:attr:`SvmSampleSet.signed`).  Both also keep the per-sample
+(instantaneous) subgradient of the reference loop
+:func:`sgsmooth.engine.run`, which each batch row matches bit for bit.
+Exact quantities come with them: the LASSO risk and its subgradient are
 closed-form under the linear regression model, the SVM ones are evaluated
 exactly on a frozen sample set (:class:`SvmSampleSet`), and the TV objective
 is deterministic.  :class:`SvmProblem` keeps only the per-sample SVM
@@ -60,16 +61,6 @@ def soft_threshold(x, delta):
         raise ValueError("delta must be nonnegative")
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - delta, 0.0)
-
-
-def hinge_loss(w, sample, rho):
-    """Per-sample regularized SVM loss (rho/2)||w||^2 + max(0, 1 - gamma h.w)."""
-    w = np.asarray(w, dtype=float)
-    h = np.asarray(sample.h, dtype=float)
-    if h.shape != w.shape:
-        raise ValueError(f"dimension mismatch: w has {w.shape}, h has {h.shape}")
-    margin = sample.gamma * (h @ w)
-    return 0.5 * rho * (w @ w) + max(0.0, 1.0 - margin)
 
 
 class BatchWork(NamedTuple):

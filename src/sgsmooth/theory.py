@@ -204,27 +204,22 @@ class AEstimate(NamedTuple):
 _MIN_PART_VARIATES = 2**21
 
 
-def estimate_lasso_a(problem, n, seed=0, features=None, workers=1):
+def estimate_lasso_a(problem, n, seed=0, workers=1):
     """Monte-Carlo estimate of a = 2 E ||R_h - h h^T||^2 (spectral norm).
 
-    Draws ``n`` regressors from the problem's Gaussian model (or uses the
-    supplied ``features`` rows) and averages twice the squared spectral norm
-    of the covariance estimation error.  Returns the estimate with its
-    standard error.  Rows are drawn and reduced to their norm
-    ``SAMPLE_BLOCK`` at a time, in the order of one (n, dim) draw, so memory
-    is 16 bytes per draw plus one fixed block.  Up to ``workers`` processes
-    each draw a span of whole blocks, about ``_MIN_PART_VARIATES`` variates
-    or more, seeked to with :func:`sgsmooth.data.advanced_rng`, so the result
-    does not depend on ``workers``.  ``features`` are reduced in-process.
+    Draws ``n`` regressors from the problem's Gaussian model and averages
+    twice the squared spectral norm of the covariance estimation error.
+    Returns the estimate with its standard error.  Rows are drawn and
+    reduced to their norm ``SAMPLE_BLOCK`` at a time, in the order of one
+    (n, dim) draw, so memory is 16 bytes per draw plus one fixed block.  Up
+    to ``workers`` processes each draw a span of whole blocks, about
+    ``_MIN_PART_VARIATES`` variates or more, seeked to with
+    :func:`sgsmooth.data.advanced_rng`, so the result does not depend on
+    ``workers``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     m = problem.dim
-    if features is not None:
-        features = np.asarray(features, dtype=float)
-        if features.shape != (n, m):
-            raise ValueError("features must have shape (n, dim)")
-        workers = 1
 
     # the general path stacks one dim x dim matrix per row: keep that batch small
     rows = SAMPLE_BLOCK if problem._identity_cov else max(1, min(SAMPLE_BLOCK, 2**22 // (m * m)))
@@ -232,7 +227,7 @@ def estimate_lasso_a(problem, n, seed=0, features=None, workers=1):
     blocks = -(-n // rows)
     parts = max(1, min(workers, blocks, n * m // _MIN_PART_VARIATES))
     cuts = [min(n, rows * (blocks * k // parts)) for k in range(parts + 1)]
-    spans = [(problem, seed, features, rows, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    spans = [(problem, seed, rows, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     np.concatenate(parallel_map(_a_norms, spans), out=norms)
 
     draws = norms  # 2 * norms**2, in place
@@ -243,23 +238,19 @@ def estimate_lasso_a(problem, n, seed=0, features=None, workers=1):
     return AEstimate(value, stderr)
 
 
-def _a_norms(problem, seed, features, rows, lo, hi):
+def _a_norms(problem, seed, rows, lo, hi):
     """Norms ||R_h - h h^T|| of rows [lo, hi) of the estimate, ``rows`` at a time."""
     m = problem.dim
     cov = problem.cov_h
     identity = problem._identity_cov
-    if features is None:
-        rng = advanced_rng(seed, lo * m)
-        chol = None if identity else np.linalg.cholesky(cov)
+    rng = advanced_rng(seed, lo * m)
+    chol = None if identity else np.linalg.cholesky(cov)
     norms = np.empty(hi - lo)
     for start in range(lo, hi, rows):
         stop = min(start + rows, hi)
-        if features is not None:
-            block = features[start:stop]
-        else:
-            block = standard_normal(rng, (stop - start, m))
-            if chol is not None:
-                block = block @ chol.T
+        block = standard_normal(rng, (stop - start, m))
+        if chol is not None:
+            block = block @ chol.T
         if identity:
             # I - h h^T has eigenvalues 1 - ||h||^2 (along h) and, for M >= 2,
             # 1 on the orthogonal complement.

@@ -747,3 +747,93 @@ def test_svm_train_huge_step_is_config_error(tmp_path, capsys):
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "mu*rho" in err and "Traceback" not in err
+
+
+def test_svm_train_overflow_that_would_shrink_away_is_property_failure(tmp_path, capsys):
+    # the huge rows overflow a margin at step 2; unreported, the overflowed
+    # margin reads as no violation and the iterate shrinks back to a finite model
+    path = tmp_path / "huge.libsvm"
+    path.write_text("+1 1:1e308\n-1 1:-1e308\n+1 1:0.5\n-1 1:-0.5\n")
+    rc = cli.main(["svm-train", "--train", str(path), "--no-shuffle", "--mu", "0.5",
+                   "--rho", "1", "--epochs", "2000", "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_PROPERTY
+    captured = capsys.readouterr()
+    assert "overflow" in captured.err and "iterations 1..512" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "o" / "model.txt").exists()
+
+
+def epoch_stream(features, labels, epochs, shuffle_seed):
+    # svm-train's samples one at a time: a fresh permutation per epoch from
+    # one generator, or file order without a seed
+    rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)
+    n = len(labels)
+    for _ in range(epochs):
+        for k in np.arange(n) if rng is None else rng.permutation(n):
+            yield problems.Sample(features[k], float(labels[k]))
+
+
+def libsvm_text(features, labels):
+    return "".join(
+        " ".join(["+1" if label > 0 else "-1"]
+                 + [f"{j + 1}:{float(row[j])!r}" for j in np.flatnonzero(row)]) + "\n"
+        for row, label in zip(features, labels)
+    )
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("shuffle", [True, False])
+def test_svm_train_equals_the_per_sample_reference_bit_for_bit(tmp_path, capsys, epochs,
+                                                                 shuffle):
+    rng = np.random.default_rng(17)
+    n, dim, mu, rho, seed = 700, 6, 0.05, 0.01, 11  # 700 rows: not a multiple of 512
+    feats = np.where(rng.random((n + 200, dim)) < 0.6, rng.normal(size=(n + 200, dim)), 0.0)
+    feats[:, -1] = 1.0  # a bias column, which also pins the dimension
+    labels = np.where(feats @ rng.normal(size=dim) + 0.5 * rng.normal(size=n + 200) > 0, 1.0, -1.0)
+    (tmp_path / "train.libsvm").write_text(libsvm_text(feats[:n], labels[:n]))
+    (tmp_path / "test.libsvm").write_text(libsvm_text(feats[n:], labels[n:]))
+    rc = cli.main(["svm-train", "--train", str(tmp_path / "train.libsvm"),
+                   "--test", str(tmp_path / "test.libsvm"), "--mu", str(mu), "--rho", str(rho),
+                   "--epochs", str(epochs), "--seed", str(seed), "--out", str(tmp_path / "o")]
+                  + ([] if shuffle else ["--no-shuffle"]))
+    assert rc == 0
+    out = capsys.readouterr().out
+
+    train = problems.SvmSampleSet(feats[:n], labels[:n], rho)
+    cfg = engine.RunConfig(mu=mu, kappa=1.0 - 2.0 * mu * rho + 2.0 * (mu * rho) ** 2,
+                           iterations=n * epochs)
+    stream = epoch_stream(feats[:n], labels[:n], epochs, seed if shuffle else None)
+    w_bar = engine.run(train, stream, cfg).smoothing.w_bar
+    model = (tmp_path / "o" / "model.txt").read_text()
+    assert model == "".join(f"{float(x)!r}\n" for x in w_bar)
+    test_acc = problems.SvmSampleSet(feats[n:], labels[n:], rho).accuracy(w_bar)
+    assert f"train accuracy = {train.accuracy(w_bar):.4f}\n" in out
+    assert f"test accuracy = {test_acc:.4f} (200 samples)\n" in out
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["run", "--config", "{lasso}", "--seed", "-1"], "--seed"),
+    (["run", "--config", "{run_seed}"], "[run] seed"),
+    (["verify", "--config", "{lasso}", "--seed", "-5"], "--seed"),
+    (["verify", "--config", "{verify_seed}"], "[verify] seed"),
+    (["denoise", "--clean", "{pgm}", "--noise-std", "0.1", "--seed", "-1"], "--seed"),
+    (["svm-train", "--train", "{libsvm}", "--seed", "-1"], "--seed"),
+    (["svm-train", "--train", "{libsvm}", "--seed", "-1", "--no-shuffle"], "--seed"),
+])
+def test_negative_seed_is_config_error(tmp_path, capsys, tiny_pgm, argv, name):
+    out = tmp_path / "out"
+    configs = {
+        "lasso": LASSO_QUICK,
+        "run_seed": LASSO_QUICK.replace("seed = 5", "seed = -1"),
+        "verify_seed": LASSO_QUICK.replace("[verify]\n", "[verify]\nseed = -5\n"),
+    }
+    paths = {"pgm": tiny_pgm, "libsvm": tmp_path / "toy.libsvm"}
+    paths["libsvm"].write_text("+1 1:1.0\n-1 1:-1.0\n")
+    for key, text in configs.items():
+        paths[key] = tmp_path / f"{key}.ini"
+        paths[key].write_text(text.format(iterations=200, replications=1, out=out))
+    argv = [arg.format(**paths) for arg in argv]
+    assert cli.main(argv + (["--out", str(out)] if argv[0] != "verify" else [])) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{name} must be nonnegative" in err and "Traceback" not in err
+    assert not out.exists()

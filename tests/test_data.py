@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sgsmooth import data, problems
-from sgsmooth.errors import FormatError, ParseError
+from sgsmooth.engine import SAMPLE_BLOCK
+from sgsmooth.errors import FormatError, ParseError, StreamExhausted
 from sgsmooth.problems import GrayImage
 
 
@@ -198,8 +199,13 @@ def test_parse_libsvm_round_trip():
     feats = np.where(rng.random((20, 7)) < 0.4, rng.normal(size=(20, 7)), 0.0)
     feats[0, 6] = 1.25  # pin the dimension
     labels = np.where(rng.random(20) < 0.5, 1.0, -1.0)
-    ds = data.DatasetFile(feats, labels)
-    again = data.parse_libsvm(data.serialize_libsvm(ds))
+    # repr round-trips a float exactly; zeros are left out, as sparse files do
+    text = "".join(
+        " ".join(["+1" if label > 0 else "-1"]
+                 + [f"{j + 1}:{float(row[j])!r}" for j in np.flatnonzero(row)]) + "\n"
+        for row, label in zip(feats, labels)
+    )
+    again = data.parse_libsvm(text)
     np.testing.assert_array_equal(again.features, feats)
     np.testing.assert_array_equal(again.labels, labels)
 
@@ -214,17 +220,51 @@ def test_parse_libsvm_errors_carry_line_numbers():
         data.parse_libsvm("+1 0:1\n")  # indices are 1-based
     with pytest.raises(ParseError):
         data.parse_libsvm("2 1:1\n")  # unsupported label
-    with pytest.raises(ParseError):
-        data.parse_libsvm("+1 1:1 2:2\n", dim=1)  # width conflict
 
 
-def test_dataset_stream_orders():
-    ds = data.parse_libsvm("+1 1:1\n-1 1:2\n+1 1:3\n")
-    in_order = [s.h[0] for s in data.dataset_stream(ds, epochs=2)]
-    assert in_order == [1.0, 2.0, 3.0, 1.0, 2.0, 3.0]
-    shuffled = [s.h[0] for s in data.dataset_stream(ds, epochs=2, shuffle_seed=1)]
-    assert sorted(shuffled[:3]) == [1.0, 2.0, 3.0]
-    assert sorted(shuffled[3:]) == [1.0, 2.0, 3.0]
+@pytest.mark.parametrize("sizes", [[6], [1, 5], [2, 2, 2], [4, 1, 1]])
+def test_epoch_sampler_orders_and_exhausts(sizes):
+    feats = np.array([[1.0], [2.0], [3.0]])
+    labels = np.array([1.0, -1.0, 1.0])
+
+    def draw(sampler):
+        parts = [sampler.draw_batch(n) for n in sizes]
+        h = np.concatenate([p[0] for p in parts])[:, 0]
+        y = np.concatenate([p[1] for p in parts])
+        # every row keeps its label, whatever the order
+        np.testing.assert_array_equal(y, labels[h.astype(int) - 1])
+        with pytest.raises(StreamExhausted):
+            sampler.draw_batch(1)
+        return h
+
+    in_order = draw(data.EpochSampler(feats, labels, 2, seed=1, shuffle=False))
+    np.testing.assert_array_equal(in_order, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0])
+    # one generator, one fresh permutation per epoch
+    rng = np.random.default_rng(1)
+    expected = np.concatenate([rng.permutation(3), rng.permutation(3)]) + 1.0
+    np.testing.assert_array_equal(draw(data.EpochSampler(feats, labels, 2, seed=1)), expected)
+    assert data.EpochSampler(feats, labels, 0, seed=1).draw_batch(0)[0].shape == (0, 1)
+    with pytest.raises(StreamExhausted):
+        data.EpochSampler(feats, labels, 1, seed=1).draw_batch(4)
+
+
+@pytest.mark.parametrize("kind", ["regression", "svm-gaussian", "set"])
+def test_short_draw_is_the_prefix_of_a_full_block(kind):
+    # the lockstep's last, partial block draws only the rows it steps on
+    def sampler():
+        if kind == "set":
+            feats = np.random.default_rng(2).normal(size=(37, 3))
+            return data.SetSampler(feats, np.sign(feats[:, 0]), 8)
+        spec = (data.RegressionStreamSpec(np.array([1.0, -1.0, 0.5]), np.eye(3), 0.1)
+                if kind == "regression"
+                else data.TwoClassGaussianSpec.symmetric(np.array([0.5, 0.5, 0.5])))
+        return data.make_sampler(spec, 8)
+
+    full_h, full_y = sampler().draw_batch(SAMPLE_BLOCK)
+    for n in (1, 276, SAMPLE_BLOCK - 1):
+        h, y = sampler().draw_batch(n)
+        np.testing.assert_array_equal(h, full_h[:n])
+        np.testing.assert_array_equal(y, full_y[:n])
 
 
 # ---------- noise injection and metrics ----------

@@ -306,20 +306,14 @@ def test_lasso_subgradient_batch_rows_equal_instantaneous():
     np.testing.assert_array_equal(p.subgradient_batch(W[:1], H[:1], y[:1])[0], -y[0] * H[0])
 
 
-def test_hinge_loss_values():
-    assert problems.hinge_loss(np.zeros(2), Sample(np.array([3.0, 1.0]), 1.0), 0.2) == 1.0
-    w = np.array([1.0, 0.0])
-    s = Sample(np.array([1.0, 0.0]), 1.0)  # margin exactly 1: hinge vanishes
-    assert problems.hinge_loss(w, s, 0.2) == pytest.approx(0.1, abs=1e-15)
-
-
 def test_mean_hinge_loss_equals_empirical_risk():
     spec = data.TwoClassGaussianSpec.symmetric(np.array([0.5, -0.5]))
     feats, labels = data.TwoClassGaussianSampler(spec, 9).draw_batch(400)
     sset = problems.SvmSampleSet(feats, labels, rho=0.3)
     w = np.array([0.4, 0.2])
+    # per-sample loss (rho/2)||w||^2 + max(0, 1 - gamma h.w), one sample at a time
     mean_loss = np.mean(
-        [problems.hinge_loss(w, Sample(feats[k], labels[k]), 0.3) for k in range(400)]
+        [0.5 * 0.3 * (w @ w) + max(0.0, 1.0 - labels[k] * (feats[k] @ w)) for k in range(400)]
     )
     assert mean_loss == pytest.approx(sset.risk(w), rel=1e-12)
 

@@ -169,15 +169,6 @@ def test_constants_validation():
 # ---------- noise modulus ----------
 
 
-def test_estimate_lasso_a_deterministic_features_give_zero():
-    p = problems.LassoProblem(
-        delta=0.01, w_true=np.array([1.0]), cov_h=np.eye(1), noise_var=0.0
-    )
-    feats = np.ones((50, 1))  # h h^T equals the covariance for every draw
-    est = theory.estimate_lasso_a(p, 50, features=feats)
-    assert est.value == 0.0
-
-
 def test_estimate_lasso_a_scalar_gaussian_moments():
     # 2 E (1 - h^2)^2 = 2 (1 - 2 E h^2 + E h^4) = 2 (1 - 2 + 3) = 4
     p = problems.LassoProblem(
@@ -201,14 +192,13 @@ def test_estimate_lasso_a_identity_fast_path_matches_general_path():
     p = problems.LassoProblem(
         delta=0.01, w_true=np.zeros(3), cov_h=np.eye(3), noise_var=0.0
     )
-    rng = np.random.default_rng(9)
-    feats = rng.normal(size=(500, 3))
-    fast = theory.estimate_lasso_a(p, 500, features=feats)
-    # force the general eigenvalue path through a numerically identical problem
+    fast = theory.estimate_lasso_a(p, 500, seed=9)
+    # force the general eigenvalue path through a numerically identical problem;
+    # one seed draws the same regressors up to its Cholesky factor
     cov = np.eye(3)
     cov[0, 0] = 1.0 + 1e-15
     p2 = problems.LassoProblem(delta=0.01, w_true=np.zeros(3), cov_h=cov, noise_var=0.0)
-    slow = theory.estimate_lasso_a(p2, 500, features=feats)
+    slow = theory.estimate_lasso_a(p2, 500, seed=9)
     assert fast.value == pytest.approx(slow.value, rel=1e-10)
 
 
@@ -297,10 +287,6 @@ def test_estimate_lasso_a_below_the_part_minimum_starts_no_process(monkeypatch):
     assert n * m < 2 * theory._MIN_PART_VARIATES <= (n + 1) * m
     for workers in (1, 2, 64):
         theory.estimate_lasso_a(p, n, seed=3, workers=workers)
-    # supplied features are reduced in this process, however many workers
-    monkeypatch.setattr(theory, "_MIN_PART_VARIATES", 1)
-    feats = np.random.default_rng(4).normal(size=(2000, 3))
-    theory.estimate_lasso_a(lasso_a_problem("identity", 3), 2000, features=feats, workers=2)
 
 
 def test_estimate_lasso_a_memory_does_not_hold_the_whole_draw():
