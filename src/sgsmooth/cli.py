@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     StreamExhausted,
     UnsupportedConfiguration,
+    trap_divergence,
 )
 
 EXIT_OK = 0
@@ -430,7 +431,9 @@ def cmd_verify(ns):
     cfg = _load_config(ns.config)
     run_cfg = _run_config(cfg, ns.seed)
     pairs = _positive(cfg, "verify", "pairs", int, default=10_000)
-    n_noise = _positive(cfg, "verify", "noise_samples", int, default=20_000)
+    n_noise = _get(cfg, "verify", "noise_samples", int, default=20_000)
+    if n_noise < 2:  # the moment checks need a sample variance
+        raise ConfigError(f"[verify] noise_samples must be at least 2, got {n_noise}")
     probes = _positive(cfg, "verify", "probes", int, default=5)
     scale = _positive(cfg, "verify", "scale", float, default=3.0)
     # the statistical checks are sharp (3 stderr, componentwise, zero violations
@@ -446,10 +449,12 @@ def cmd_verify(ns):
     if bundle.kind == "svm":
         print(_certificate_line(bundle.certificate, bundle.oracle_cap))
 
+    # an overflowed pair compares as no violation: the trap fails the check
     rng = np.random.default_rng(seed + 1)
-    viol = theory.verify_subgradient_inequality(
-        p.risk, p.risk_and_subgradient, dim, pairs, rng, scale=scale
-    )
+    with trap_divergence("check subgradient-inequality diverged"):
+        viol = theory.verify_subgradient_inequality(
+            p.risk, p.risk_and_subgradient, dim, pairs, rng, scale=scale
+        )
     all_ok &= _report_check(
         "subgradient-inequality",
         viol == 0,
@@ -458,9 +463,10 @@ def cmd_verify(ns):
 
     k = bundle.constants if bundle.kind == "svm" else bundle.constants_mc
     rng = np.random.default_rng(seed + 2)
-    viol = theory.verify_affine_lipschitz(
-        p.true_subgradient, dim, k.c, k.d, pairs, rng, scale=scale
-    )
+    with trap_divergence("check affine-lipschitz diverged"):
+        viol = theory.verify_affine_lipschitz(
+            p.true_subgradient, dim, k.c, k.d, pairs, rng, scale=scale
+        )
     all_ok &= _report_check(
         "affine-lipschitz",
         viol == 0,
@@ -468,11 +474,12 @@ def cmd_verify(ns):
     )
 
     rng = np.random.default_rng(seed + 3)
-    probe_points = _noise_probes(bundle.w_star, dim, rng, probes)
-    mean_ok, var_ok, worst = _check_noise(
-        p, bundle.stream_factory, bundle.w_star, k.beta2, k.sigma2,
-        probe_points, n_noise, seed + 4,
-    )
+    with trap_divergence("checks noise-zero-mean and noise-variance diverged"):
+        probe_points = _noise_probes(bundle.w_star, dim, rng, probes)
+        mean_ok, var_ok, worst = _check_noise(
+            p, bundle.stream_factory, bundle.w_star, k.beta2, k.sigma2,
+            probe_points, n_noise, seed + 4,
+        )
     all_ok &= _report_check(
         "noise-zero-mean",
         mean_ok,
@@ -486,10 +493,11 @@ def cmd_verify(ns):
 
     if bundle.kind == "lasso":
         rng = np.random.default_rng(seed + 5)
-        viol = theory.verify_strong_monotonicity(
-            p.true_subgradient, bundle.w_star, p.min_eigenvalue, dim, pairs, rng,
-            scale=scale,
-        )
+        with trap_divergence("check strong-monotonicity diverged"):
+            viol = theory.verify_strong_monotonicity(
+                p.true_subgradient, bundle.w_star, p.min_eigenvalue, dim, pairs, rng,
+                scale=scale,
+            )
         all_ok &= _report_check(
             "strong-monotonicity",
             viol == 0,
@@ -527,23 +535,24 @@ def _denoise(noisy, mu, lam, kappa, iterations):
     w_bar = noisy.pixels.copy()
     if iterations == 0:
         return w_bar
-    p = problems.tv_subgradient_step(noisy, noisy, mu, lam).pixels
-    p_next = np.empty_like(p)
-    height, width = p.shape
+    height, width = w_bar.shape
     n_chunks = min(height, -(-height * width // TV_CHUNK_PIXELS))
     cuts = [height * c // n_chunks for c in range(n_chunks + 1)]
     chunks = list(zip(cuts, cuts[1:]))
     buf = problems.TvBuffers.allocate(max(hi - lo for lo, hi in chunks), width)
     s = kappa + 1.0  # S_1 = kappa S_0 + 1 with S_0 = 1
-    for lo, hi in chunks:
-        engine.smooth_in_place(w_bar[lo:hi], p[lo:hi], s, buf.scratch[: hi - lo])
-    with np.errstate(over="ignore", invalid="ignore"):  # tv_step_rows checks every pixel
-        for _ in range(iterations - 1):
-            s = kappa * s + 1.0
+    with trap_divergence("iterate diverged in step 1"):
+        p = problems.tv_subgradient_step(noisy, noisy, mu, lam).pixels
+        for lo, hi in chunks:
+            engine.smooth_in_place(w_bar[lo:hi], p[lo:hi], s, buf.scratch[: hi - lo])
+    p_next = np.empty_like(p)
+    for step in range(2, iterations + 1):
+        s = kappa * s + 1.0
+        with trap_divergence(f"iterate diverged in step {step}"):
             for lo, hi in chunks:
                 problems.tv_step_rows(p, noisy.pixels, p_next, lo, hi, mu, lam, buf)
                 engine.smooth_in_place(w_bar[lo:hi], p_next[lo:hi], s, buf.scratch[: hi - lo])
-            p, p_next = p_next, p
+        p, p_next = p_next, p
     return w_bar
 
 
@@ -662,14 +671,11 @@ def cmd_svm_train(ns):
     elapsed = time.perf_counter() - t0
     w_bar = result.smoothing.w_bar
     # finite features can still overflow a score; that is a failed run, not a model
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            train_acc = problem.accuracy(w_bar)
-            if test is not None:
-                test_set = problems.SvmSampleSet(test.features, test.labels, ns.rho)
-                test_acc = test_set.accuracy(w_bar)
-    except FloatingPointError as exc:
-        raise NumericError(f"scoring diverged: {exc}") from None
+    with trap_divergence("scoring diverged"):
+        train_acc = problem.accuracy(w_bar)
+        if test is not None:
+            test_set = problems.SvmSampleSet(test.features, test.labels, ns.rho)
+            test_acc = test_set.accuracy(w_bar)
 
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericError, StreamExhausted, UnsupportedConfiguration
+from .errors import NumericError, StreamExhausted, UnsupportedConfiguration, trap_divergence
 
 # Samples drawn per sampler call, fewer in a run's last block.  The samplers'
 # iterators draw full blocks, and a short draw is the prefix of a full one, so
@@ -345,10 +345,9 @@ def _run_lockstep(problem, stream_factory, config, seeds, oracle, w0, track_pock
     history, row 0 holding the last iterate of the block before; then one
     division by the block's weight sums gives every w_i / S_i, and the
     smoothing steps and the records follow in order.  The last block draws
-    only the rows it steps on.  Overflow and invalid operations raise
-    instead of warning, and the first one in a block raises
-    :class:`NumericError` naming the cause and the block; the iterates are
-    also checked once per block, for non-finite input that raises nothing.
+    only the rows it steps on.  Each block runs under :func:`trap_divergence`,
+    which names the cause and the block; the iterates are also checked once
+    per block, for non-finite input that raises nothing.
     """
     kappa, w = _start(problem, config, oracle, w0, track_pocket)
     mu = np.array(config.mu)  # 0-d: numpy converts a float on every call
@@ -375,33 +374,30 @@ def _run_lockstep(problem, stream_factory, config, seeds, oracle, w0, track_pock
     samplers = [stream_factory(seed) for seed in seeds]
     recorders = [_Recorder(oracle, w, track_pocket) for _ in seeds]
 
-    with np.errstate(over="raise", invalid="raise"):
-        for start in range(0, n_iters, SAMPLE_BLOCK):
-            n = min(SAMPLE_BLOCK, n_iters - start)
-            block = f"iterations {start + 1}..{start + n}"
-            try:
-                draws = [sampler.draw_batch(n) for sampler in samplers]
-                np.stack([h for h, _ in draws], axis=1, out=H[:n])
-                np.stack([y for _, y in draws], axis=1, out=Y[:n])
-                sums = []
-                for k in range(n):
-                    subgrad(W_rows[k], H_rows[k], Y_rows[k], G, work)
-                    np.multiply(G, mu, G)
-                    np.subtract(W_rows[k], G, W_rows[k + 1])
-                    s_sum = kappa * s_sum + 1.0
-                    sums.append(s_sum)
-                column = np.array(sums)[:, None, None]
-                np.copyto(factors[:n], smoothing_terms(history[1 : n + 1], column, quotients[:n]))
-                for i, c, q, W in zip(range(start + 1, start + n + 1), c_rows, q_rows, W_rows[1:]):
-                    smooth_step(W_bar, c, q)
-                    if i % stride == 0:
-                        for recorder, w_row, w_bar_row in zip(recorders, W, W_bar):
-                            recorder.record(i, w_row, w_bar_row)
-            except FloatingPointError as exc:
-                raise NumericError(f"{exc}: iterate diverged in {block}") from None
-            if not np.isfinite(W_rows[n]).all():
-                raise NumericError(f"iterate diverged in {block}")
-            np.copyto(W_rows[0], W_rows[n])
+    for start in range(0, n_iters, SAMPLE_BLOCK):
+        n = min(SAMPLE_BLOCK, n_iters - start)
+        where = f"iterate diverged in iterations {start + 1}..{start + n}"
+        with trap_divergence(where):
+            draws = [sampler.draw_batch(n) for sampler in samplers]
+            np.stack([h for h, _ in draws], axis=1, out=H[:n])
+            np.stack([y for _, y in draws], axis=1, out=Y[:n])
+            sums = []
+            for k in range(n):
+                subgrad(W_rows[k], H_rows[k], Y_rows[k], G, work)
+                np.multiply(G, mu, G)
+                np.subtract(W_rows[k], G, W_rows[k + 1])
+                s_sum = kappa * s_sum + 1.0
+                sums.append(s_sum)
+            column = np.array(sums)[:, None, None]
+            np.copyto(factors[:n], smoothing_terms(history[1 : n + 1], column, quotients[:n]))
+            for i, c, q, W in zip(range(start + 1, start + n + 1), c_rows, q_rows, W_rows[1:]):
+                smooth_step(W_bar, c, q)
+                if i % stride == 0:
+                    for recorder, w_row, w_bar_row in zip(recorders, W, W_bar):
+                        recorder.record(i, w_row, w_bar_row)
+        if not np.isfinite(W_rows[n]).all():
+            raise NumericError(where)
+        np.copyto(W_rows[0], W_rows[n])
 
     W = W_rows[0]
     return [

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one overflow trap."""
+
+import contextlib
+
+import numpy as np
 
 
 class StreamExhausted(RuntimeError):
@@ -7,6 +11,17 @@ class StreamExhausted(RuntimeError):
 
 class NumericError(ArithmeticError):
     """A computation produced or received a non-finite value."""
+
+
+@contextlib.contextmanager
+def trap_divergence(where):
+    """Run the body so that its first overflow or invalid operation raises
+    :class:`NumericError` ``"<cause>: <where>"`` instead of a warning."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(f"{exc}: {where}") from None
 
 
 class UnsupportedConfiguration(ValueError):

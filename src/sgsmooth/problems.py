@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError, UnsupportedConfiguration
+from .errors import NumericError, UnsupportedConfiguration, trap_divergence
 
 
 # SvmSampleSet.minimize stops once the duality gap of its tail average is
@@ -199,12 +199,7 @@ class SvmSampleSet:
         """Average squared feature norm (1/n) sum ||h_k||^2."""
         return float(np.einsum("ij,ij->", self.features, self.features) / self.n)
 
-    def instantaneous_subgradient(self, w, sample):
-        _check_label(sample.gamma)
-        g = self.rho * np.asarray(w, dtype=float)
-        if sample.gamma * (sample.h @ w) <= 1.0:
-            g = g - sample.gamma * sample.h
-        return g
+    instantaneous_subgradient = SvmProblem.instantaneous_subgradient
 
     def batch_work(self, rows):
         """:class:`BatchWork` of :meth:`subgradient_batch` on ``rows`` rows."""
@@ -532,7 +527,6 @@ class TvBuffers(NamedTuple):
     gt: np.ndarray  # comparison bytes, flat, room for the halo pairs
     lt: np.ndarray
     scratch: np.ndarray  # float64, one row per band row
-    finite: np.ndarray  # finiteness mask of the new rows
 
     @classmethod
     def allocate(cls, rows, width):
@@ -542,7 +536,6 @@ class TvBuffers(NamedTuple):
             np.empty(pairs, dtype=bool),
             np.empty(pairs, dtype=bool),
             np.empty((rows, width)),
-            np.empty((rows, width), dtype=bool),
         )
 
 
@@ -578,8 +571,8 @@ def tv_step_rows(p, noisy, out, lo, hi, mu, lam, buf):
     The rows are ``p - ((p - noisy) + lam * S(p)) * mu`` with S the sign sum,
     read from rows lo - 1 .. hi of ``p``; ``out`` must not be ``p``.  ``buf``
     is a :class:`TvBuffers` of at least ``hi - lo`` rows, and nothing else is
-    allocated.  Raises :class:`NumericError` when a new pixel is not finite,
-    so callers run it with overflow warnings off.
+    allocated.  Run it under :func:`~sgsmooth.errors.trap_divergence`: from
+    finite pixels, only an overflow or invalid operation makes a non-finite one.
     A band reads only ``p`` and ``noisy`` and writes only its own rows.
     Arguments are not checked here; :func:`tv_subgradient_step` checks them.
     """
@@ -593,17 +586,13 @@ def tv_step_rows(p, noisy, out, lo, hi, mu, lam, buf):
     scratch += new
     scratch *= mu
     np.subtract(band, scratch, out=new)
-    finite = buf.finite[:rows]
-    np.isfinite(new, out=finite)
-    if not finite.all():
-        raise NumericError(f"image contains non-finite pixels in rows {lo}..{hi - 1}")
 
 
 def tv_subgradient_step(img, noisy, mu, lam):
     """One subgradient step on (1/2)||I - I_noisy||_F^2 + lam * TV(I).
 
     Returns a new image; pixels are not clipped to the display range during
-    iteration.  This is :func:`tv_step_rows` on the whole image.
+    iteration.  This is :func:`tv_step_rows` on the whole image, trapped.
     """
     if img.shape != noisy.shape:
         raise ValueError(f"dimension mismatch: {img.shape} vs {noisy.shape}")
@@ -612,6 +601,6 @@ def tv_subgradient_step(img, noisy, mu, lam):
     p = img.pixels
     height, width = p.shape
     out = np.empty((height, width))
-    with np.errstate(over="ignore", invalid="ignore"):  # the step checks its pixels
+    with trap_divergence("TV step diverged"):
         tv_step_rows(p, noisy.pixels, out, 0, height, mu, lam, TvBuffers.allocate(height, width))
     return GrayImage(out, peak=img.peak)

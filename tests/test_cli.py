@@ -401,6 +401,30 @@ def test_verify_non_finite_scale_is_config_error(tmp_path, capsys):
     assert "[verify] scale" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("text", [LASSO_QUICK, SVM_QUICK], ids=["lasso", "svm"])
+def test_verify_overflowing_check_is_property_failure(tmp_path, capsys, text):
+    # a pair that overflows compares false, so unstopped it would count as no violation
+    cfg = write_config(tmp_path, text.replace("probes = 3", "probes = 3\nscale = 1e200"),
+                       iterations=0, replications=1, out=tmp_path / "out")
+    with runtime_warnings_raise():
+        rc = cli.main(["verify", "--config", str(cfg)])
+    assert rc == cli.EXIT_PROPERTY
+    captured = capsys.readouterr()
+    assert "PASS subgradient-inequality" not in captured.out
+    assert captured.err.endswith(": check subgradient-inequality diverged\n")
+    assert "Traceback" not in captured.err
+
+
+def test_verify_single_noise_sample_is_config_error(tmp_path, capsys):
+    # a noise moment's standard error needs a sample variance, so two draws at least
+    cfg = write_config(tmp_path, LASSO_QUICK.replace("noise_samples = 4000", "noise_samples = 1"),
+                       iterations=0, replications=1, out=tmp_path / "out")
+    assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "[verify] noise_samples" in captured.err and "Traceback" not in captured.err
+
+
 # ---------- denoise ----------
 
 
@@ -535,8 +559,10 @@ def test_banded_denoise_equals_whole_image_loop(monkeypatch, height, chunk_pixel
     assert np.array_equal(got, denoise_reference(noisy, 0.05, 0.3, 0.9, iterations))
 
 
-def test_denoise_divergence_is_property_failure(tmp_path, capsys):
+@pytest.mark.parametrize("chunk_pixels", [cli.TV_CHUNK_PIXELS, 1])
+def test_denoise_divergence_is_property_failure(tmp_path, capsys, monkeypatch, chunk_pixels):
     # step 1 stays finite; step 2 overflows inside the row chunks
+    monkeypatch.setattr(cli, "TV_CHUNK_PIXELS", chunk_pixels)
     clean = piecewise_image(tmp_path)
     before = threading.active_count()
     with runtime_warnings_raise():
@@ -546,7 +572,20 @@ def test_denoise_divergence_is_property_failure(tmp_path, capsys):
     assert rc == cli.EXIT_PROPERTY
     assert threading.active_count() == before
     err = capsys.readouterr().err
-    assert "non-finite" in err and "Traceback" not in err
+    assert err.endswith(": iterate diverged in step 2\n") and "Traceback" not in err
+    assert not (tmp_path / "out" / "denoised.pgm").exists()
+
+
+def test_denoise_first_step_divergence_is_property_failure(tmp_path, capsys):
+    # lam times the sign sum overflows in the first, whole-image step
+    clean = piecewise_image(tmp_path)
+    with runtime_warnings_raise():
+        rc = cli.main(["denoise", "--clean", str(clean), "--noise-std", "0.1", "--kappa", "0.5",
+                       "--lam", "1e308", "--iterations", "3",
+                       "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_PROPERTY
+    err = capsys.readouterr().err
+    assert "overflow" in err and "diverged" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "denoised.pgm").exists()
 
 

@@ -1,0 +1,67 @@
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sgsmooth.errors import NumericError, trap_divergence
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sgsmooth"
+
+
+def test_trap_turns_overflow_and_invalid_into_numeric_error():
+    errstate = np.geterr()
+    big = np.array([1e308])
+    with pytest.raises(NumericError, match=r"^overflow encountered in multiply: step 3$"):
+        with trap_divergence("step 3"):
+            big * 10.0
+    assert np.geterr() == errstate
+    inf = np.array([np.inf])
+    with pytest.raises(NumericError, match=r"^invalid value encountered in subtract: block$"):
+        with trap_divergence("block"):
+            inf - inf
+    assert np.geterr() == errstate
+
+
+def test_trap_leaves_finite_arithmetic_and_other_errors_alone():
+    errstate = np.geterr()
+    with trap_divergence("unused"):
+        tiny = np.array([1e-308]) / 1e10  # gradual underflow is not divergence
+        assert np.geterr()["over"] == np.geterr()["invalid"] == "raise"
+    assert tiny[0] > 0.0 and np.geterr() == errstate
+    with pytest.raises(KeyError):
+        with trap_divergence("unused"):
+            raise KeyError("passes through")
+    assert np.geterr() == errstate
+
+
+# np.errstate is allowed only where its use is the contract: the trap itself,
+# a PSNR whose overflowing MSE is -inf, and noise whose overflowed pixel
+# GrayImage rejects.  A loop that ignores overflow and scans for non-finite
+# values afterwards goes through trap_divergence instead.
+ERRSTATE_SITES = sorted([
+    ("data.py", "add_gaussian_noise"),
+    ("data.py", "psnr"),
+    ("errors.py", "trap_divergence"),
+])
+
+
+def _errstate_sites(path):
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in ("errstate", "seterr"):
+            sites.append((path.name, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    return sites
+
+
+def test_errstate_appears_only_in_the_trap_psnr_and_noise():
+    sites = sorted(site for path in SRC.glob("*.py") for site in _errstate_sites(path))
+    assert sites == ERRSTATE_SITES
