@@ -271,7 +271,8 @@ def _build_bundle(cfg, seed, workers=1):
     if bundle is None:
         raise ConfigError(f"[problem] kind must be 'lasso' or 'svm', got {kind!r}")
     try:
-        return bundle(cfg, seed, workers)
+        with trap_divergence(f"{kind} setup diverged"):
+            return bundle(cfg, seed, workers)
     except MemoryError as exc:
         raise ConfigError(
             f"[problem] dim, a_mc_samples or train_size is too large: {exc}"
@@ -327,7 +328,8 @@ def cmd_run(ns):
             f"[run] replications = {run_cfg.replications} is too large: {exc}"
         ) from None
     elapsed = time.perf_counter() - t0
-    stats = engine.average_trajectories([r.trajectory for r in results])
+    with trap_divergence("averaging diverged"):
+        stats = engine.average_trajectories([r.trajectory for r in results])
 
     msd0 = float(bundle.w_star @ bundle.w_star)  # runs start at w_0 = 0
     try:

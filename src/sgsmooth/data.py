@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .engine import SAMPLE_BLOCK
-from .errors import FormatError, ParseError, StreamExhausted
+from .errors import FormatError, ParseError, StreamExhausted, trap_divergence
 from .problems import GrayImage, Sample
 
 
@@ -93,40 +93,32 @@ class RegressionStreamSpec:
 
 @dataclass(frozen=True, eq=False)
 class TwoClassGaussianSpec:
-    """Two-class stream: draw the label by prior, then h ~ N(mean_label, cov_label)."""
+    """Two-class stream: draw the label y = +-1 by prior, then h ~ N(y mean, cov_scale I)."""
 
-    mean_pos: np.ndarray
-    mean_neg: np.ndarray
-    cov_pos: np.ndarray
-    cov_neg: np.ndarray
+    mean: np.ndarray
+    cov_scale: float
     prior_pos: float
 
     kind = "svm-gaussian"
 
     def __post_init__(self):
-        mp = np.asarray(self.mean_pos, dtype=float)
-        mn = np.asarray(self.mean_neg, dtype=float)
-        if mp.shape != mn.shape or mp.ndim != 1:
-            raise ValueError("class means must be vectors of equal length")
+        mean = np.asarray(self.mean, dtype=float)
+        if mean.ndim != 1:
+            raise ValueError("mean must be a vector")
+        if not 0.0 < self.cov_scale < math.inf:
+            raise ValueError("cov_scale must be positive and finite")
         if not 0.0 <= self.prior_pos <= 1.0:
             raise ValueError("prior_pos must lie in [0, 1]")
-        object.__setattr__(self, "mean_pos", mp)
-        object.__setattr__(self, "mean_neg", mn)
-        object.__setattr__(self, "cov_pos", np.asarray(self.cov_pos, dtype=float))
-        object.__setattr__(self, "cov_neg", np.asarray(self.cov_neg, dtype=float))
-        _cholesky_or_none(self.cov_pos, mp.shape[0])
-        _cholesky_or_none(self.cov_neg, mp.shape[0])
+        object.__setattr__(self, "mean", mean)
 
     @classmethod
     def symmetric(cls, mean, cov_scale=1.0, prior_pos=0.5):
         """Mirror-image classes at +-mean with isotropic covariance."""
-        mean = np.asarray(mean, dtype=float)
-        cov = cov_scale * np.eye(mean.shape[0])
-        return cls(mean, -mean, cov, cov, prior_pos)
+        return cls(mean, cov_scale, prior_pos)
 
     @property
     def dim(self):
-        return self.mean_pos.shape[0]
+        return self.mean.shape[0]
 
 
 class _Sampler:
@@ -174,26 +166,13 @@ class TwoClassGaussianSampler(_Sampler):
         self.spec = spec
         self.dim = spec.dim
         self._rng = np.random.default_rng(seed)
-        self._chol_pos = _cholesky_or_none(spec.cov_pos, spec.dim)
-        self._chol_neg = _cholesky_or_none(spec.cov_neg, spec.dim)
+        self._scale = math.sqrt(spec.cov_scale)
 
     def draw_batch(self, n):
         """Return (features (n, dim), labels (n,) of +-1); dim + 1 variates per row."""
-        spec = self.spec
         u = uniform_open(self._rng, (n, self.dim + 1))
-        positive = u[:, 0] < spec.prior_pos
-        labels = np.where(positive, 1.0, -1.0)
-        z = ndtri(u[:, 1:])
-        feats = np.empty((n, self.dim))
-        zp = z[positive]
-        zn = z[~positive]
-        feats[positive] = spec.mean_pos + (
-            zp if self._chol_pos is None else zp @ self._chol_pos.T
-        )
-        feats[~positive] = spec.mean_neg + (
-            zn if self._chol_neg is None else zn @ self._chol_neg.T
-        )
-        return feats, labels
+        labels = np.where(u[:, 0] < self.spec.prior_pos, 1.0, -1.0)
+        return labels[:, None] * self.spec.mean + self._scale * ndtri(u[:, 1:]), labels
 
 
 class SetSampler(_Sampler):
@@ -326,12 +305,13 @@ def add_gaussian_noise(img, sigma, seed):
     """Add i.i.d. zero-mean Gaussian noise of standard deviation ``sigma``.
 
     The result is intentionally not clipped to [0, peak]; clamping would bias
-    the noise and happens only when an image is written to disk.
+    the noise and happens only when an image is written to disk.  A pixel
+    that overflows raises :class:`NumericError` (``noise injection diverged``).
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     rng = np.random.default_rng(seed)
-    with np.errstate(over="ignore"):  # GrayImage rejects an overflowed pixel
+    with trap_divergence("noise injection diverged"):
         noisy = img.pixels + sigma * standard_normal(rng, img.pixels.shape)
     return GrayImage(noisy, peak=img.peak)
 

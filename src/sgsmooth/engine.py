@@ -201,7 +201,7 @@ class RiskOracle:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Per-run diagnostics recorded every ``iteration_stride`` updates.
+    """Per-run diagnostics recorded every ``record_stride`` updates.
 
     Excess risks and deviations are recorded for both the raw and the
     smoothed iterate.  Values are stored exactly as computed; tiny negative
@@ -214,7 +214,6 @@ class Trajectory:
     smoothed_excess_risk: np.ndarray
     msd: np.ndarray
     smoothed_msd: np.ndarray
-    iteration_stride: int
 
 
 class RunResult(NamedTuple):
@@ -255,7 +254,7 @@ class _Recorder:
         if self.track_pocket:
             self.pocket = pocket_update(self.pocket, w, risk_raw)
 
-    def result(self, w, smoothing, stride):
+    def result(self, w, smoothing):
         rec_i, rec_a, rec_a_sm, rec_b, rec_b_sm = self.columns
         trajectory = Trajectory(
             iterations=np.asarray(rec_i, dtype=np.int64),
@@ -263,7 +262,6 @@ class _Recorder:
             smoothed_excess_risk=np.asarray(rec_a_sm, dtype=float),
             msd=np.asarray(rec_b, dtype=float),
             smoothed_msd=np.asarray(rec_b_sm, dtype=float),
-            iteration_stride=stride,
         )
         return RunResult(w, smoothing, trajectory, self.pocket)
 
@@ -324,7 +322,7 @@ def run(problem, stream, config, *, oracle=None, w0=None, track_pocket=False):
         if i % stride == 0:
             recorder.record(i, w, w_bar)
 
-    return recorder.result(w, SmoothingState(s_sum, w_bar, kappa), stride)
+    return recorder.result(w, SmoothingState(s_sum, w_bar, kappa))
 
 
 def parallel_map(fn, tasks):
@@ -401,7 +399,7 @@ def _run_lockstep(problem, stream_factory, config, seeds, oracle, w0, track_pock
 
     W = W_rows[0]
     return [
-        recorder.result(W[r].copy(), SmoothingState(s_sum, W_bar[r].copy(), kappa), stride)
+        recorder.result(W[r].copy(), SmoothingState(s_sum, W_bar[r].copy(), kappa))
         for r, recorder in enumerate(recorders)
     ]
 
@@ -458,7 +456,6 @@ class TrajectoryStats:
     smoothed_msd: np.ndarray
     smoothed_msd_stderr: np.ndarray
     replications: int
-    iteration_stride: int
 
 
 def average_trajectories(trajectories):
@@ -495,5 +492,4 @@ def average_trajectories(trajectories):
         smoothed_msd=bsm,
         smoothed_msd_stderr=bsm_se,
         replications=n_rep,
-        iteration_stride=trajectories[0].iteration_stride,
     )

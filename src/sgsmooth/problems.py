@@ -152,8 +152,8 @@ class SvmSampleSet:
     On a fixed set the "expected" risk is just the sample average, so the
     exact risk, its exact subgradient, and a deterministic minimizer are all
     computable.  Streaming uniformly with replacement from the set makes the
-    per-sample subgradient an unbiased estimate of :meth:`subgradient`, which
-    is what the steady-state bounds assume.
+    per-sample subgradient an unbiased estimate of :meth:`true_subgradient`,
+    which is what the steady-state bounds assume.
     """
 
     features: np.ndarray
@@ -231,13 +231,13 @@ class SvmSampleSet:
         w = np.asarray(w, dtype=float)
         return self._risk(w, self.signed @ w)
 
-    def subgradient(self, w):
+    def true_subgradient(self, w):
         """Exact subgradient of :meth:`risk` (indicator active at margin 1)."""
         w = np.asarray(w, dtype=float)
         return self._subgradient(w, self.signed @ w)
 
     def risk_and_subgradient(self, w):
-        """(:meth:`risk`, :meth:`subgradient`) at ``w`` from one margin pass."""
+        """(:meth:`risk`, :meth:`true_subgradient`) at ``w`` from one margin pass."""
         w = np.asarray(w, dtype=float)
         margins = self.signed @ w
         return self._risk(w, margins), self._subgradient(w, margins)
@@ -248,9 +248,6 @@ class SvmSampleSet:
     def _subgradient(self, w, margins):
         active = (margins <= 1.0).astype(float)
         return self.rho * w - (active @ self._signed_f) / self.n
-
-    # engine/theory duck-typing alias
-    true_subgradient = subgradient
 
     def duality_gap(self, w):
         """Certified upper bound on risk(w) - min risk, from weak duality.
@@ -460,12 +457,15 @@ class LassoProblem:
             )
         w_star = soft_threshold(self.w_true, self.delta)
         # 0 must lie in the subdifferential: residual + delta*t = 0 with
-        # t = sgn(w*_j) on the support and |t| <= 1 off it.
+        # t = sgn(w*_j) on the support and |t| <= 1 off it.  The residual
+        # carries the rounding of w_true - delta, an ulp of w_true, so the
+        # slack scales with |w_true_j|.
+        slack = 1e-12 * np.maximum(1.0, np.abs(self.w_true))
         resid = w_star - self.w_true
         on = w_star != 0.0
-        if not np.all(np.abs(resid[on] + self.delta * np.sign(w_star[on])) <= 1e-12):
+        if not np.all(np.abs(resid[on] + self.delta * np.sign(w_star[on])) <= slack[on]):
             raise NumericError("optimality condition failed on the support")
-        if not np.all(np.abs(self.w_true[~on]) <= self.delta + 1e-12):
+        if not np.all(np.abs(self.w_true[~on]) <= self.delta + slack[~on]):
             raise NumericError("optimality condition failed off the support")
         return w_star
 

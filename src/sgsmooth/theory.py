@@ -284,8 +284,6 @@ def svm_tight_bound(mu, rho, w_star_norm2, trace_rh):
 class NoiseMomentReport:
     """Empirical gradient-noise moments at a fixed probe point."""
 
-    w: np.ndarray
-    n: int
     mean: np.ndarray
     mean_stderr: np.ndarray
     second_moment: float
@@ -307,8 +305,6 @@ def verify_noise_moments(problem, sampler, w, n):
     s -= problem.true_subgradient(w)
     q = np.einsum("ij,ij->i", s, s)
     return NoiseMomentReport(
-        w=w,
-        n=n,
         mean=s.mean(axis=0),
         mean_stderr=np.sqrt(s.var(axis=0, ddof=1) / n),
         second_moment=float(q.mean()),
@@ -362,22 +358,26 @@ def verify_strong_monotonicity(true_subgrad, w_star, eta, dim, n_points, rng, sc
     return violations
 
 
-def fit_rate(curve, floor, series="smoothed_excess_risk", burn_fraction=0.05):
-    """Fit the geometric decay factor of a recorded excess-risk curve.
+# share of the transient that fit_rate drops while the smoothing window fills
+_BURN_FRACTION = 0.05
 
-    Takes the leading stretch of the curve that sits above twice ``floor``
-    (the steady-state bound), drops the first ``burn_fraction`` of it while
-    the smoothing window fills, and least-squares fits
-    log(value - floor) against the iteration index.  Returns the implied
-    per-iteration factor.
+
+def fit_rate(curve, floor):
+    """Fit the geometric decay factor of a recorded smoothed excess-risk curve.
+
+    Takes the leading stretch of ``curve.smoothed_excess_risk`` that sits
+    above twice ``floor`` (the steady-state bound), drops the first
+    ``_BURN_FRACTION`` of it while the smoothing window fills, and
+    least-squares fits log(value - floor) against the iteration index.
+    Returns the implied per-iteration factor.
     """
-    values = np.asarray(getattr(curve, series), dtype=float)
+    values = np.asarray(curve.smoothed_excess_risk, dtype=float)
     iters = np.asarray(curve.iterations, dtype=float)
     if values.shape != iters.shape:
         raise ValueError("curve series and iterations differ in length")
     above = values > 2.0 * floor
     lead = int(np.argmin(above)) if not above.all() else above.size
-    start = int(math.ceil(burn_fraction * lead))
+    start = int(math.ceil(_BURN_FRACTION * lead))
     idx = np.arange(start, lead)
     if idx.size < 10:
         raise InsufficientData(

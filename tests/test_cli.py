@@ -288,6 +288,38 @@ def test_run_config_value_fuzz_exits_with_documented_code(fuzz_dir, key, value):
     run_config_bytes(fuzz_dir, LASSO_TINY.replace(old, f"{key} = {value}").encode())
 
 
+SVM_TINY = """
+[problem]
+kind = svm
+rho = 0.05
+mean = 0.8,0.4
+cov_scale = 1.0
+prior_pos = 0.5
+train_size = 200
+oracle_iterations = 500
+
+[run]
+mu = 0.01
+kappa = auto
+iterations = 200
+record_stride = 100
+seed = 3
+replications = 2
+"""
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(key=st.sampled_from(["mean", "cov_scale", "rho"]),
+       value=st.one_of(ONE_LINE, st.lists(st.floats().map(repr), min_size=1, max_size=3)
+                       .map(",".join)))
+@example(key="mean", value="1e200,0.4")  # the oracle's margins overflow during setup
+@example(key="cov_scale", value="1e300")  # the replications' spread overflows
+def test_run_svm_config_value_fuzz_exits_with_documented_code(fuzz_dir, key, value):
+    old = next(line for line in SVM_TINY.splitlines() if line.startswith(key + " ="))
+    with runtime_warnings_raise():
+        run_config_bytes(fuzz_dir, SVM_TINY.replace(old, f"{key} = {value}").encode())
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(text=st.one_of(st.binary(), st.binary().map(lambda tail: LASSO_TINY.encode() + tail)))
 def test_run_config_bytes_fuzz_exits_with_documented_code(fuzz_dir, text):
@@ -368,6 +400,47 @@ def test_run_svm_summary_reports_oracle_certificate(tmp_path):
     assert 0.0 <= gap <= problems.ORACLE_GAP_TOL
     # the exact prefixes other tools parse stay in place
     assert "\n||w_star||^2 = " in summary and "\nempirical Tr(R_h) = " in summary
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_setup_overflow_is_property_failure(tmp_path, capsys, command):
+    # the oracle's first margin pass after one step overflows
+    cfg = write_config(tmp_path, SVM_QUICK.replace("mean = 0.8,0.4", "mean = 1e200,0.4"),
+                       iterations=1000, out=tmp_path / "out")
+    with runtime_warnings_raise():
+        rc = cli.main([command, "--config", str(cfg)])
+    assert rc == cli.EXIT_PROPERTY
+    captured = capsys.readouterr()
+    assert captured.err == "error: overflow encountered in dot: svm setup diverged\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_averaging_overflow_is_property_failure(tmp_path, capsys):
+    # every step stays finite, but the spread of the two replications' risks does not
+    cfg = write_config(tmp_path, SVM_QUICK.replace("cov_scale = 1.0", "cov_scale = 1e300"),
+                       iterations=1000, out=tmp_path / "out")
+    with runtime_warnings_raise():
+        rc = cli.main(["run", "--config", str(cfg), "--workers=1"])
+    assert rc == cli.EXIT_PROPERTY
+    captured = capsys.readouterr()
+    assert captured.err.endswith(": averaging diverged\n") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out" / "curves.csv").exists()
+    assert not (tmp_path / "out" / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_large_w_true_runs_and_verifies(tmp_path, capsys, command):
+    # the LASSO optimum's self-check scales its slack with |w_true|
+    cfg = write_config(tmp_path, LASSO_QUICK.replace("w_true = 0:1.0 1:-1.0",
+                                                     "w_true = 0:1e5 1:-1.0"),
+                       iterations=1000, replications=1, out=tmp_path / "out")
+    with runtime_warnings_raise():
+        rc = cli.main([command, "--config", str(cfg)])
+    assert rc == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "" and "FAIL" not in captured.out
 
 
 # ---------- verify ----------

@@ -6,7 +6,9 @@ import pytest
 
 from sgsmooth import data, problems
 from sgsmooth.engine import SAMPLE_BLOCK
-from sgsmooth.errors import FormatError, ParseError, StreamExhausted
+from scipy.special import ndtri
+
+from sgsmooth.errors import FormatError, NumericError, ParseError, StreamExhausted
 from sgsmooth.problems import GrayImage
 
 
@@ -152,6 +154,36 @@ def test_svm_stream_second_moment_trace():
     assert abs(emp - expected) <= 0.05
 
 
+def per_class_cholesky_draw(mean, cov_scale, prior_pos, seed, n):
+    # the sampler before the symmetric model: mean_y + z @ chol.T per class
+    dim = mean.shape[0]
+    cov = cov_scale * np.eye(dim)
+    chol = None if np.array_equal(cov, np.eye(dim)) else np.linalg.cholesky(cov)
+    u = data.uniform_open(np.random.default_rng(seed), (n, dim + 1))
+    positive = u[:, 0] < prior_pos
+    labels = np.where(positive, 1.0, -1.0)
+    z = ndtri(u[:, 1:])
+    feats = np.empty((n, dim))
+    for rows, class_mean in ((positive, mean), (~positive, -mean)):
+        zc = z[rows]
+        feats[rows] = class_mean + (zc if chol is None else zc @ chol.T)
+    return feats, labels
+
+
+@pytest.mark.parametrize("cov_scale", [1.0, 1.5, 1e-3])
+@pytest.mark.parametrize("dim", [1, 3, 8])
+@pytest.mark.parametrize("prior_pos", [0.0, 0.4, 1.0])
+def test_two_class_draw_equals_the_per_class_cholesky_reference(cov_scale, dim, prior_pos):
+    # a zero coordinate makes -0.0 in the negative class mean
+    mean = np.array([0.0, 0.7, -1.3, 2.5, -0.25, 1e-3, 4.0, -0.0][:dim])
+    spec = data.TwoClassGaussianSpec.symmetric(mean, cov_scale=cov_scale, prior_pos=prior_pos)
+    feats, labels = data.TwoClassGaussianSampler(spec, 17).draw_batch(1500)
+    ref_feats, ref_labels = per_class_cholesky_draw(mean, cov_scale, prior_pos, 17, 1500)
+    np.testing.assert_array_equal(labels, ref_labels)
+    np.testing.assert_array_equal(feats, ref_feats)
+    np.testing.assert_array_equal(np.signbit(feats), np.signbit(ref_feats))
+
+
 def test_sampler_draw_matches_model():
     spec = data.RegressionStreamSpec(np.array([2.0]), np.eye(1), 0.0)
     s = data.RegressionSampler(spec, 11).draw()
@@ -168,6 +200,11 @@ def test_stream_spec_validation():
         data.RegressionStreamSpec(np.zeros(2), np.eye(2), -0.1)
     with pytest.raises(ValueError):
         data.TwoClassGaussianSpec.symmetric(np.array([1.0]), prior_pos=1.5)
+    for cov_scale in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="cov_scale"):
+            data.TwoClassGaussianSpec.symmetric(np.array([1.0]), cov_scale=cov_scale)
+    with pytest.raises(ValueError, match="mean"):
+        data.TwoClassGaussianSpec.symmetric(np.eye(2))
     with pytest.raises(ValueError):
         data.RegressionStreamSpec(
             np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 0.1
@@ -288,6 +325,15 @@ def test_add_noise_does_not_clip():
     img = GrayImage(np.zeros((32, 32)), peak=1.0)
     out = data.add_gaussian_noise(img, 0.5, seed=3)
     assert out.pixels.min() < 0.0  # negative excursions survive
+
+
+def test_add_noise_overflow_is_numeric_error():
+    img = GrayImage(np.full((4, 4), 0.5), peak=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"^overflow encountered in multiply: "
+                                               r"noise injection diverged$"):
+            data.add_gaussian_noise(img, 1e308, seed=1)
 
 
 def test_psnr_values():

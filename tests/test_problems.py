@@ -87,7 +87,7 @@ def test_svm_mc_subgradient_matches_analytic_mean_at_zero():
     m = np.array([0.8, -0.3, 0.5])
     spec = data.TwoClassGaussianSpec.symmetric(m)
     n = 40_000
-    g = drawn_set(spec, 8, n, rho=0.05).subgradient(np.zeros(3))
+    g = drawn_set(spec, 8, n, rho=0.05).true_subgradient(np.zeros(3))
     stderr = math.sqrt((1.0 + float(m @ m) / 3) / n)  # crude per-component scale
     np.testing.assert_allclose(g, -m, atol=4 * stderr + 0.01)
 
@@ -95,8 +95,8 @@ def test_svm_mc_subgradient_matches_analytic_mean_at_zero():
 def test_svm_mc_subgradient_scaling_consistency():
     spec = data.TwoClassGaussianSpec.symmetric(np.array([0.5, 0.5, 0.5]))
     w = np.array([0.2, 0.1, -0.3])
-    small = drawn_set(spec, 21, 10_000, rho=0.05).subgradient(w)
-    big = drawn_set(spec, 22, 40_000, rho=0.05).subgradient(w)
+    small = drawn_set(spec, 21, 10_000, rho=0.05).true_subgradient(w)
+    big = drawn_set(spec, 22, 40_000, rho=0.05).true_subgradient(w)
     # component std is O(1); combined standard error of the difference
     se = math.sqrt(1.0 / 10_000 + 1.0 / 40_000)
     assert np.max(np.abs(small - big)) <= 5 * se
@@ -272,7 +272,7 @@ def test_svm_risk_and_subgradient_share_one_margin_pass_bit_for_bit():
     for w in W:
         risk, g = sset.risk_and_subgradient(w)
         assert risk == sset.risk(w)
-        ref = sset.subgradient(w)
+        ref = sset.true_subgradient(w)
         np.testing.assert_array_equal(g, ref)
         np.testing.assert_array_equal(np.signbit(g), np.signbit(ref))
     p = make_lasso(dim=4)
@@ -426,6 +426,29 @@ def test_lasso_optimum_coordinate_probes():
         e[j] = step
         assert base <= p.risk(w_star + e) + 1e-15
         assert base <= p.risk(w_star - e) + 1e-15
+
+
+@pytest.mark.parametrize("big", [1e4, 1e5, 1e12, 1e300])
+def test_lasso_optimum_accepts_a_large_w_true(big):
+    # w_true - delta rounds by about an ulp of w_true, far above 1e-12 at 1e5
+    p = make_lasso(dim=3, delta=0.002, w_true=np.array([big, -1.0, 0.001]))
+    np.testing.assert_array_equal(p.optimum(), [big - 0.002, -0.998, 0.0])
+
+
+@pytest.mark.parametrize("big", [1.0, 1e5, 1e12])
+@pytest.mark.parametrize("coord", [0, 1])
+def test_lasso_optimum_rejects_a_point_moved_by_1e_6_relative(monkeypatch, big, coord):
+    real = problems.soft_threshold
+
+    def moved(x, delta):
+        w = real(x, delta)
+        w[coord] *= 1.0 + 1e-6
+        return w
+
+    monkeypatch.setattr(problems, "soft_threshold", moved)
+    p = make_lasso(dim=3, delta=0.002, w_true=np.array([big, -1.0, 0.001]))
+    with pytest.raises(NumericError, match="on the support"):
+        p.optimum()
 
 
 def test_lasso_optimum_requires_identity_covariance():

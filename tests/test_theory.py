@@ -530,7 +530,6 @@ def synthetic_curve(alpha, floor, n, stride=1, scale=0.5):
         smoothed_excess_risk=vals,
         msd=vals,
         smoothed_msd=vals,
-        iteration_stride=stride,
     )
 
 
