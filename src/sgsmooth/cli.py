@@ -142,6 +142,7 @@ class _LassoBundle:
         )
         self.stream_factory = functools.partial(data.make_sampler, self.spec)
         self.w_star = self.problem.optimum()
+        self.w_star_sq = float(self.w_star @ self.w_star)
         self.oracle = engine.RiskOracle(
             risk=self.problem.risk,
             w_star=self.w_star,
@@ -168,8 +169,7 @@ class _LassoBundle:
         lines = [
             f"problem = lasso (dim={self.problem.dim}, delta={self.problem.delta}, "
             f"noise_var={self.problem.noise_var}, identity covariance)",
-            f"w_star = soft_threshold(w_true, delta); ||w_star||^2 = "
-            f"{float(self.w_star @ self.w_star)!r}",
+            f"w_star = soft_threshold(w_true, delta); ||w_star||^2 = {self.w_star_sq!r}",
             f"noise modulus a (Monte-Carlo spectral estimate) = "
             f"{self.a_estimate.value!r} +- {self.a_estimate.stderr:.3g}",
             f"noise modulus a (exact Gaussian) = {self.a_gaussian!r}",
@@ -215,6 +215,7 @@ class _SvmBundle:
         self.oracle_cap = oracle_iters
         self.certificate = self.sample_set.minimize(oracle_iters, full_output=True)
         self.w_star = self.certificate.w
+        self.w_star_sq = float(self.w_star @ self.w_star)
         self.oracle = engine.RiskOracle(
             risk=self.sample_set.risk,
             w_star=self.w_star,
@@ -227,12 +228,11 @@ class _SvmBundle:
 
     def summary_lines(self, mu):
         sset = self.sample_set
-        wn2 = float(self.w_star @ self.w_star)
-        tight = theory.svm_tight_bound(mu, sset.rho, wn2, sset.trace_second_moment)
+        tight = theory.svm_tight_bound(mu, sset.rho, self.w_star_sq, sset.trace_second_moment)
         lines = [
             f"problem = svm (dim={sset.dim}, rho={sset.rho}, frozen set n={sset.n})",
             f"empirical Tr(R_h) = {sset.trace_second_moment!r}",
-            f"||w_star||^2 = {wn2!r} (deterministic full-risk descent)",
+            f"||w_star||^2 = {self.w_star_sq!r} (deterministic full-risk descent)",
             _certificate_line(self.certificate, self.oracle_cap),
         ]
         lines += _constants_lines("svm", self.constants, mu)
@@ -331,7 +331,7 @@ def cmd_run(ns):
     with trap_divergence("averaging diverged"):
         stats = engine.average_trajectories([r.trajectory for r in results])
 
-    msd0 = float(bundle.w_star @ bundle.w_star)  # runs start at w_0 = 0
+    msd0 = bundle.w_star_sq  # runs start at w_0 = 0
     try:
         # horizon L = i + 1: the smoothed iterate after i updates combines i+1 iterates
         bound_fn = lambda i: theory.finite_horizon_bound(
@@ -708,9 +708,10 @@ def _build_parser():
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None, help="override [run] seed")
     p_run.add_argument("--workers", type=int, default=0,
-                       help="processes for the replications and the LASSO a "
-                       "estimate (default 0: one per usable CPU; at most one "
-                       "per replication)")
+                       help="processes: one steps the replications, the others "
+                       "draw their samples; also splits the LASSO a estimate "
+                       "(default 0: one per usable CPU; at most one per "
+                       "replication)")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.set_defaults(func=cmd_run)
 

@@ -23,8 +23,10 @@ have ``draw_batch(n)``.  Row r equals the per-sample reference :func:`run`
 samples) on the same samples bit for bit; the SVM set's batch form reads
 signed rows, so its lockstep stream samples
 :attr:`sgsmooth.problems.SvmSampleSet.signed` where :func:`run` reads
-(h, gamma).  Blocks of replications may run in parallel processes through
-:func:`parallel_map`, the package's one process pool.
+(h, gamma).  One process steps every row; with more workers, the others
+only draw samples into a shared ring, split by measured cost, since the
+step costs its dispatch per call whatever the rows while the draw divides
+by rows.
 
 At a few rows of a few coordinates a numpy call costs its dispatch, not
 its arithmetic, and a Python float or a broadcast column nearly doubles
@@ -33,13 +35,20 @@ that.  So the lockstep step writes the iterates of a block of
 w_i / S_i of the block in one division and runs the block's smoothing
 steps, two calls each (:func:`smoothing_terms`, :func:`smooth_step`).
 Every call of the loop takes operands of its output's shape or 0-d
-arrays, and every buffer is allocated once per run.
+arrays, and every buffer is allocated once per run.  A step's smoothing
+factor 1 - 1/S_i is a 0-d array: a factor the shape of the iterates
+would cost a (block, R, dim) copy per block, which at many rows outweighs
+its cheaper dispatch.
 """
 
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 import concurrent.futures
+import contextlib
 import math
+import mmap
+import multiprocessing
+import time
 
 import numpy as np
 
@@ -49,6 +58,18 @@ from .errors import NumericError, StreamExhausted, UnsupportedConfiguration, tra
 # iterators draw full blocks, and a short draw is the prefix of a full one, so
 # lockstep rows stay on the samples that run() sees.
 SAMPLE_BLOCK = 512
+
+# Blocks of the shared sample ring: a sampling process fills up to
+# RING_SLOTS - 1 blocks ahead of the one being stepped.
+RING_SLOTS = 3
+
+# The block whose draw and step set the split between the stepper and the
+# sampling processes; block 0 also pays the first touch of every buffer.
+TIMED_BLOCK = 1
+
+# Sampling processes inherit the samplers and the ring by fork.
+_FORK = (multiprocessing.get_context("fork")
+         if "fork" in multiprocessing.get_all_start_methods() else None)
 
 
 class SmoothingState(NamedTuple):
@@ -327,81 +348,76 @@ def run(problem, stream, config, *, oracle=None, w0=None, track_pocket=False):
 
 def parallel_map(fn, tasks):
     """``[fn(*task) for task in tasks]``, in order: inline for one task,
-    otherwise one process per task (``fn`` and the tasks must be picklable)."""
+    otherwise one process per task (``fn`` and the tasks must be picklable).
+
+    The Monte-Carlo estimate :func:`sgsmooth.theory.estimate_lasso_a` splits
+    its draws through it; :func:`run_replications` starts its own sampling
+    processes.
+    """
     if len(tasks) == 1:
         return [fn(*tasks[0])]
     with concurrent.futures.ProcessPoolExecutor(max_workers=len(tasks)) as pool:
         return list(pool.map(fn, *zip(*tasks)))
 
 
-def _run_lockstep(problem, stream_factory, config, seeds, oracle, w0, track_pocket):
-    """Replications seeded ``seeds``, advanced together as rows of a matrix.
+def _block_where(start, n):
+    return f"iterate diverged in iterations {start + 1}..{start + n}"
 
-    The arithmetic is that of :func:`run`, one row per replication, with
-    ``G *= mu`` then ``W - G`` keeping the rounding of ``w -= mu * g``.  A
-    block of steps writes iterate k into row k of a (block + 1, R, dim)
-    history, row 0 holding the last iterate of the block before; then one
-    division by the block's weight sums gives every w_i / S_i, and the
-    smoothing steps and the records follow in order.  The last block draws
-    only the rows it steps on.  Each block runs under :func:`trap_divergence`,
-    which names the cause and the block; the iterates are also checked once
-    per block, for non-finite input that raises nothing.
+
+def _draw_rows(samplers, H, Y, n, first=0):
+    """``n`` samples of each sampler into rows ``first``, ``first + 1``, ...
+    of the (block, R, dim) features ``H`` and (block, R) targets ``Y``."""
+    for r, sampler in enumerate(samplers, first):
+        H[:n, r], Y[:n, r] = sampler.draw_batch(n)
+
+
+def _ring(slots, rows, dim):
+    """(slots, block, rows, dim) features and (slots, block, rows) targets,
+    in memory that forked processes share."""
+    shapes = ((slots, SAMPLE_BLOCK, rows, dim), (slots, SAMPLE_BLOCK, rows))
+    split = math.prod(shapes[0])
+    try:
+        buf = mmap.mmap(-1, 8 * (split + math.prod(shapes[1])))
+    except OSError as exc:
+        raise MemoryError(f"cannot map the sample ring: {exc}") from None
+    flat = np.frombuffer(buf)
+    return flat[:split].reshape(shapes[0]), flat[split:].reshape(shapes[1])
+
+
+def _sample_span(samplers, first, H, Y, n_iters, conn):
+    """Body of a sampling process: the blocks after ``TIMED_BLOCK`` of rows
+    ``first``, ``first + 1``, ...
+
+    Block b goes into slot b % slots of the ring ``H``, ``Y``; past the
+    first lap it waits for the stepper's word that the block last in that
+    slot is stepped.  After each block it sends None; on an exception it
+    sends the exception, which the stepper raises on reaching that block,
+    and stops.
     """
-    kappa, w = _start(problem, config, oracle, w0, track_pocket)
-    mu = np.array(config.mu)  # 0-d: numpy converts a float on every call
-    stride = config.record_stride
-    n_iters = config.iterations
-    subgrad = problem.subgradient_batch
-    n_rep, dim = len(seeds), w.shape[0]
+    slots = len(H)
+    try:
+        first_block = TIMED_BLOCK + 1
+        starts = range(first_block * SAMPLE_BLOCK, n_iters, SAMPLE_BLOCK)
+        for b, start in enumerate(starts, first_block):
+            if b > TIMED_BLOCK + slots:
+                conn.recv()
+            n = min(SAMPLE_BLOCK, n_iters - start)
+            with trap_divergence(_block_where(start, n)):
+                _draw_rows(samplers, H[b % slots], Y[b % slots], n, first)
+            conn.send(None)
+    except Exception as exc:
+        with contextlib.suppress(OSError):  # the stepper has already stopped
+            conn.send(exc)
 
-    # the buffers first, (R, dim) before (block, R, dim), so a size too
-    # large to hold fails at once
-    W_bar = np.tile(w, (n_rep, 1))
-    G = np.empty_like(W_bar)
-    work = problem.batch_work(n_rep)
-    history = np.empty((SAMPLE_BLOCK + 1, n_rep, dim))
-    quotients = np.empty((SAMPLE_BLOCK, n_rep, dim))
-    factors = np.empty_like(quotients)
-    H = np.empty_like(quotients)  # (block, R, dim): step k reads contiguous rows
-    Y = np.empty((SAMPLE_BLOCK, n_rep))
-    history[0] = w
-    # row views made once; indexing an array makes a new view on every call
-    W_rows, c_rows, q_rows = list(history), list(factors), list(quotients)
-    H_rows, Y_rows = list(H), list(Y)
-    s_sum = 1.0
-    samplers = [stream_factory(seed) for seed in seeds]
-    recorders = [_Recorder(oracle, w, track_pocket) for _ in seeds]
 
-    for start in range(0, n_iters, SAMPLE_BLOCK):
-        n = min(SAMPLE_BLOCK, n_iters - start)
-        where = f"iterate diverged in iterations {start + 1}..{start + n}"
-        with trap_divergence(where):
-            draws = [sampler.draw_batch(n) for sampler in samplers]
-            np.stack([h for h, _ in draws], axis=1, out=H[:n])
-            np.stack([y for _, y in draws], axis=1, out=Y[:n])
-            sums = []
-            for k in range(n):
-                subgrad(W_rows[k], H_rows[k], Y_rows[k], G, work)
-                np.multiply(G, mu, G)
-                np.subtract(W_rows[k], G, W_rows[k + 1])
-                s_sum = kappa * s_sum + 1.0
-                sums.append(s_sum)
-            column = np.array(sums)[:, None, None]
-            np.copyto(factors[:n], smoothing_terms(history[1 : n + 1], column, quotients[:n]))
-            for i, c, q, W in zip(range(start + 1, start + n + 1), c_rows, q_rows, W_rows[1:]):
-                smooth_step(W_bar, c, q)
-                if i % stride == 0:
-                    for recorder, w_row, w_bar_row in zip(recorders, W, W_bar):
-                        recorder.record(i, w_row, w_bar_row)
-        if not np.isfinite(W_rows[n]).all():
-            raise NumericError(where)
-        np.copyto(W_rows[0], W_rows[n])
-
-    W = W_rows[0]
-    return [
-        recorder.result(W[r].copy(), SmoothingState(s_sum, W_bar[r].copy(), kappa))
-        for r, recorder in enumerate(recorders)
-    ]
+def _stepper_rows(rows, workers, draw_s, step_s):
+    """Rows whose samples the stepper draws itself: x makes its block,
+    ``step_s + x draw_s``, cost what each of the ``workers - 1`` sampling
+    processes' ``(rows - x) draw_s / (workers - 1)`` does."""
+    if draw_s <= 0.0:
+        return rows
+    x = round((rows * draw_s - (workers - 1) * step_s) / (workers * draw_s))
+    return min(rows, max(0, x))
 
 
 def run_replications(
@@ -413,33 +429,137 @@ def run_replications(
     w0=None,
     track_pocket=False,
     workers=1,
+    _stepper_rows_forced=None,
 ):
-    """Run ``config.replications`` independent replications.
+    """Run ``config.replications`` independent replications in lockstep.
 
     ``stream_factory(seed)`` must build a fresh sampler with ``draw_batch``;
-    replication r gets seed ``config.seed + r``.  The seeds are split into
-    ``workers`` contiguous blocks, and each block advances in lockstep (see
-    :func:`_run_lockstep`).  Several blocks run in separate processes
-    (:func:`parallel_map`; everything passed in must be picklable).  Results
-    are returned in replication order and do not depend on ``workers``.  Too
-    many replications to hold raise ``MemoryError`` before any sampling.
+    replication r gets seed ``config.seed + r``.  Every replication is a row
+    of one (R, dim) matrix that this process steps, with the arithmetic of
+    :func:`run`: ``G *= mu`` then ``W - G`` keeps the rounding of
+    ``w -= mu * g``.  A block of steps writes iterate k into row k of a
+    (block + 1, R, dim) history, row 0 holding the last iterate of the
+    block before; then one division by the block's weight sums gives every
+    w_i / S_i, and the smoothing steps and the records follow in order.
+    The last block draws only the rows it steps on.
+
+    With ``workers = P > 1``, blocks after ``TIMED_BLOCK`` and a platform
+    that can fork, the other P - 1 processes only draw samples.  This
+    process draws and steps the blocks up to ``TIMED_BLOCK`` for every
+    row, timing that block's draw per row and its step, smoothing and
+    records, and then keeps drawing the first x rows, the count that
+    balances the two (see :func:`_stepper_rows`; tests force x through
+    ``_stepper_rows_forced``).
+    The other rows are split into contiguous spans, and a forked process
+    per span continues its rows' samplers from where they stand, writing
+    each block into a ring of ``RING_SLOTS`` shared (block, R, dim) and
+    (block, R) slots that the step reads in place.  Each row still draws
+    its own samples in order, so the results, returned in replication
+    order, do not depend on ``workers`` or x.
+
+    Each block runs under :func:`trap_divergence`, which names the cause
+    and the block; the iterates are also checked once per block, for
+    non-finite input that raises nothing.  An exception in a sampling
+    process is raised here at the block it belongs to, as the serial run
+    raises it.  Too many replications to hold raise ``MemoryError`` before
+    any sampling.
     """
-    n_rep = config.replications
-    n_blocks = max(1, min(workers, n_rep))
-    cuts = [n_rep * b // n_blocks for b in range(n_blocks + 1)]
-    tasks = [
-        (
-            problem,
-            stream_factory,
-            config,
-            range(config.seed + lo, config.seed + hi),
-            oracle,
-            w0,
-            track_pocket,
-        )
-        for lo, hi in zip(cuts, cuts[1:])
+    kappa, w = _start(problem, config, oracle, w0, track_pocket)
+    mu = np.array(config.mu)  # 0-d: numpy converts a float on every call
+    stride = config.record_stride
+    n_iters = config.iterations
+    subgrad = problem.subgradient_batch
+    n_rep, dim = config.replications, w.shape[0]
+    shared = workers > 1 and n_iters > (TIMED_BLOCK + 1) * SAMPLE_BLOCK and _FORK is not None
+
+    # the buffers first, (R, dim) before (block, R, dim), so a size too
+    # large to hold fails at once
+    W_bar = np.tile(w, (n_rep, 1))
+    G = np.empty_like(W_bar)
+    work = problem.batch_work(n_rep)
+    history = np.empty((SAMPLE_BLOCK + 1, n_rep, dim))
+    quotients = np.empty((SAMPLE_BLOCK, n_rep, dim))
+    factors = np.empty(SAMPLE_BLOCK)
+    # (slot, block, R, dim): step k reads contiguous rows
+    H, Y = _ring(RING_SLOTS if shared else 1, n_rep, dim)
+    history[0] = w
+    # row views made once; indexing an array makes a new view on every call
+    W_rows, q_rows = list(history), list(quotients)
+    c_rows = [factors[k : k + 1].reshape(()) for k in range(SAMPLE_BLOCK)]  # 0-d
+    H_slots, Y_slots = [list(h) for h in H], [list(y) for y in Y]
+    s_sum = 1.0
+    samplers = [stream_factory(config.seed + r) for r in range(n_rep)]
+    recorders = [_Recorder(oracle, w, track_pocket) for _ in samplers]
+
+    own, ring, conns, procs = samplers, 1, [], []
+    starts = range(0, n_iters, SAMPLE_BLOCK)
+    try:
+        for b, start in enumerate(starts):
+            n = min(SAMPLE_BLOCK, n_iters - start)
+            slot = b % ring
+            where = _block_where(start, n)
+            with trap_divergence(where):
+                t0 = time.perf_counter()
+                _draw_rows(own, H[slot], Y[slot], n)
+                t1 = time.perf_counter()
+                for conn in conns:
+                    exc = conn.recv()
+                    if exc is not None:
+                        raise exc
+                sums = []
+                for k, H_k, Y_k in zip(range(n), H_slots[slot], Y_slots[slot]):
+                    subgrad(W_rows[k], H_k, Y_k, G, work)
+                    np.multiply(G, mu, G)
+                    np.subtract(W_rows[k], G, W_rows[k + 1])
+                    s_sum = kappa * s_sum + 1.0
+                    sums.append(s_sum)
+                column = np.array(sums)[:, None, None]
+                terms = smoothing_terms(history[1 : n + 1], column, quotients[:n])
+                np.copyto(factors[:n], terms[:, 0, 0])
+                for i, c, q, W in zip(range(start + 1, start + n + 1), c_rows, q_rows, W_rows[1:]):
+                    smooth_step(W_bar, c, q)
+                    if i % stride == 0:
+                        for recorder, w_row, w_bar_row in zip(recorders, W, W_bar):
+                            recorder.record(i, w_row, w_bar_row)
+            if not np.isfinite(W_rows[n]).all():
+                raise NumericError(where)
+            np.copyto(W_rows[0], W_rows[n])
+            if b == TIMED_BLOCK and shared:
+                x = _stepper_rows_forced
+                if x is None:
+                    x = _stepper_rows(n_rep, workers, (t1 - t0) / n_rep, time.perf_counter() - t1)
+                spans = min(workers - 1, n_rep - x)
+                cuts = [x + (n_rep - x) * j // spans for j in range(spans + 1)] if spans else []
+                for lo, hi in zip(cuts, cuts[1:]):
+                    conn, child = _FORK.Pipe()
+                    conns.append(conn)
+                    proc = _FORK.Process(target=_sample_span, daemon=True,
+                                         args=(samplers[lo:hi], lo, H, Y, n_iters, child))
+                    proc.start()
+                    procs.append(proc)
+                    child.close()
+                own, ring = samplers[:x], (len(H) if procs else 1)
+            elif b + ring < len(starts):
+                for conn in conns:  # slot b % ring is free for block b + ring
+                    # a process that failed has stopped; its error waits in the pipe
+                    with contextlib.suppress(BrokenPipeError):
+                        conn.send(None)
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+            proc.close()
+        for conn in conns:
+            conn.close()
+
+    W = W_rows[0]
+    return [
+        recorder.result(W[r].copy(), SmoothingState(s_sum, W_bar[r].copy(), kappa))
+        for r, recorder in enumerate(recorders)
     ]
-    return [result for block in parallel_map(_run_lockstep, tasks) for result in block]
 
 
 @dataclass(eq=False)

@@ -1,7 +1,10 @@
 import concurrent.futures
 import contextlib
+import functools
 import io
 import math
+import multiprocessing
+import os
 import threading
 import warnings
 
@@ -156,14 +159,95 @@ def test_run_lasso_divergence_is_property_failure_without_warnings(tmp_path, cap
     assert "diverged" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_run_huge_replications_is_config_error(tmp_path, capsys, workers):
-    # 10**15 rows of dim 2 cannot be allocated, so this fails at once
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_run_huge_replications_is_config_error(tmp_path, capsys, monkeypatch, workers):
+    # 10**15 rows of dim 2 cannot be allocated, so this fails at once:
+    # before any sampler is made or any process starts
+    made = []
+    monkeypatch.setattr(data, "make_sampler", lambda spec, seed: made.append(seed))
+    monkeypatch.setattr(engine._FORK, "Process", lambda *args, **kwargs: made.append(args))
     text = LASSO_QUICK.replace("dim = 10", "dim = 2")
-    cfg = write_config(tmp_path, text, iterations=200, replications=10**15, out=tmp_path / "out")
+    cfg = write_config(tmp_path, text, iterations=5000, replications=10**15, out=tmp_path / "out")
     assert cli.main(["run", "--config", str(cfg), "--workers", workers]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "replications" in err and "too large" in err and "Traceback" not in err
+    assert made == []
+
+
+class OverflowingSampler:
+    """``make(spec, seed)``, except that for ``bad_seed`` draw number
+    ``bad_draw`` (from 1) overflows."""
+
+    def __init__(self, make, bad_seed, bad_draw, spec, seed):
+        self.sampler = make(spec, seed)
+        self.draws_left = bad_draw if seed == bad_seed else -1
+
+    def draw_batch(self, n):
+        self.draws_left -= 1
+        feats, targets = self.sampler.draw_batch(n)
+        if self.draws_left == 0:
+            np.multiply(targets, 1e308) * 1e308
+        return feats, targets
+
+
+def shared_memory_names():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+RUN_OUTCOMES = {
+    "finishes": "",
+    # the records' risk overflows in the stepper
+    "stepper-diverges": "overflow encountered in matmul: "
+                        "iterate diverged in iterations 4609..5120",
+    # the sampling process's fourth draw of replication 1 overflows
+    "sampler-diverges": "overflow encountered in multiply: "
+                        "iterate diverged in iterations 1537..2048",
+}
+
+
+@pytest.mark.parametrize("outcome", list(RUN_OUTCOMES))
+def test_run_with_two_workers_leaves_nothing_running(tmp_path, capfd, monkeypatch, outcome):
+    # the benchmark counts a request that leaves a process or a thread
+    # running as failed; a sampling process's error reaches the parent
+    text = LASSO_QUICK
+    if outcome == "stepper-diverges":
+        text = text.replace("mu = 0.001", "mu = 0.25").replace("kappa = 0.999", "kappa = 0.9")
+    if outcome == "sampler-diverges":
+        monkeypatch.setattr(data, "make_sampler",
+                            functools.partial(OverflowingSampler, data.make_sampler, 6, 4))
+    started = []
+    real_process = engine._FORK.Process
+    monkeypatch.setattr(engine._FORK, "Process",
+                        lambda *args, **kwargs: started.append(1) or real_process(*args, **kwargs))
+    monkeypatch.setattr(engine, "_stepper_rows", lambda *args: 0)  # both rows sampled apart
+    cfg = write_config(tmp_path, text, iterations=8000, replications=2, out=tmp_path / "out")
+    threads, segments = threading.active_count(), shared_memory_names()
+    with runtime_warnings_raise():
+        rc = cli.main(["run", "--config", str(cfg), "--workers", "2"])
+    assert started == [1]
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+    assert shared_memory_names() == segments
+    err = capfd.readouterr().err
+    if outcome == "finishes":
+        assert rc == cli.EXIT_OK and err == ""
+    else:
+        assert rc == cli.EXIT_PROPERTY and err == f"error: {RUN_OUTCOMES[outcome]}\n"
+        assert not (tmp_path / "out" / "curves.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_w_star_norm_overflow_is_property_failure(tmp_path, capsys, command):
+    # ||w_star||^2 overflows; with no iterations nothing else would
+    cfg = write_config(tmp_path, LASSO_QUICK.replace("w_true = 0:1.0", "w_true = 0:1e200"),
+                       iterations=0, replications=2, out=tmp_path / "out")
+    with runtime_warnings_raise():
+        rc = cli.main([command, "--config", str(cfg)])
+    assert rc == cli.EXIT_PROPERTY
+    captured = capsys.readouterr()
+    assert captured.err == "error: overflow encountered in matmul: lasso setup diverged\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_svm_quick(tmp_path):

@@ -1,4 +1,5 @@
 import functools
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -255,8 +256,9 @@ def test_run_replications_parallel_matches_serial():
     factory = functools.partial(data.make_sampler, spec)
     w_star = p.optimum()
     oracle = engine.RiskOracle(p.risk, w_star, p.risk(w_star))
+    # past two blocks, so the split into sampling processes applies
     cfg = engine.RunConfig(
-        mu=0.01, kappa=0.9, iterations=400, record_stride=100, seed=3, replications=4
+        mu=0.01, kappa=0.9, iterations=2000, record_stride=100, seed=3, replications=4
     )
     serial = engine.run_replications(p, factory, cfg, oracle=oracle, workers=1)
     parallel = engine.run_replications(p, factory, cfg, oracle=oracle, workers=2)
@@ -364,6 +366,129 @@ def test_lockstep_checks_a_partial_block():
     w0[3] = np.inf
     with pytest.raises(NumericError, match=r"iterations 1\.\.300$"):
         engine.run_replications(p, factory, cfg, w0=w0)
+
+
+class ProcessLog:
+    """Stands in for the fork context's ``Process``; counts the sampling
+    processes a run starts."""
+
+    def __init__(self, real):
+        self.real, self.started = real, 0
+
+    def __call__(self, *args, **kwargs):
+        self.started += 1
+        return self.real(*args, **kwargs)
+
+
+@pytest.fixture
+def process_log(monkeypatch):
+    log = ProcessLog(engine._FORK.Process)
+    monkeypatch.setattr(engine._FORK, "Process", log)
+    return log
+
+
+def assert_same_results(results, refs):
+    assert len(results) == len(refs)
+    for res, ref in zip(results, refs):
+        np.testing.assert_array_equal(res.w, ref.w)
+        np.testing.assert_array_equal(res.smoothing.w_bar, ref.smoothing.w_bar)
+        assert res.smoothing.s == ref.smoothing.s
+        for name in ("iterations", "excess_risk", "smoothed_excess_risk", "msd", "smoothed_msd"):
+            np.testing.assert_array_equal(getattr(res.trajectory, name),
+                                          getattr(ref.trajectory, name))
+        np.testing.assert_array_equal(res.pocket[0], ref.pocket[0])
+        assert res.pocket[1] == ref.pocket[1]
+
+
+# 4000 iterations: seven full blocks and a partial one, so a sampling process
+# laps the ring and waits for the stepper
+SPLIT_FIELDS = {"mu": 0.01, "kappa": 0.95, "iterations": 4000, "record_stride": 300,
+                "seed": 5, "replications": 5}
+
+
+@pytest.mark.parametrize("kind", ["lasso", "svm"])
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("kept", [0, 2, 5])
+def test_sampling_processes_equal_one_worker_bit_for_bit(kind, workers, kept, process_log):
+    p, factory, _, oracle = lockstep_case(kind)
+    cfg = engine.RunConfig(**SPLIT_FIELDS)
+    kwargs = {"oracle": oracle, "w0": 0.5 * oracle.w_star, "track_pocket": True}
+    refs = engine.run_replications(p, factory, cfg, workers=1, **kwargs)
+    assert process_log.started == 0
+    results = engine.run_replications(p, factory, cfg, workers=workers,
+                                      _stepper_rows_forced=kept, **kwargs)
+    assert process_log.started == min(workers - 1, cfg.replications - kept)
+    assert multiprocessing.active_children() == []
+    assert_same_results(results, refs)
+
+
+@pytest.mark.parametrize("iterations", [0, 300, 512, 1024])
+def test_runs_of_two_blocks_or_fewer_start_no_process(iterations, process_log):
+    p, factory, _, oracle = lockstep_case("lasso")
+    cfg = engine.RunConfig(**{**SPLIT_FIELDS, "iterations": iterations})
+    kwargs = {"oracle": oracle, "w0": 0.5 * oracle.w_star, "track_pocket": True}
+    refs = engine.run_replications(p, factory, cfg, workers=1, **kwargs)
+    results = engine.run_replications(p, factory, cfg, workers=3, _stepper_rows_forced=0,
+                                      **kwargs)
+    assert process_log.started == 0
+    assert_same_results(results, refs)
+
+
+def test_stepper_rows_balance_the_stepper_and_the_samplers():
+    # T + x S = (R - x) S / (P - 1), rounded and clamped to [0, R]
+    assert engine._stepper_rows(50, 2, 2.0, 40.0) == 15
+    assert engine._stepper_rows(16, 3, 1.0, 4.0) == 3
+    assert engine._stepper_rows(4, 2, 2.0, 8.0) == 0
+    assert engine._stepper_rows(8, 2, 0.01, 5.0) == 0
+    assert engine._stepper_rows(8, 2, 5.0, 0.0) == 4
+    assert engine._stepper_rows(8, 9, 5.0, 0.0) == 1
+    assert engine._stepper_rows(8, 2, 0.0, 5.0) == 8
+
+
+class FailingSampler:
+    """The sampler of ``factory(seed)``, except that for ``bad_seed`` its
+    draw number ``bad_draw`` (from 1) overflows."""
+
+    def __init__(self, factory, bad_seed, bad_draw, seed):
+        self.sampler = factory(seed)
+        self.draws_left = bad_draw if seed == bad_seed else -1
+
+    def draw_batch(self, n):
+        self.draws_left -= 1
+        feats, targets = self.sampler.draw_batch(n)
+        if self.draws_left == 0:
+            np.multiply(targets, 1e308) * 1e308
+        return feats, targets
+
+
+def failing_case(kind, bad_seed):
+    # (problem, stream factory) whose replication seeded bad_seed fails at block 5
+    p, factory, _, _ = lockstep_case("lasso" if kind == "overflow" else "svm")
+    if kind == "overflow":
+        return p, functools.partial(FailingSampler, factory, bad_seed, 6)
+    # 2600 rows, one epoch: the draw of block 5 finds 40 rows where it needs 512
+    feats = np.resize(p.signed, (2600, p.dim))
+    return p, lambda seed: data.EpochSampler(feats, np.ones(2600), 1 if seed == bad_seed else 9,
+                                             seed)
+
+
+@pytest.mark.parametrize("kind", ["overflow", "exhausted"])
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("kept", [0, 2])
+def test_sampling_process_failure_is_raised_as_in_one_worker(kind, workers, kept, process_log):
+    cfg = engine.RunConfig(**SPLIT_FIELDS)
+    p, factory = failing_case(kind, cfg.seed + 3)
+    error = NumericError if kind == "overflow" else StreamExhausted
+    with pytest.raises(error) as serial:
+        engine.run_replications(p, factory, cfg, workers=1)
+    with pytest.raises(error) as split:
+        engine.run_replications(p, factory, cfg, workers=workers, _stepper_rows_forced=kept)
+    assert str(split.value) == str(serial.value)
+    if kind == "overflow":
+        assert str(serial.value) == ("overflow encountered in multiply: "
+                                     "iterate diverged in iterations 2561..3072")
+    assert process_log.started == min(workers - 1, cfg.replications - kept)
+    assert multiprocessing.active_children() == []
 
 
 def test_resolve_kappa():
