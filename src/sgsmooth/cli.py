@@ -708,8 +708,9 @@ def _build_parser():
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None, help="override [run] seed")
     p_run.add_argument("--workers", type=int, default=0,
-                       help="processes: one steps the replications, the others "
-                       "draw their samples; also splits the LASSO a estimate "
+                       help="processes that step the replications or draw "
+                       "their samples, split by measured cost, where the "
+                       "platform can fork; also splits the LASSO a estimate "
                        "(default 0: one per usable CPU; at most one per "
                        "replication)")
     p_run.add_argument("--out", default=None, help="output directory")

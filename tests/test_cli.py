@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sgsmooth import cli, data, engine, problems, theory
 from sgsmooth.problems import GrayImage
+from test_engine import FailingSampler
 
 
 LASSO_QUICK = """
@@ -174,22 +175,6 @@ def test_run_huge_replications_is_config_error(tmp_path, capsys, monkeypatch, wo
     assert made == []
 
 
-class OverflowingSampler:
-    """``make(spec, seed)``, except that for ``bad_seed`` draw number
-    ``bad_draw`` (from 1) overflows."""
-
-    def __init__(self, make, bad_seed, bad_draw, spec, seed):
-        self.sampler = make(spec, seed)
-        self.draws_left = bad_draw if seed == bad_seed else -1
-
-    def draw_batch(self, n):
-        self.draws_left -= 1
-        feats, targets = self.sampler.draw_batch(n)
-        if self.draws_left == 0:
-            np.multiply(targets, 1e308) * 1e308
-        return feats, targets
-
-
 def shared_memory_names():
     return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
@@ -199,27 +184,36 @@ RUN_OUTCOMES = {
     # the records' risk overflows in the stepper
     "stepper-diverges": "overflow encountered in matmul: "
                         "iterate diverged in iterations 4609..5120",
-    # the sampling process's fourth draw of replication 1 overflows
-    "sampler-diverges": "overflow encountered in multiply: "
+    # the fourth draw of replication 1, in a sampling or a stepping process, overflows
+    "draw-diverges": "overflow encountered in multiply: "
                         "iterate diverged in iterations 1537..2048",
 }
 
 
+# row groups (lo, hi, kept, procs) of the two replications
+RUN_PLANS = {
+    "stepper-and-sampler": [(0, 2, 0, 2)],
+    "two-steppers": [(0, 1, 1, 1), (1, 2, 1, 1)],
+}
+
+
+@pytest.mark.parametrize("plan", list(RUN_PLANS))
 @pytest.mark.parametrize("outcome", list(RUN_OUTCOMES))
-def test_run_with_two_workers_leaves_nothing_running(tmp_path, capfd, monkeypatch, outcome):
+def test_run_with_two_workers_leaves_nothing_running(tmp_path, capfd, monkeypatch, outcome,
+                                                     plan):
     # the benchmark counts a request that leaves a process or a thread
-    # running as failed; a sampling process's error reaches the parent
+    # running as failed; a forked process's error reaches the parent
     text = LASSO_QUICK
     if outcome == "stepper-diverges":
         text = text.replace("mu = 0.001", "mu = 0.25").replace("kappa = 0.999", "kappa = 0.9")
-    if outcome == "sampler-diverges":
+    if outcome == "draw-diverges":
         monkeypatch.setattr(data, "make_sampler",
-                            functools.partial(OverflowingSampler, data.make_sampler, 6, 4))
+                            functools.partial(FailingSampler, data.make_sampler, 6, 4))
     started = []
     real_process = engine._FORK.Process
     monkeypatch.setattr(engine._FORK, "Process",
                         lambda *args, **kwargs: started.append(1) or real_process(*args, **kwargs))
-    monkeypatch.setattr(engine, "_stepper_rows", lambda *args: 0)  # both rows sampled apart
+    monkeypatch.setattr(engine, "_plan", lambda *args: RUN_PLANS[plan])
     cfg = write_config(tmp_path, text, iterations=8000, replications=2, out=tmp_path / "out")
     threads, segments = threading.active_count(), shared_memory_names()
     with runtime_warnings_raise():
