@@ -705,8 +705,10 @@ def run_replications(
     if not split:
         return lock.results()
     # the timed block again, for row 0 alone: after the block, so as not to
-    # disturb its timing, and keeping nothing (a copy kept through the run
-    # measured 19% slower at 50 rows, two processes)
+    # disturb its timing, and keeping nothing.  A copy kept through the run
+    # left the draws' temporaries on fresh pages: at 50 rows and two
+    # processes, 3 times the page faults here, 18 times in the sampling
+    # process, and 19% more time.
     step_one = lock.time_row_0(*row_0, starts[b], n)
     groups = _plan(n_rep, workers, draw_s / n_rep, step_one, step_s)
 
