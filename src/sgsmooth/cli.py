@@ -708,9 +708,11 @@ def _build_parser():
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None, help="override [run] seed")
     p_run.add_argument("--workers", type=int, default=0,
-                       help="processes that step the replications or draw "
-                       "their samples, split by measured cost, where the "
-                       "platform can fork; also splits the LASSO a estimate "
+                       help="processes for the replications: this one steps "
+                       "them all and the others, where the platform can fork, "
+                       "draw their samples, split by measured cost; more than "
+                       "about 1 + R*S/T (S one replication's draw, T the step "
+                       "of all R) add nothing; also splits the LASSO a estimate "
                        "(default 0: one per usable CPU; at most one per "
                        "replication)")
     p_run.add_argument("--out", default=None, help="output directory")

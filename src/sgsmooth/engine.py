@@ -23,10 +23,8 @@ have ``draw_batch(n)``.  Row r equals the per-sample reference :func:`run`
 samples) on the same samples bit for bit; the SVM set's batch form reads
 signed rows, so its lockstep stream samples
 :attr:`sgsmooth.problems.SvmSampleSet.signed` where :func:`run` reads
-(h, gamma).  With more workers, the rows are split into groups by
-measured cost: one process steps each group and the others only draw
-samples into a shared ring, since a step costs a fixed dispatch per call
-plus a share per row, while the draw divides by rows.
+(h, gamma).  One process steps every row; with more workers, the others
+only draw samples into a shared ring, split by measured cost.
 
 At a few rows of a few coordinates a numpy call costs its dispatch, not
 its arithmetic, and a Python float or a broadcast column nearly doubles
@@ -48,8 +46,6 @@ import contextlib
 import math
 import mmap
 import multiprocessing
-import signal
-import sys
 import time
 
 import numpy as np
@@ -65,12 +61,11 @@ SAMPLE_BLOCK = 512
 # RING_SLOTS - 1 blocks ahead of the one being stepped.
 RING_SLOTS = 3
 
-# The block whose draw and step set the split of the rows between stepping
-# and sampling processes; block 0 also pays the first touch of every buffer.
+# The block whose draw and step set the split between the stepper and the
+# sampling processes; block 0 also pays the first touch of every buffer.
 TIMED_BLOCK = 1
 
-# Stepping and sampling processes inherit the rows' state, the samplers and
-# the ring by fork.
+# Sampling processes inherit the samplers and the ring by fork.
 _FORK = (multiprocessing.get_context("fork")
          if "fork" in multiprocessing.get_all_start_methods() else None)
 
@@ -354,7 +349,8 @@ def parallel_map(fn, tasks):
     otherwise one process per task (``fn`` and the tasks must be picklable).
 
     The Monte-Carlo estimate :func:`sgsmooth.theory.estimate_lasso_a` splits
-    its draws through it; :func:`run_replications` forks its own processes.
+    its draws through it; :func:`run_replications` forks its own sampling
+    processes.
     """
     if len(tasks) == 1:
         return [fn(*tasks[0])]
@@ -396,45 +392,25 @@ class _Steps(NamedTuple):
 
 
 class _Lockstep:
-    """Some rows of a lockstep run, at one point of it.
+    """The rows of a lockstep run, at one point of it.
 
     ``history`` (block + 1, rows, dim) receives a block's iterates, row 0
     holding the last iterate of the block before; ``quotients`` (block,
-    rows, dim) its w_i / S_i.  ``H`` and ``Y`` are the rows' part of the
-    sample ring.  Every per-step view is made once: indexing an array makes
-    a new view on every call.
+    rows, dim) its w_i / S_i.  ``H`` and ``Y`` are the sample ring.  Every
+    per-step view is made once: indexing an array makes a new view on every
+    call.
     """
 
-    def __init__(self, steps, history, quotients, W_bar, H, Y, recorders, s_sum):
+    def __init__(self, steps, history, quotients, W_bar, H, Y, recorders):
         self.steps, self.history, self.quotients = steps, history, quotients
         self.W_bar, self.H, self.Y = W_bar, H, Y
-        self.recorders, self.s_sum = recorders, s_sum
+        self.recorders, self.s_sum = recorders, 1.0
         self.G = np.empty_like(W_bar)
         self.work = steps.problem.batch_work(len(W_bar))
         self.factors = np.empty(SAMPLE_BLOCK)
         self.W_rows, self.q_rows = list(history), list(quotients)
         self.c_rows = [self.factors[k : k + 1].reshape(()) for k in range(SAMPLE_BLOCK)]  # 0-d
         self.H_slots, self.Y_slots = [list(h) for h in H], [list(y) for y in Y]
-
-    def part(self, lo, hi):
-        """Rows [lo, hi) of these, on the same buffers."""
-        return _Lockstep(self.steps, self.history[:, lo:hi], self.quotients[:, lo:hi],
-                         self.W_bar[lo:hi], self.H[:, :, lo:hi], self.Y[:, :, lo:hi],
-                         self.recorders[lo:hi], self.s_sum)
-
-    def time_row_0(self, w, w_bar, s_sum, start, n):
-        """Seconds of :meth:`step` for row 0 alone, from iterate ``w``,
-        smoothed iterate ``w_bar`` and weight sum ``s_sum``, on buffers of
-        its own, which it frees: it moves nothing of the run."""
-        history = np.empty((SAMPLE_BLOCK + 1, 1, len(w)))
-        history[0] = w
-        recorder = self.recorders[0]
-        row = _Lockstep(self.steps, history, np.empty_like(history[1:]), w_bar[None].copy(),
-                        self.H[:, :, :1], self.Y[:, :, :1],
-                        [_Recorder(recorder.oracle, w_bar, recorder.track_pocket)], s_sum)
-        t0 = time.perf_counter()
-        row.step(start, n, 0)
-        return time.perf_counter() - t0
 
     def step(self, start, n, slot):
         """Steps ``start + 1`` .. ``start + n`` on the samples in ring slot
@@ -472,18 +448,28 @@ class _Lockstep:
         ]
 
 
-def _block(lock, own, conns, slot, start, n):
+def _block(lock, own, conns, children, slot, start, n):
     """The block of steps ``start + 1`` .. ``start + n`` of the rows of
     ``lock``, on ring slot ``slot``: draws the samples of the samplers
-    ``own``, those of its leading rows, takes the sampling processes' word
-    for the others, and steps.  Returns the seconds of the draw and of the
-    step."""
+    ``own``, those of its leading rows, takes the word of the sampling
+    processes ``children``, over ``conns``, for the others, and steps.
+    Returns the seconds of the draw and of the step.
+
+    A sampling process that ended without a word raises
+    :class:`ChildProcessError`, which names the block and how it ended."""
     with trap_divergence(_block_where(start, n)):
         t0 = time.perf_counter()
         _draw_rows(own, lock.H[slot], lock.Y[slot], n)
         t1 = time.perf_counter()
-        for conn in conns:
-            exc = conn.recv()
+        for conn, proc in zip(conns, children):
+            try:
+                exc = conn.recv()
+            except (EOFError, OSError):
+                proc.join()  # its end of the pipe closes only as it ends
+                code = proc.exitcode
+                how = f"signal {-code}" if code < 0 else f"exit code {code}"
+                raise ChildProcessError(f"a sampling process ended ({how}) before iterations "
+                                        f"{start + 1}..{start + n} were drawn") from None
             if exc is not None:
                 raise exc
         t2 = time.perf_counter()
@@ -526,50 +512,12 @@ def _stepper_rows(rows, workers, draw_s, step_s):
     return min(rows, max(0, x))
 
 
-def _plan(rows, workers, draw_s, step_one, step_all):
-    """Contiguous row groups ``(lo, hi, kept, procs)`` for the blocks after
-    ``TIMED_BLOCK``: one process steps a group and draws the samples of its
-    first ``kept`` rows (:func:`_stepper_rows`), and ``procs - 1`` others
-    draw the rest.
-
-    ``draw_s`` is one row's draw of the timed block, and ``step_one`` and
-    ``step_all`` its step, smoothing and records of one row and of all.  A
-    group's step costs the fixed part of those two plus its rows' share, so
-    more groups divide only the share; the count of groups is the one whose
-    busiest process has the least to do per block, the fewest on a tie.
-    """
-    per_row = max(0.0, (step_all - step_one) / (rows - 1)) if rows > 1 else 0.0
-    fixed = step_all - per_row * rows
-    best = None
-    for count in range(1, min(rows, workers) + 1):
-        groups, cost = [], 0.0
-        for g in range(count):
-            lo, hi = rows * g // count, rows * (g + 1) // count
-            procs = workers * (g + 1) // count - workers * g // count
-            step_s = fixed + per_row * (hi - lo)
-            kept = _stepper_rows(hi - lo, procs, draw_s, step_s)
-            spans = min(procs - 1, hi - lo - kept)
-            span_s = (hi - lo - kept) * draw_s / spans if spans else 0.0
-            cost = max(cost, step_s + kept * draw_s, span_s)
-            groups.append((lo, hi, kept, procs))
-        if best is None or cost < best[0]:
-            best = (cost, groups)
-    return best[1]
-
-
-class _Failure(NamedTuple):
-    """The exception that stopped a group of rows, and its block."""
-
-    block: int
-    exc: Exception
-
-
-def _fork(children, target, *args, daemon=True):
-    """Starts ``target(*args, conn)`` in a forked process, added to
+def _fork(children, target, *args):
+    """Starts ``target(*args, conn)`` in a forked daemon process, added to
     ``children``; returns the other end of ``conn``."""
     conn, child = _FORK.Pipe()
     try:
-        proc = _FORK.Process(target=target, args=(*args, child), daemon=daemon)
+        proc = _FORK.Process(target=target, args=(*args, child), daemon=True)
         proc.start()
     except BaseException:
         conn.close()
@@ -580,56 +528,44 @@ def _fork(children, target, *args, daemon=True):
     return conn
 
 
-def _finish(lock, samplers, kept, procs, n_iters):
+def _finish(lock, samplers, kept, workers, n_iters):
     """The blocks after ``TIMED_BLOCK`` of the rows of ``lock``, whose
     samplers are ``samplers``.
 
-    This process steps them and draws the samples of the first ``kept``;
-    the others are split into contiguous spans, one forked process each
-    (:func:`_sample_span`), at most ``procs - 1``.  Returns None, or the
-    :class:`_Failure` of the first block that raised, after stopping the
-    sampling processes.
+    This process steps every row and draws the samples of the first
+    ``kept``; the others are split into contiguous spans, one forked process
+    each (:func:`_sample_span`), at most ``workers - 1``.  An exception of
+    any block is raised after the sampling processes are stopped.
     """
     rows = len(samplers)
-    spans = min(procs - 1, rows - kept)
+    spans = min(workers - 1, rows - kept)
     cuts = [kept + (rows - kept) * j // spans for j in range(spans + 1)] if spans else []
     slots = len(lock.H)
     starts = range(0, n_iters, SAMPLE_BLOCK)
-    b, conns, children = TIMED_BLOCK + 1, [], []
+    conns, children = [], []
     try:
         for lo, hi in zip(cuts, cuts[1:]):
             conns.append(_fork(children, _sample_span, samplers[lo:hi],
                                lock.H[:, :, lo:hi], lock.Y[:, :, lo:hi], n_iters))
         for b in range(TIMED_BLOCK + 1, len(starts)):
             start = starts[b]
-            _block(lock, samplers[:kept], conns, b % slots, start,
+            _block(lock, samplers[:kept], conns, children, b % slots, start,
                    min(SAMPLE_BLOCK, n_iters - start))
             if b + slots < len(starts):
                 for conn in conns:  # slot b % slots is free for block b + slots
                     # a process that failed has stopped; its error waits in the pipe
-                    with contextlib.suppress(BrokenPipeError):
+                    with contextlib.suppress(ConnectionError):
                         conn.send(None)
-    except BaseException as exc:
+    except BaseException:
         for proc in children:
             proc.terminate()
-        if not isinstance(exc, Exception):
-            raise
-        return _Failure(b, exc)
+        raise
     finally:
         for proc in children:
             proc.join()
             proc.close()
         for conn in conns:
             conn.close()
-    return None
-
-
-def _step_group(lock, samplers, kept, procs, n_iters, conn):
-    """Body of a stepping process: :func:`_finish` on its group, then the
-    group's results or its :class:`_Failure` over ``conn``."""
-    # a stop from the parent stops this process's sampling processes too
-    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
-    conn.send(_finish(lock, samplers, kept, procs, n_iters) or lock.results())
 
 
 def run_replications(
@@ -646,35 +582,34 @@ def run_replications(
 
     ``stream_factory(seed)`` must build a fresh sampler with ``draw_batch``;
     replication r gets seed ``config.seed + r``.  Every replication is a row
-    of an (R, dim) matrix, stepped with the arithmetic of :func:`run`:
-    ``G *= mu`` then ``W - G`` keeps the rounding of ``w -= mu * g``.  A
-    block of steps writes iterate k into row k of a (block + 1, R, dim)
-    history, row 0 holding the last iterate of the block before; then one
-    division by the block's weight sums gives every w_i / S_i, and the
-    smoothing steps and the records follow in order.  The last block draws
-    only the rows it steps on.
+    of one (R, dim) matrix that this process steps, with the arithmetic of
+    :func:`run`: ``G *= mu`` then ``W - G`` keeps the rounding of
+    ``w -= mu * g``.  A block of steps writes iterate k into row k of a
+    (block + 1, R, dim) history, row 0 holding the last iterate of the
+    block before; then one division by the block's weight sums gives every
+    w_i / S_i, and the smoothing steps and the records follow in order.
+    The last block draws only the rows it steps on.
 
     With ``workers = P > 1``, blocks after ``TIMED_BLOCK`` and a platform
-    that can fork, this process draws and steps the blocks up to
-    ``TIMED_BLOCK`` for every row.  It times that block's draw per row and
-    its step, smoothing and records, and those of a copy of row 0 alone,
-    and :func:`_plan` splits the rows into contiguous groups.  One process
-    steps each group, this one the first, a forked one each other, and
-    draws the samples of the group's first rows; the group's other rows
-    are split into contiguous spans, and a forked process per span
-    continues its rows' samplers, writing each block into a ring of
-    ``RING_SLOTS`` shared (block, R, dim) and (block, R) slots that the
-    step reads in place.  Each row still draws its own samples in order and
-    steps with the same arithmetic, so the results, returned in replication
-    order, do not depend on ``workers`` or the split.  Where fork is not
-    available, every row runs in this process.
+    that can fork, the other P - 1 processes only draw samples.  This
+    process draws and steps the blocks up to ``TIMED_BLOCK`` for every
+    row, timing that block's draw per row and its step, smoothing and
+    records, and then keeps drawing the first x rows, the count that
+    balances the two (:func:`_stepper_rows`).  The other rows are split
+    into contiguous spans, and a forked process per span continues its
+    rows' samplers from where they stand, writing each block into a ring
+    of ``RING_SLOTS`` shared (block, R, dim) and (block, R) slots that the
+    step reads in place.  Each row still draws its own samples in order, so
+    the results, returned in replication order, do not depend on
+    ``workers`` or x.  Where fork is not available, this process also
+    draws every row.
 
     Each block runs under :func:`trap_divergence`, which names the cause
     and the block; the iterates are also checked once per block, for
     non-finite input that raises nothing.  An exception in a sampling
-    process is raised at the block it belongs to, as the serial run raises
-    it; of the groups that fail, the one whose block comes first is raised,
-    the first group's on a tie.  Too many replications to hold raise
+    process is raised here at the block it belongs to, as the serial run
+    raises it, and a sampling process that ends without one raises
+    :class:`ChildProcessError`.  Too many replications to hold raise
     ``MemoryError`` before any sampling.
     """
     kappa, w = _start(problem, config, oracle, w0, track_pocket)
@@ -693,48 +628,17 @@ def run_replications(
     history[0] = w
     steps = _Steps(problem, np.array(config.mu), kappa, config.record_stride)
     recorders = [_Recorder(oracle, w, track_pocket) for _ in range(n_rep)]
-    lock = _Lockstep(steps, history, quotients, W_bar, H, Y, recorders, 1.0)
+    lock = _Lockstep(steps, history, quotients, W_bar, H, Y, recorders)
     samplers = [stream_factory(config.seed + r) for r in range(n_rep)]
 
     # slot 0 throughout, so that the timed block pays no first touch
     for b in range(TIMED_BLOCK + 1 if split else len(starts)):
         n = min(SAMPLE_BLOCK, n_iters - starts[b])
-        if split and b == TIMED_BLOCK:
-            row_0 = (lock.W_rows[0][0].copy(), lock.W_bar[0].copy(), lock.s_sum)
-        draw_s, step_s = _block(lock, samplers, [], 0, starts[b], n)
-    if not split:
-        return lock.results()
-    # the timed block again, for row 0 alone: after the block, so as not to
-    # disturb its timing, and keeping nothing.  A copy kept through the run
-    # left the draws' temporaries on fresh pages: at 50 rows and two
-    # processes, 3 times the page faults here, 18 times in the sampling
-    # process, and 19% more time.
-    step_one = lock.time_row_0(*row_0, starts[b], n)
-    groups = _plan(n_rep, workers, draw_s / n_rep, step_one, step_s)
-
-    conns, children = [], []
-    try:
-        for lo, hi, kept, procs in groups[1:]:
-            conns.append(_fork(children, _step_group, lock.part(lo, hi), samplers[lo:hi],
-                               kept, procs, n_iters, daemon=False))
-        lo, hi, kept, procs = groups[0]
-        first = lock.part(lo, hi)
-        replies = [_finish(first, samplers[lo:hi], kept, procs, n_iters) or first.results()]
-        replies += [conn.recv() for conn in conns]
-    except BaseException:
-        for proc in children:
-            proc.terminate()
-        raise
-    finally:
-        for proc in children:
-            proc.join()
-            proc.close()
-        for conn in conns:
-            conn.close()
-    failures = [reply for reply in replies if isinstance(reply, _Failure)]
-    if failures:
-        raise min(failures, key=lambda failure: failure.block).exc
-    return [result for reply in replies for result in reply]
+        draw_s, step_s = _block(lock, samplers, [], [], 0, starts[b], n)
+    if split:
+        kept = _stepper_rows(n_rep, workers, draw_s / n_rep, step_s)
+        _finish(lock, samplers, kept, workers, n_iters)
+    return lock.results()
 
 
 @dataclass(eq=False)

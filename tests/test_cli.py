@@ -179,21 +179,41 @@ def shared_memory_names():
     return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
 
+class DyingSampler(FailingSampler):
+    """A :class:`FailingSampler` whose bad draw, in a forked process, ends
+    that process at once, with no word to its parent."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.pid = os.getpid()
+
+    def draw_batch(self, n):
+        if self.draws_left == 1 and os.getpid() != self.pid:
+            os._exit(1)
+        return super().draw_batch(n)
+
+
+# outcome: (exit code, message on fd 2)
 RUN_OUTCOMES = {
-    "finishes": "",
+    "finishes": (cli.EXIT_OK, ""),
     # the records' risk overflows in the stepper
-    "stepper-diverges": "overflow encountered in matmul: "
-                        "iterate diverged in iterations 4609..5120",
-    # the fourth draw of replication 1, in a sampling or a stepping process, overflows
-    "draw-diverges": "overflow encountered in multiply: "
-                        "iterate diverged in iterations 1537..2048",
+    "stepper-diverges": (cli.EXIT_PROPERTY, "overflow encountered in matmul: "
+                                            "iterate diverged in iterations 4609..5120"),
+    # the fourth draw of replication 0, in the sampling process or in the
+    # stepper's own draw, overflows
+    "draw-diverges": (cli.EXIT_PROPERTY, "overflow encountered in multiply: "
+                                         "iterate diverged in iterations 1537..2048"),
+    # the sampling process ends in the fourth draw of replication 1
+    "sampler-dies": (cli.EXIT_IO, "a sampling process ended (exit code 1) "
+                                  "before iterations 1537..2048 were drawn"),
 }
 
 
-# row groups (lo, hi, kept, procs) of the two replications
+# the replications whose samples the stepper draws: none, so the sampling
+# process draws both, or the first, so it draws the second meanwhile
 RUN_PLANS = {
-    "stepper-and-sampler": [(0, 2, 0, 2)],
-    "two-steppers": [(0, 1, 1, 1), (1, 2, 1, 1)],
+    "stepper-and-sampler": 0,
+    "stepper-draws-one": 1,
 }
 
 
@@ -202,18 +222,21 @@ RUN_PLANS = {
 def test_run_with_two_workers_leaves_nothing_running(tmp_path, capfd, monkeypatch, outcome,
                                                      plan):
     # the benchmark counts a request that leaves a process or a thread
-    # running as failed; a forked process's error reaches the parent
+    # running as failed; a forked process's error or end reaches the parent
     text = LASSO_QUICK
     if outcome == "stepper-diverges":
         text = text.replace("mu = 0.001", "mu = 0.25").replace("kappa = 0.999", "kappa = 0.9")
     if outcome == "draw-diverges":
         monkeypatch.setattr(data, "make_sampler",
-                            functools.partial(FailingSampler, data.make_sampler, 6, 4))
+                            functools.partial(FailingSampler, data.make_sampler, 5, 4))
+    if outcome == "sampler-dies":
+        monkeypatch.setattr(data, "make_sampler",
+                            functools.partial(DyingSampler, data.make_sampler, 6, 4))
     started = []
     real_process = engine._FORK.Process
     monkeypatch.setattr(engine._FORK, "Process",
                         lambda *args, **kwargs: started.append(1) or real_process(*args, **kwargs))
-    monkeypatch.setattr(engine, "_plan", lambda *args: RUN_PLANS[plan])
+    monkeypatch.setattr(engine, "_stepper_rows", lambda *args: RUN_PLANS[plan])
     cfg = write_config(tmp_path, text, iterations=8000, replications=2, out=tmp_path / "out")
     threads, segments = threading.active_count(), shared_memory_names()
     with runtime_warnings_raise():
@@ -222,11 +245,9 @@ def test_run_with_two_workers_leaves_nothing_running(tmp_path, capfd, monkeypatc
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads
     assert shared_memory_names() == segments
-    err = capfd.readouterr().err
-    if outcome == "finishes":
-        assert rc == cli.EXIT_OK and err == ""
-    else:
-        assert rc == cli.EXIT_PROPERTY and err == f"error: {RUN_OUTCOMES[outcome]}\n"
+    code, message = RUN_OUTCOMES[outcome]
+    assert rc == code and capfd.readouterr().err == (f"error: {message}\n" if message else "")
+    if message:
         assert not (tmp_path / "out" / "curves.csv").exists()
 
 

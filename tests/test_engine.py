@@ -371,8 +371,8 @@ def test_lockstep_checks_a_partial_block():
 
 
 class ProcessLog:
-    """Stands in for the fork context's ``Process``; counts the stepping and
-    sampling processes a run starts, in a counter its forked processes share."""
+    """Stands in for the fork context's ``Process``; counts the sampling
+    processes a run starts, in a counter its forked processes share."""
 
     def __init__(self, real):
         self.real, self.count = real, engine._FORK.Value("i", 0)
@@ -394,14 +394,9 @@ def process_log(monkeypatch):
     return log
 
 
-def force_plan(monkeypatch, groups):
-    # the row groups (lo, hi, kept, procs) that _plan would measure
-    monkeypatch.setattr(engine, "_plan", lambda *args: groups)
-
-
-def processes_of(groups):
-    # one stepping process per group after the first, plus the sampling ones
-    return len(groups) - 1 + sum(min(procs - 1, hi - lo - kept) for lo, hi, kept, procs in groups)
+def force_split(monkeypatch, kept):
+    # the rows whose samples the stepper draws, that _stepper_rows would measure
+    monkeypatch.setattr(engine, "_stepper_rows", lambda *args: kept)
 
 
 def assert_same_results(results, refs):
@@ -418,21 +413,18 @@ def assert_same_results(results, refs):
 
 
 # 4000 iterations: seven full blocks and a partial one, so a sampling process
-# laps the ring and waits for its stepper
+# laps the ring and waits for the stepper
 SPLIT_FIELDS = {"mu": 0.01, "kappa": 0.95, "iterations": 4000, "record_stride": 300,
                 "seed": 5, "replications": 5}
 
-# the workers and row groups (lo, hi, kept, procs) of the five rows: one
-# stepper that draws none, some or all of them, or several steppers
-SPLIT_PLANS = {
-    **{f"one-stepper-{workers}-keeps-{kept}": (workers, [(0, 5, kept, workers)])
-       for workers in (2, 3) for kept in (0, 2, 5)},
-    "two-steppers": (2, [(0, 2, 2, 1), (2, 5, 3, 1)]),
-    "three-steppers": (3, [(0, 1, 1, 1), (1, 3, 2, 1), (3, 5, 2, 1)]),
-    "sampler-in-first-group": (3, [(0, 2, 0, 2), (2, 5, 3, 1)]),
-    "sampler-in-second-group": (3, [(0, 2, 2, 1), (2, 5, 1, 2)]),
-    "samplers-in-both-groups": (4, [(0, 2, 1, 2), (2, 5, 0, 2)]),
-}
+# the workers of a run of five rows, and the rows whose samples the stepper
+# draws: none, some or all of them
+SPLIT_PLANS = {f"one-stepper-{workers}-keeps-{kept}": (workers, kept)
+               for workers in (2, 3) for kept in (0, 2, 5)}
+
+
+def sampling_processes(workers, kept):
+    return min(workers - 1, SPLIT_FIELDS["replications"] - kept)
 
 
 @pytest.mark.parametrize("kind", ["lasso", "svm"])
@@ -443,10 +435,10 @@ def test_split_runs_equal_one_worker_bit_for_bit(kind, plan, process_log, monkey
     kwargs = {"oracle": oracle, "w0": 0.5 * oracle.w_star, "track_pocket": True}
     refs = engine.run_replications(p, factory, cfg, workers=1, **kwargs)
     assert process_log.started == 0
-    workers, groups = SPLIT_PLANS[plan]
-    force_plan(monkeypatch, groups)
+    workers, kept = SPLIT_PLANS[plan]
+    force_split(monkeypatch, kept)
     results = engine.run_replications(p, factory, cfg, workers=workers, **kwargs)
-    assert process_log.started == processes_of(groups)
+    assert process_log.started == sampling_processes(workers, kept)
     assert multiprocessing.active_children() == []
     assert_same_results(results, refs)
 
@@ -470,7 +462,7 @@ def test_runs_of_two_blocks_or_fewer_start_no_process(iterations, process_log, m
     cfg = engine.RunConfig(**{**SPLIT_FIELDS, "iterations": iterations})
     kwargs = {"oracle": oracle, "w0": 0.5 * oracle.w_star, "track_pocket": True}
     refs = engine.run_replications(p, factory, cfg, workers=1, **kwargs)
-    force_plan(monkeypatch, SPLIT_PLANS["three-steppers"][1])
+    force_split(monkeypatch, 0)
     results = engine.run_replications(p, factory, cfg, workers=3, **kwargs)
     assert process_log.started == 0
     assert_same_results(results, refs)
@@ -485,32 +477,6 @@ def test_stepper_rows_balance_the_stepper_and_the_samplers():
     assert engine._stepper_rows(8, 2, 5.0, 0.0) == 4
     assert engine._stepper_rows(8, 9, 5.0, 0.0) == 1
     assert engine._stepper_rows(8, 2, 0.0, 5.0) == 8
-
-
-def test_plan_adds_steppers_only_where_the_step_is_the_bottleneck():
-    # a step of fixed cost 3 plus 0.6 a row (one row 3.6, fifty 33), draws 2.4 a row:
-    # one stepper balances at P = 2 and 4; at P = 6 its 33 per block would
-    # bound the run, and two groups of 25 rows, whose step is 18, do better
-    assert engine._plan(50, 2, 2.4, 3.6, 33.0) == [(0, 50, 18, 2)]
-    assert engine._plan(50, 4, 2.4, 3.6, 33.0) == [(0, 50, 2, 4)]
-    assert engine._plan(50, 6, 2.4, 3.6, 33.0) == [(0, 25, 3, 3), (25, 50, 3, 3)]
-    # a step of fixed cost only: one stepper, which samples nothing
-    assert engine._plan(8, 2, 0.01, 5.0, 5.0) == [(0, 8, 0, 2)]
-    # a tie goes to the fewest groups
-    assert engine._plan(6, 3, 0.0, 5.0, 5.0) == [(0, 6, 6, 3)]
-    # a step cheaper for all rows than for one (timing noise) counts as fixed
-    assert engine._plan(4, 2, 1.0, 5.0, 4.0) == [(0, 4, 0, 2)]
-    assert engine._plan(1, 3, 2.0, 5.0, 5.0) == [(0, 1, 0, 3)]
-
-
-@pytest.mark.parametrize("rows,workers,draw_s,step_one", [
-    (50, 16, 2.4, 3.6), (50, 7, 0.1, 1.0), (16, 5, 3.0, 20.0), (7, 7, 1.0, 1.0), (3, 8, 1.0, 2.0)])
-def test_plan_covers_every_row_and_worker_once(rows, workers, draw_s, step_one):
-    groups = engine._plan(rows, workers, draw_s, step_one, 10 * step_one)
-    assert [lo for lo, *_ in groups] == [0] + [hi for _, hi, *_ in groups[:-1]]
-    assert groups[-1][1] == rows
-    assert all(lo < hi and 0 <= kept <= hi - lo and procs >= 1 for lo, hi, kept, procs in groups)
-    assert sum(procs for *_, procs in groups) == workers
 
 
 class FailingSampler:
@@ -541,36 +507,35 @@ def failing_case(kind, bad_seed):
 
 
 FAILING_PLANS = ["one-stepper-2-keeps-0", "one-stepper-2-keeps-2", "one-stepper-3-keeps-0",
-                 "one-stepper-3-keeps-2", "three-steppers", "sampler-in-second-group",
-                 "samplers-in-both-groups"]
+                 "one-stepper-3-keeps-2"]
 
 
 @pytest.mark.parametrize("kind", ["overflow", "exhausted"])
 @pytest.mark.parametrize("plan", FAILING_PLANS)
 def test_split_failure_is_raised_as_in_one_worker(kind, plan, process_log, monkeypatch):
-    # replication 3 fails: drawn by a sampling process of the only group, by
-    # the third stepper, by the second group's sampling process
+    # replication 3 fails, drawn by a sampling process
     cfg = engine.RunConfig(**SPLIT_FIELDS)
     p, factory = failing_case(kind, cfg.seed + 3)
     error = NumericError if kind == "overflow" else StreamExhausted
     with pytest.raises(error) as serial:
         engine.run_replications(p, factory, cfg, workers=1)
-    workers, groups = SPLIT_PLANS[plan]
-    force_plan(monkeypatch, groups)
+    workers, kept = SPLIT_PLANS[plan]
+    force_split(monkeypatch, kept)
     with pytest.raises(error) as split:
         engine.run_replications(p, factory, cfg, workers=workers)
     assert str(split.value) == str(serial.value)
     if kind == "overflow":
         assert str(serial.value) == ("overflow encountered in multiply: "
                                      "iterate diverged in iterations 2561..3072")
-    assert process_log.started == processes_of(groups)
+    assert process_log.started == sampling_processes(workers, kept)
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("early_row", [0, 4])
 def test_failure_of_the_earliest_block_is_raised_whatever_its_group(early_row, monkeypatch):
-    # replication early_row fails at block 5, the other end's at block 7:
-    # the one-worker run raises block 5, and so must two stepping groups
+    # replication early_row fails at block 5, the other end's at block 7;
+    # the stepper draws row 0 and a sampling process row 4, and whichever
+    # fails first, the split run raises block 5 as the one-worker run does
     cfg = engine.RunConfig(**SPLIT_FIELDS)
     p, factory, _, _ = lockstep_case("lasso")
     late_row = 4 - early_row
@@ -579,7 +544,7 @@ def test_failure_of_the_earliest_block_is_raised_whatever_its_group(early_row, m
     with pytest.raises(NumericError) as serial:
         engine.run_replications(p, factory, cfg, workers=1)
     assert str(serial.value).endswith("iterate diverged in iterations 2561..3072")
-    force_plan(monkeypatch, SPLIT_PLANS["two-steppers"][1])
+    force_split(monkeypatch, 1)
     with pytest.raises(NumericError) as split:
         engine.run_replications(p, factory, cfg, workers=2)
     assert str(split.value) == str(serial.value)
@@ -625,18 +590,17 @@ class PidLog:
 
 def test_interrupted_run_stops_the_sampling_processes_of_a_stepping_process(monkeypatch,
                                                                             capfd):
-    # the first group's own draw of block 4 is interrupted; the second
-    # group's stepper is stopped, and it stops its two sampling processes,
-    # the first of which has no other way to learn that the run is over
+    # the stepper's own draw of row 0 at block 4 is interrupted; it stops
+    # both sampling processes, which draw rows 1..4 up to two blocks ahead
     cfg = engine.RunConfig(**SPLIT_FIELDS)
     p, factory, _, _ = lockstep_case("lasso")
     factory = functools.partial(InterruptingSampler, factory, cfg.seed, 5)
     log = PidLog(engine._FORK.Process)
     monkeypatch.setattr(engine._FORK, "Process", log.process)
-    force_plan(monkeypatch, [(0, 2, 2, 1), (2, 5, 0, 3)])
+    force_split(monkeypatch, 1)
     with pytest.raises(KeyboardInterrupt):
-        engine.run_replications(p, factory, cfg, workers=4)
-    assert log.count.value == 3
+        engine.run_replications(p, factory, cfg, workers=3)
+    assert log.count.value == 2
     alive = log.alive()
     for pid in alive:  # a failure should not leave them running
         os.kill(pid, signal.SIGKILL)
