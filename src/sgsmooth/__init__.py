@@ -34,6 +34,7 @@ from .theory import (
     finite_horizon_envelope,
     lasso_constants,
     lasso_gaussian_noise_modulus,
+    lasso_spectral_noise_modulus,
     rate_alpha,
     steady_state_bounds,
     step_size_ceiling,

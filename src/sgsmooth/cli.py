@@ -39,6 +39,17 @@ CSV_HEADER = "iteration,excess_risk_raw,excess_risk_smoothed,msd,bound"
 # ---------- config handling ----------
 
 
+# the keys each section may carry: [problem] takes both kinds' keys, and
+# a_mc_samples is accepted and ignored since a is exact at identity covariance
+_KNOWN_KEYS = {
+    "problem": {"kind", "dim", "delta", "noise_var", "w_true", "a_mc_samples", "rho", "mean",
+                "cov_scale", "prior_pos", "train_size", "oracle_iterations"},
+    "run": {"mu", "kappa", "iterations", "record_stride", "seed", "replications"},
+    "verify": {"pairs", "noise_samples", "probes", "scale", "seed"},
+    "output": {"dir"},
+}
+
+
 def _load_config(path):
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -47,6 +58,10 @@ def _load_config(path):
         raise ConfigError(f"config file {path!r} is malformed: {exc}") from None
     if not read:
         raise FileNotFoundError(f"config file {path!r} not found")
+    for section in parser.sections():
+        for key in parser.options(section):
+            if key not in _KNOWN_KEYS.get(section, ()):
+                raise ConfigError(f"[{section}] {key} is not a known key")
     return parser
 
 
@@ -126,7 +141,7 @@ class _LassoBundle:
 
     kind = "lasso"
 
-    def __init__(self, cfg, seed, workers=1):
+    def __init__(self, cfg, seed):
         dim = _positive(cfg, "problem", "dim", int, required=True)
         delta = _positive(cfg, "problem", "delta", float, required=True)
         noise_var = _get(cfg, "problem", "noise_var", float, default=0.01)
@@ -148,16 +163,14 @@ class _LassoBundle:
             w_star=self.w_star,
             risk_star=self.problem.risk(self.w_star),
         )
-        n_mc = _positive(cfg, "problem", "a_mc_samples", int, default=100_000)
-        self.a_estimate = theory.estimate_lasso_a(self.problem, n_mc, seed=seed + 10**6,
-                                                  workers=workers)
+        self.a_spectral = theory.lasso_spectral_noise_modulus(self.problem)
         self.a_gaussian = theory.lasso_gaussian_noise_modulus(self.problem)
-        self.constants_mc = theory.lasso_constants(
-            self.problem, self.a_estimate.value, w_star=self.w_star
+        self.constants_spectral = theory.lasso_constants(
+            self.problem, self.a_spectral, w_star=self.w_star
         )
         # Exact modulus for Gaussian regressors; unlike the distribution-free
-        # estimate it keeps moderate step sizes below the stability ceiling,
-        # so rate-dependent outputs (auto kappa, bound column) use it.
+        # spectral modulus it keeps moderate step sizes below the stability
+        # ceiling, so rate-dependent outputs (auto kappa, bound column) use it.
         self.constants = theory.lasso_constants(
             self.problem, self.a_gaussian, w_star=self.w_star
         )
@@ -170,11 +183,11 @@ class _LassoBundle:
             f"problem = lasso (dim={self.problem.dim}, delta={self.problem.delta}, "
             f"noise_var={self.problem.noise_var}, identity covariance)",
             f"w_star = soft_threshold(w_true, delta); ||w_star||^2 = {self.w_star_sq!r}",
-            f"noise modulus a (Monte-Carlo spectral estimate) = "
-            f"{self.a_estimate.value!r} +- {self.a_estimate.stderr:.3g}",
+            f"noise modulus a (exact spectral) = {self.a_spectral!r}",
             f"noise modulus a (exact Gaussian) = {self.a_gaussian!r}",
         ]
-        for tag, k in (("mc-modulus", self.constants_mc), ("gaussian-modulus", self.constants)):
+        for tag, k in (("spectral-modulus", self.constants_spectral),
+                       ("gaussian-modulus", self.constants)):
             lines += _constants_lines(tag, k, mu)
         lines.append("rate-dependent outputs (auto kappa, bound column) use the "
                      "gaussian-modulus constants")
@@ -186,7 +199,7 @@ class _SvmBundle:
 
     kind = "svm"
 
-    def __init__(self, cfg, seed, workers=1):  # the set and its oracle are built serially
+    def __init__(self, cfg, seed):
         rho = _positive(cfg, "problem", "rho", float, required=True)
         mean_raw = _get(cfg, "problem", "mean", str, required=True)
         try:
@@ -265,18 +278,16 @@ def _constants_lines(tag, k, mu):
     return lines
 
 
-def _build_bundle(cfg, seed, workers=1):
+def _build_bundle(cfg, seed):
     kind = _get(cfg, "problem", "kind", str, required=True).strip().lower()
     bundle = {"lasso": _LassoBundle, "svm": _SvmBundle}.get(kind)
     if bundle is None:
         raise ConfigError(f"[problem] kind must be 'lasso' or 'svm', got {kind!r}")
     try:
         with trap_divergence(f"{kind} setup diverged"):
-            return bundle(cfg, seed, workers)
+            return bundle(cfg, seed)
     except MemoryError as exc:
-        raise ConfigError(
-            f"[problem] dim, a_mc_samples or train_size is too large: {exc}"
-        ) from None
+        raise ConfigError(f"[problem] dim or train_size is too large: {exc}") from None
 
 
 # ---------- run ----------
@@ -294,7 +305,7 @@ def _require_count(flag, value):
         raise ConfigError(f"{flag} must be nonnegative, got {value!r}")
 
 
-def _workers(requested, cap=math.inf):
+def _workers(requested, cap):
     # --workers 0 means the default: one per usable CPU; either way at most cap
     if requested:
         return min(requested, cap)
@@ -307,7 +318,7 @@ def cmd_run(ns):
     _require_count("--workers", ns.workers)
     cfg = _load_config(ns.config)
     run_cfg = _run_config(cfg, ns.seed)
-    bundle = _build_bundle(cfg, run_cfg.seed, _workers(ns.workers))
+    bundle = _build_bundle(cfg, run_cfg.seed)
     run_cfg = engine.resolve_kappa(run_cfg, bundle.alpha_for_auto(run_cfg.mu))
 
     out_dir = Path(ns.out or _get(cfg, "output", "dir", str, default="out"))
@@ -463,7 +474,7 @@ def cmd_verify(ns):
         f"{viol}/{pairs} violations beyond 1e-9 relative slack",
     )
 
-    k = bundle.constants if bundle.kind == "svm" else bundle.constants_mc
+    k = bundle.constants if bundle.kind == "svm" else bundle.constants_spectral
     rng = np.random.default_rng(seed + 2)
     with trap_divergence("check affine-lipschitz diverged"):
         viol = theory.verify_affine_lipschitz(
@@ -712,9 +723,8 @@ def _build_parser():
                        "them all and the others, where the platform can fork, "
                        "draw their samples, split by measured cost; more than "
                        "about 1 + R*S/T (S one replication's draw, T the step "
-                       "of all R) add nothing; also splits the LASSO a estimate "
-                       "(default 0: one per usable CPU; at most one per "
-                       "replication)")
+                       "of all R) add nothing (default 0: one per usable "
+                       "CPU; at most one per replication)")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.set_defaults(func=cmd_run)
 

@@ -3,8 +3,8 @@
 All randomness flows through seeded PCG64 generators, and Gaussian variates
 are produced by the inverse-CDF transform of 64-bit uniforms (see
 :func:`standard_normal`), so a (spec, seed) pair always reproduces the same
-sample sequence.  Each value takes one 64-bit word, so any span of a draw
-can be drawn on its own, bit for bit, from :func:`advanced_rng`.
+sample sequence.  Each value takes one 64-bit word, so a draw of k values
+leaves the generator where ``bit_generator.advance(k)`` would.
 
 Every sampler defines one sampling method, ``draw_batch(n)``, which returns
 ``(features (n, dim), targets (n,))``.  The random samplers' ``draw()`` and
@@ -39,14 +39,6 @@ def standard_normal(rng, size):
     does not depend on how draws are batched.
     """
     return ndtri(uniform_open(rng, size))
-
-
-def advanced_rng(seed, k):
-    """``np.random.default_rng(seed)`` after ``k`` values of :func:`uniform_open`
-    or :func:`standard_normal`, reached by PCG64 jump-ahead in O(log k)."""
-    bits = np.random.PCG64(seed)
-    bits.advance(k)
-    return np.random.Generator(bits)
 
 
 def _cholesky_or_none(cov, dim):

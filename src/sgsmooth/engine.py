@@ -41,7 +41,6 @@ its cheaper dispatch.
 
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
-import concurrent.futures
 import contextlib
 import math
 import mmap
@@ -342,20 +341,6 @@ def run(problem, stream, config, *, oracle=None, w0=None, track_pocket=False):
             recorder.record(i, w, w_bar)
 
     return recorder.result(w, SmoothingState(s_sum, w_bar, kappa))
-
-
-def parallel_map(fn, tasks):
-    """``[fn(*task) for task in tasks]``, in order: inline for one task,
-    otherwise one process per task (``fn`` and the tasks must be picklable).
-
-    The Monte-Carlo estimate :func:`sgsmooth.theory.estimate_lasso_a` splits
-    its draws through it; :func:`run_replications` forks its own sampling
-    processes.
-    """
-    if len(tasks) == 1:
-        return [fn(*tasks[0])]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
 
 
 def _block_where(start, n):

@@ -17,8 +17,9 @@ iterate contracts geometrically with per-iteration factor
 toward a steady-state level of mu * tau^2 / 2 (and mu * tau^2 / eta in
 mean-square deviation).  This module computes those numbers for the built-in
 problem families and provides Monte-Carlo checkers that confirm the
-assumptions actually hold on live samplers.  The LASSO noise-modulus
-estimate can split its draw across processes with the same result bits.
+assumptions actually hold on live samplers.  The LASSO spectral noise
+modulus is exact at identity covariance and a serial Monte-Carlo estimate
+at any other.
 """
 
 from dataclasses import dataclass
@@ -26,9 +27,10 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import gammainc
 
-from .data import advanced_rng, standard_normal
-from .engine import SAMPLE_BLOCK, parallel_map
+from .data import standard_normal
+from .engine import SAMPLE_BLOCK
 from .errors import InsufficientData, UnsupportedConfiguration
 
 
@@ -164,9 +166,11 @@ def lasso_constants(problem, a, w_star=None):
 
     eta = lambda_min(R_h), c = ||R_h||, d = 2 delta sqrt(M), and the gradient
     noise satisfies beta^2 = 2a, sigma^2 = sigma_n^2 Tr(R_h) + 2a ||w_true - w*||^2.
-    ``a`` may be the distribution-free estimate from :func:`estimate_lasso_a`
-    or the exact Gaussian modulus from :func:`lasso_gaussian_noise_modulus`;
-    both make the noise bound valid for Gaussian regressors.
+    ``a`` may be the spectral modulus, exact from
+    :func:`lasso_spectral_noise_modulus` at identity covariance or estimated
+    by :func:`estimate_lasso_a` at any other, or the exact Gaussian modulus
+    from :func:`lasso_gaussian_noise_modulus`; each makes the noise bound
+    valid for Gaussian regressors.
     """
     if a < 0:
         raise ValueError("a must be nonnegative")
@@ -195,59 +199,57 @@ def lasso_gaussian_noise_modulus(problem):
     return nrm * nrm + problem.trace * nrm
 
 
+def lasso_spectral_noise_modulus(problem):
+    """Exact a = 2 E ||I - h h^T||^2 (spectral norm) for h ~ N(0, I_M).
+
+    I - h h^T has eigenvalues 1 - X along h, X = ||h||^2 ~ chi^2_M, and for
+    M >= 2 also 1 on the orthogonal complement, so a = 2 E max(1, |1 - X|)^2
+    = 2 [2M + (M - 1)^2 - M (M + 2) F_{M+4}(2) + 2M F_{M+2}(2)] with F_k the
+    chi^2_k CDF, and a = 2 E (1 - X)^2 = 4 at M = 1.  Raises
+    UnsupportedConfiguration at any other covariance, where
+    :func:`estimate_lasso_a` estimates a.
+    """
+    if not problem._identity_cov:
+        raise UnsupportedConfiguration(
+            "the spectral noise modulus has a closed form only at identity "
+            "covariance; estimate it with estimate_lasso_a"
+        )
+    m = problem.dim
+    if m == 1:
+        return 4.0
+    # F_k(2) = P(chi^2_k <= 2) = gammainc(k / 2, 1)
+    tail = m * (m + 2) * gammainc(m / 2 + 2, 1.0) - 2 * m * gammainc(m / 2 + 1, 1.0)
+    return 2.0 * (2 * m + (m - 1) ** 2 - float(tail))
+
+
 class AEstimate(NamedTuple):
     value: float
     stderr: float
 
 
-# fewest variates per part of a split estimate: ~75 ms of sampling, ~40 ms of pool start
-_MIN_PART_VARIATES = 2**21
-
-
-def estimate_lasso_a(problem, n, seed=0, workers=1):
+def estimate_lasso_a(problem, n, seed=0):
     """Monte-Carlo estimate of a = 2 E ||R_h - h h^T||^2 (spectral norm).
 
     Draws ``n`` regressors from the problem's Gaussian model and averages
     twice the squared spectral norm of the covariance estimation error.
     Returns the estimate with its standard error.  Rows are drawn and
     reduced to their norm ``SAMPLE_BLOCK`` at a time, in the order of one
-    (n, dim) draw, so memory is 16 bytes per draw plus one fixed block.  Up
-    to ``workers`` processes each draw a span of whole blocks, about
-    ``_MIN_PART_VARIATES`` variates or more, seeked to with
-    :func:`sgsmooth.data.advanced_rng`, so the result does not depend on
-    ``workers``.
+    (n, dim) draw, so memory is 16 bytes per draw plus one fixed block.
+    At identity covariance :func:`lasso_spectral_noise_modulus` gives the
+    exact value.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     m = problem.dim
-
-    # the general path stacks one dim x dim matrix per row: keep that batch small
-    rows = SAMPLE_BLOCK if problem._identity_cov else max(1, min(SAMPLE_BLOCK, 2**22 // (m * m)))
-    norms = np.empty(n)  # before any process starts, so a size too large fails at once
-    blocks = -(-n // rows)
-    parts = max(1, min(workers, blocks, n * m // _MIN_PART_VARIATES))
-    cuts = [min(n, rows * (blocks * k // parts)) for k in range(parts + 1)]
-    spans = [(problem, seed, rows, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    np.concatenate(parallel_map(_a_norms, spans), out=norms)
-
-    draws = norms  # 2 * norms**2, in place
-    draws *= norms
-    draws *= 2.0
-    value = float(draws.mean())
-    stderr = float(draws.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return AEstimate(value, stderr)
-
-
-def _a_norms(problem, seed, rows, lo, hi):
-    """Norms ||R_h - h h^T|| of rows [lo, hi) of the estimate, ``rows`` at a time."""
-    m = problem.dim
     cov = problem.cov_h
     identity = problem._identity_cov
-    rng = advanced_rng(seed, lo * m)
+    # the general path stacks one dim x dim matrix per row: keep that batch small
+    rows = SAMPLE_BLOCK if identity else max(1, min(SAMPLE_BLOCK, 2**22 // (m * m)))
+    rng = np.random.default_rng(seed)
     chol = None if identity else np.linalg.cholesky(cov)
-    norms = np.empty(hi - lo)
-    for start in range(lo, hi, rows):
-        stop = min(start + rows, hi)
+    norms = np.empty(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
         block = standard_normal(rng, (stop - start, m))
         if chol is not None:
             block = block @ chol.T
@@ -255,11 +257,17 @@ def _a_norms(problem, seed, rows, lo, hi):
             # I - h h^T has eigenvalues 1 - ||h||^2 (along h) and, for M >= 2,
             # 1 on the orthogonal complement.
             q = np.abs(1.0 - np.einsum("ij,ij->i", block, block))
-            norms[start - lo : stop - lo] = q if m == 1 else np.maximum(1.0, q)
+            norms[start:stop] = q if m == 1 else np.maximum(1.0, q)
         else:
             diff = cov[None, :, :] - block[:, :, None] * block[:, None, :]
-            norms[start - lo : stop - lo] = np.abs(np.linalg.eigvalsh(diff)).max(axis=1)
-    return norms
+            norms[start:stop] = np.abs(np.linalg.eigvalsh(diff)).max(axis=1)
+
+    draws = norms  # 2 * norms**2, in place
+    draws *= norms
+    draws *= 2.0
+    value = float(draws.mean())
+    stderr = float(draws.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    return AEstimate(value, stderr)
 
 
 class SvmTightBound(NamedTuple):

@@ -1,12 +1,13 @@
-import concurrent.futures
 import contextlib
 import functools
 import io
 import math
 import multiprocessing
 import os
+import re
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from sgsmooth import cli, data, engine, problems, theory
 from sgsmooth.problems import GrayImage
 from test_engine import FailingSampler
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 LASSO_QUICK = """
@@ -297,6 +300,35 @@ def test_run_unparseable_kappa_is_config_error(tmp_path, capsys):
     assert "[run] kappa" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("old, new, name", [
+    ("kappa = 0.999", "kapa = 0.5", "[run] kapa"),
+    ("probes = 3", "probe = 3", "[verify] probe"),
+    ("[output]", "[ouput]", "[ouput] dir"),
+], ids=["run", "verify", "section"])
+def test_unknown_config_key_is_config_error(tmp_path, capsys, command, old, new, name):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, LASSO_QUICK.replace(old, new), iterations=200,
+                       replications=1, out=out)
+    argv = [command, "--config", str(cfg)] + (["--out", str(out)] if command == "run" else [])
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{name} is not a known key" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(REPO.glob("configs/*.ini")), ids=lambda p: p.name)
+def test_shipped_configs_carry_only_known_keys(path):
+    cli._load_config(path)
+
+
+def test_readme_config_reference_lists_the_known_keys():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \|", readme, flags=re.M)
+    assert sorted(rows) == sorted((sec, key) for sec, keys in cli._KNOWN_KEYS.items()
+                                  for key in keys)
+
+
 LASSO_NO_RUN = LASSO_QUICK.format(iterations=0, replications=1, out="unused")
 
 
@@ -433,9 +465,8 @@ HUGE = "1000000000000000"
 @pytest.mark.parametrize("command", ["run", "verify"])
 @pytest.mark.parametrize("template, old", [
     (LASSO_TINY, "dim = 3"),
-    (LASSO_TINY, "a_mc_samples = 1000"),
     (SVM_QUICK.format(iterations=200, out="unused"), "train_size = 4000"),
-], ids=["dim", "a_mc_samples", "train_size"])
+], ids=["dim", "train_size"])
 def test_size_too_large_to_allocate_is_config_error(tmp_path, capsys, command, template, old):
     key = old.split(" =")[0]
     path = tmp_path / "huge.ini"
@@ -448,33 +479,9 @@ def test_size_too_large_to_allocate_is_config_error(tmp_path, capsys, command, t
     assert not (tmp_path / "out").exists()
 
 
-def test_huge_a_mc_samples_fails_before_a_process_starts(tmp_path, capsys, monkeypatch):
-    # 3 * 10**15 variates would split, but the norms cannot be allocated first
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    path = tmp_path / "huge.ini"
-    path.write_text(LASSO_TINY.replace("a_mc_samples = 1000", f"a_mc_samples = {HUGE}"))
-    argv = ["run", "--config", str(path), "--workers", "2", "--out", str(tmp_path / "out")]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "a_mc_samples" in err and "too large" in err and "Traceback" not in err
-
-
-def test_run_summary_does_not_depend_on_the_split_a_estimate(tmp_path, monkeypatch):
-    # 42000 x 100 variates are above two parts' minimum, so --workers 2 splits
-    parts = []
-
-    def counting_map(fn, tasks):
-        parts.append(len(tasks))
-        return engine.parallel_map(fn, tasks)
-
-    monkeypatch.setattr(theory, "parallel_map", counting_map)
-    text = LASSO_QUICK.replace("dim = 10", "dim = 100").replace(
-        "a_mc_samples = 20000", "a_mc_samples = 42000")
-    assert 42000 * 100 >= 2 * theory._MIN_PART_VARIATES
-    cfg = write_config(tmp_path, text, iterations=400, replications=1, out=tmp_path / "unused")
+def test_run_summary_does_not_depend_on_the_split_a_estimate(tmp_path):
+    cfg = write_config(tmp_path, LASSO_QUICK, iterations=400, replications=1,
+                       out=tmp_path / "unused")
     summaries = []
     for workers in ("1", "2", "8"):
         out = tmp_path / f"out{workers}"
@@ -482,11 +489,26 @@ def test_run_summary_does_not_depend_on_the_split_a_estimate(tmp_path, monkeypat
         lines = (out / "summary.txt").read_text().splitlines()
         assert lines[-1].startswith("elapsed_seconds = ")
         summaries.append(lines[:-1])
-    assert parts == [1, 2, 2]
     # one replication runs as one block whatever --workers asks for
     assert summaries[0] == summaries[1] == summaries[2]
     assert any(line.endswith(" replications=1 workers=1") for line in summaries[0])
-    assert any(line.startswith("noise modulus a (Monte-Carlo") for line in summaries[0])
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_lasso_commands_take_the_exact_spectral_modulus(tmp_path, monkeypatch, command):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("estimate_lasso_a was called")
+
+    monkeypatch.setattr(theory, "estimate_lasso_a", no_estimate)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, LASSO_QUICK, iterations=400, replications=1, out=out)
+    assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_OK
+    if command == "run":
+        p = problems.LassoProblem(delta=0.002, w_true=np.zeros(10), cov_h=np.eye(10),
+                                  noise_var=0.01)
+        a = theory.lasso_spectral_noise_modulus(p)
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert f"noise modulus a (exact spectral) = {a!r}" in summary
 
 
 def test_run_svm_summary_reports_oracle_certificate(tmp_path):

@@ -29,11 +29,13 @@ def test_standard_normal_reproducible():
 
 
 @pytest.mark.parametrize("k", [0, 1, 511, 51237])
-def test_advanced_rng_draws_the_tail_of_one_long_draw(k):
-    # one 64-bit word per value: a numpy change to full-range integers breaks this
-    tail = data.standard_normal(data.advanced_rng(19, k), (300, 3))
-    whole = data.standard_normal(np.random.default_rng(19), k + 900)
-    assert np.array_equal(tail.ravel(), whole[k:])
+def test_standard_normal_takes_one_generator_word_per_value(k):
+    # a numpy change to full-range integers breaks this
+    rng = np.random.default_rng(19)
+    data.standard_normal(rng, k)
+    bits = np.random.PCG64(19)
+    bits.advance(k)
+    assert rng.bit_generator.state == bits.state
 
 
 # ---------- regression stream ----------

@@ -63,3 +63,25 @@ def _errstate_sites(path):
 def test_errstate_appears_only_in_the_trap_and_psnr():
     sites = sorted(site for path in SRC.glob("*.py") for site in _errstate_sites(path))
     assert sites == ERRSTATE_SITES
+
+
+# The engine's fork of its sampling processes is the one way src/ starts a
+# process: no pool, no subprocess, and multiprocessing only in engine.py.
+def _imported_modules(path):
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    return modules
+
+
+def test_only_the_engine_starts_processes():
+    imports = {path.name: _imported_modules(path) for path in SRC.glob("*.py")}
+    assert imports  # the scan found the sources
+    for name, modules in imports.items():
+        roots = {module.split(".")[0] for module in modules}
+        assert not roots & {"concurrent", "subprocess"}, name
+    assert sorted(n for n, modules in imports.items() if "multiprocessing" in modules) == [
+        "engine.py"]

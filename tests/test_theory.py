@@ -1,9 +1,10 @@
-import concurrent.futures
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.stats
 
 from sgsmooth import data, engine, problems, theory
 from sgsmooth.errors import InsufficientData, UnsupportedConfiguration
@@ -241,54 +242,6 @@ def test_estimate_lasso_a_general_covariance_matches_one_whole_draw(m):
     assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
 
-def lasso_a_problem(kind, m):
-    cov = np.eye(m)
-    if kind == "general":
-        a = np.random.default_rng(22).normal(size=(m, m))
-        cov = a @ a.T / m + 0.5 * np.eye(m)
-    return problems.LassoProblem(delta=0.01, w_true=np.zeros(m), cov_h=cov, noise_var=0.0)
-
-
-# blocks are 512 rows, and 419 on the general path at M = 100
-@pytest.mark.parametrize("kind, m, n", [
-    ("identity", 1, 1), ("identity", 1, 513), ("identity", 1, 1537),
-    ("identity", 3, 511), ("identity", 3, 512), ("identity", 3, 513),
-    ("identity", 3, 1024), ("identity", 3, 1025), ("identity", 3, 1537),
-    ("general", 3, 513), ("general", 3, 1537), ("general", 100, 420),
-])
-def test_estimate_lasso_a_split_is_bit_identical(monkeypatch, kind, m, n):
-    p = lasso_a_problem(kind, m)
-    ref = theory.estimate_lasso_a(p, n, seed=31)
-    # every block may be a part of its own, so small draws split too
-    monkeypatch.setattr(theory, "_MIN_PART_VARIATES", 1)
-    parts = []
-
-    def counting_map(fn, tasks):
-        parts.append(len(tasks))
-        return engine.parallel_map(fn, tasks)
-
-    monkeypatch.setattr(theory, "parallel_map", counting_map)
-    blocks = -(-n // (419 if m == 100 else 512))
-    for workers in (1, 2, 3):
-        est = theory.estimate_lasso_a(p, n, seed=31, workers=workers)
-        assert est.value.hex() == ref.value.hex()
-        assert est.stderr.hex() == ref.stderr.hex()
-        assert parts[-1] == min(workers, blocks)
-
-
-def test_estimate_lasso_a_below_the_part_minimum_starts_no_process(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    m = 100
-    p = lasso_a_problem("identity", m)
-    n = 2 * theory._MIN_PART_VARIATES // m  # the largest n of one part at M = 100
-    assert n * m < 2 * theory._MIN_PART_VARIATES <= (n + 1) * m
-    for workers in (1, 2, 64):
-        theory.estimate_lasso_a(p, n, seed=3, workers=workers)
-
-
 def test_estimate_lasso_a_memory_does_not_hold_the_whole_draw():
     n, m = 20_000, 100
     p = problems.LassoProblem(delta=0.01, w_true=np.zeros(m), cov_h=np.eye(m), noise_var=0.0)
@@ -301,6 +254,44 @@ def test_estimate_lasso_a_memory_does_not_hold_the_whole_draw():
         tracemalloc.stop()
     # numpy reports its buffers to tracemalloc; one (n, m) float64 draw is 16 MB
     assert peak < n * m * 8 / 8
+
+
+def identity_lasso(m):
+    return problems.LassoProblem(delta=0.01, w_true=np.zeros(m), cov_h=np.eye(m), noise_var=0.0)
+
+
+def test_spectral_noise_modulus_closed_form_values():
+    # M = 1: 2 E (1 - h^2)^2 = 4; M = 100: F_102(2) and F_104(2) are negligible
+    assert theory.lasso_spectral_noise_modulus(identity_lasso(1)) == 4.0
+    assert theory.lasso_spectral_noise_modulus(identity_lasso(100)) == pytest.approx(
+        2.0 * (2 * 100 + 99**2), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_spectral_noise_modulus_matches_quadrature(m):
+    # a = 2 E max(1, |1 - X|)^2 with X ~ chi^2_M, integrated on each side of the kink
+    def integrand(x):
+        return 2.0 * max(1.0, abs(1.0 - x)) ** 2 * scipy.stats.chi2.pdf(x, m)
+
+    exact = sum(scipy.integrate.quad(integrand, lo, hi, epsabs=0, epsrel=1e-13)[0]
+                for lo, hi in ((0.0, 2.0), (2.0, math.inf)))
+    assert theory.lasso_spectral_noise_modulus(identity_lasso(m)) == pytest.approx(
+        exact, rel=1e-10)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 100])
+def test_spectral_noise_modulus_agrees_with_the_estimate(m):
+    p = identity_lasso(m)
+    est = theory.estimate_lasso_a(p, 200_000, seed=40 + m)
+    assert abs(theory.lasso_spectral_noise_modulus(p) - est.value) < 4 * est.stderr
+
+
+def test_spectral_noise_modulus_needs_identity_covariance():
+    cov = np.eye(3)
+    cov[0, 0] = 2.0
+    p = problems.LassoProblem(delta=0.01, w_true=np.zeros(3), cov_h=cov, noise_var=0.0)
+    with pytest.raises(UnsupportedConfiguration, match="estimate_lasso_a"):
+        theory.lasso_spectral_noise_modulus(p)
 
 
 def test_gaussian_noise_modulus_matches_direct_moment():
