@@ -100,6 +100,7 @@ def _positive(cfg, section, key, cast, default=None, required=False):
 def _parse_sparse_vector(raw, dim):
     """Parse 'idx:val idx:val ...' (0-based) into a dense length-dim vector."""
     vec = np.zeros(dim)
+    seen = set()
     for tok in raw.split():
         try:
             idx_text, val_text = tok.split(":", 1)
@@ -109,6 +110,9 @@ def _parse_sparse_vector(raw, dim):
             raise ConfigError(f"[problem] w_true: cannot parse entry {tok!r}") from None
         if not 0 <= idx < dim:
             raise ConfigError(f"[problem] w_true: index {idx} outside 0..{dim - 1}")
+        if idx in seen:
+            raise ConfigError(f"[problem] w_true: index {idx} given twice")
+        seen.add(idx)
         vec[idx] = val
     return _finite("problem", "w_true", vec, raw)
 
@@ -175,9 +179,6 @@ class _LassoBundle:
             self.problem, self.a_gaussian, w_star=self.w_star
         )
 
-    def alpha_for_auto(self, mu):
-        return theory.rate_alpha(mu, self.constants)
-
     def summary_lines(self, mu):
         lines = [
             f"problem = lasso (dim={self.problem.dim}, delta={self.problem.delta}, "
@@ -219,28 +220,24 @@ class _SvmBundle:
         )
         sampler = data.TwoClassGaussianSampler(self.spec, seed + 10**6)
         feats, labels = sampler.draw_batch(train_size)
-        self.sample_set = problems.SvmSampleSet(feats, labels, rho)
-        self.problem = self.sample_set
+        self.problem = problems.SvmSampleSet(feats, labels, rho)
         # signed rows with label +1: the same samples in the form subgradient_batch reads
         self.stream_factory = functools.partial(
-            data.SetSampler, self.sample_set.signed, np.ones_like(labels)
+            data.SetSampler, self.problem.signed, np.ones_like(labels)
         )
         self.oracle_cap = oracle_iters
-        self.certificate = self.sample_set.minimize(oracle_iters, full_output=True)
+        self.certificate = self.problem.minimize(oracle_iters, full_output=True)
         self.w_star = self.certificate.w
         self.w_star_sq = float(self.w_star @ self.w_star)
         self.oracle = engine.RiskOracle(
-            risk=self.sample_set.risk,
+            risk=self.problem.risk,
             w_star=self.w_star,
-            risk_star=self.sample_set.risk(self.w_star),
+            risk_star=self.problem.risk(self.w_star),
         )
-        self.constants = theory.svm_constants(rho, self.sample_set.trace_second_moment)
-
-    def alpha_for_auto(self, mu):
-        return theory.rate_alpha(mu, self.constants)
+        self.constants = theory.svm_constants(rho, self.problem.trace_second_moment)
 
     def summary_lines(self, mu):
-        sset = self.sample_set
+        sset = self.problem
         tight = theory.svm_tight_bound(mu, sset.rho, self.w_star_sq, sset.trace_second_moment)
         lines = [
             f"problem = svm (dim={sset.dim}, rho={sset.rho}, frozen set n={sset.n})",
@@ -319,7 +316,7 @@ def cmd_run(ns):
     cfg = _load_config(ns.config)
     run_cfg = _run_config(cfg, ns.seed)
     bundle = _build_bundle(cfg, run_cfg.seed)
-    run_cfg = engine.resolve_kappa(run_cfg, bundle.alpha_for_auto(run_cfg.mu))
+    run_cfg = engine.resolve_kappa(run_cfg, theory.rate_alpha(run_cfg.mu, bundle.constants))
 
     out_dir = Path(ns.out or _get(cfg, "output", "dir", str, default="out"))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -23,8 +23,9 @@ have ``draw_batch(n)``.  Row r equals the per-sample reference :func:`run`
 samples) on the same samples bit for bit; the SVM set's batch form reads
 signed rows, so its lockstep stream samples
 :attr:`sgsmooth.problems.SvmSampleSet.signed` where :func:`run` reads
-(h, gamma).  One process steps every row; with more workers, the others
-only draw samples into a shared ring, split by measured cost.
+(h, gamma).  One process steps every row, every block in one loop; with
+more workers, the others only draw samples into a shared ring, split by
+measured cost.
 
 At a few rows of a few coordinates a numpy call costs its dispatch, not
 its arithmetic, and a Python float or a broadcast column nearly doubles
@@ -33,10 +34,10 @@ that.  So the lockstep step writes the iterates of a block of
 w_i / S_i of the block in one division and runs the block's smoothing
 steps, two calls each (:func:`smoothing_terms`, :func:`smooth_step`).
 Every call of the loop takes operands of its output's shape or 0-d
-arrays, and every buffer is allocated once per run.  A step's smoothing
-factor 1 - 1/S_i is a 0-d array: a factor the shape of the iterates
-would cost a (block, R, dim) copy per block, which at many rows outweighs
-its cheaper dispatch.
+arrays, and every buffer is allocated once per run, by the lockstep,
+before any per-row object.  A step's smoothing factor 1 - 1/S_i is a 0-d
+array: a factor the shape of the iterates would cost a (block, R, dim)
+copy per block, which at many rows outweighs its cheaper dispatch.
 """
 
 from dataclasses import dataclass, replace
@@ -367,41 +368,43 @@ def _ring(slots, rows, dim):
     return flat[:split].reshape(shapes[0]), flat[split:].reshape(shapes[1])
 
 
-class _Steps(NamedTuple):
-    """What every row of a run steps with."""
-
-    problem: object
-    mu: np.ndarray  # 0-d: numpy converts a float on every call
-    kappa: float
-    stride: int
-
-
 class _Lockstep:
     """The rows of a lockstep run, at one point of it.
 
-    ``history`` (block + 1, rows, dim) receives a block's iterates, row 0
-    holding the last iterate of the block before; ``quotients`` (block,
-    rows, dim) its w_i / S_i.  ``H`` and ``Y`` are the sample ring.  Every
-    per-step view is made once: indexing an array makes a new view on every
-    call.
+    It allocates every buffer of the run, the (R, dim) smoothed iterates
+    first, before any per-row object: a size too large to hold raises
+    ``MemoryError`` before a recorder or sampler is made.  ``history``
+    (block + 1, rows, dim) receives a block's iterates, row 0 holding the
+    last iterate of the block before; ``quotients`` (block, rows, dim) its
+    w_i / S_i.  ``H`` and ``Y`` are a sample ring of ``slots`` blocks.
+    Every per-step view is made once: indexing an array makes a new view on
+    every call.
     """
 
-    def __init__(self, steps, history, quotients, W_bar, H, Y, recorders):
-        self.steps, self.history, self.quotients = steps, history, quotients
-        self.W_bar, self.H, self.Y = W_bar, H, Y
-        self.recorders, self.s_sum = recorders, 1.0
-        self.G = np.empty_like(W_bar)
-        self.work = steps.problem.batch_work(len(W_bar))
+    def __init__(self, problem, config, kappa, w, slots, oracle, track_pocket):
+        rows = config.replications
+        self.W_bar = np.tile(w, (rows, 1))
+        self.history = np.empty((SAMPLE_BLOCK + 1, *self.W_bar.shape))
+        self.quotients = np.empty((SAMPLE_BLOCK, *self.W_bar.shape))
+        # (slot, block, R, dim): step k reads contiguous rows
+        self.H, self.Y = _ring(slots, *self.W_bar.shape)
+        self.G = np.empty_like(self.W_bar)
+        self.work = problem.batch_work(rows)
         self.factors = np.empty(SAMPLE_BLOCK)
-        self.W_rows, self.q_rows = list(history), list(quotients)
+        self.history[0] = w
+        self.problem, self.kappa, self.stride = problem, kappa, config.record_stride
+        self.mu = np.array(config.mu)  # 0-d: numpy converts a float on every call
+        self.s_sum = 1.0
+        self.W_rows, self.q_rows = list(self.history), list(self.quotients)
         self.c_rows = [self.factors[k : k + 1].reshape(()) for k in range(SAMPLE_BLOCK)]  # 0-d
-        self.H_slots, self.Y_slots = [list(h) for h in H], [list(y) for y in Y]
+        self.H_slots, self.Y_slots = [list(h) for h in self.H], [list(y) for y in self.Y]
+        self.recorders = [_Recorder(oracle, w, track_pocket) for _ in range(rows)]
 
     def step(self, start, n, slot):
         """Steps ``start + 1`` .. ``start + n`` on the samples in ring slot
         ``slot``, with their smoothing and records; a non-finite iterate
         that raised nothing raises :class:`NumericError` at the end."""
-        problem, mu, kappa, stride = self.steps
+        problem, mu, kappa, stride = self.problem, self.mu, self.kappa, self.stride
         subgrad = problem.subgradient_batch
         W_rows, G, work, W_bar, s_sum = self.W_rows, self.G, self.work, self.W_bar, self.s_sum
         sums = []
@@ -428,7 +431,7 @@ class _Lockstep:
         W = self.W_rows[0]
         return [
             recorder.result(W[r].copy(), SmoothingState(self.s_sum, self.W_bar[r].copy(),
-                                                        self.steps.kappa))
+                                                        self.kappa))
             for r, recorder in enumerate(self.recorders)
         ]
 
@@ -513,46 +516,6 @@ def _fork(children, target, *args):
     return conn
 
 
-def _finish(lock, samplers, kept, workers, n_iters):
-    """The blocks after ``TIMED_BLOCK`` of the rows of ``lock``, whose
-    samplers are ``samplers``.
-
-    This process steps every row and draws the samples of the first
-    ``kept``; the others are split into contiguous spans, one forked process
-    each (:func:`_sample_span`), at most ``workers - 1``.  An exception of
-    any block is raised after the sampling processes are stopped.
-    """
-    rows = len(samplers)
-    spans = min(workers - 1, rows - kept)
-    cuts = [kept + (rows - kept) * j // spans for j in range(spans + 1)] if spans else []
-    slots = len(lock.H)
-    starts = range(0, n_iters, SAMPLE_BLOCK)
-    conns, children = [], []
-    try:
-        for lo, hi in zip(cuts, cuts[1:]):
-            conns.append(_fork(children, _sample_span, samplers[lo:hi],
-                               lock.H[:, :, lo:hi], lock.Y[:, :, lo:hi], n_iters))
-        for b in range(TIMED_BLOCK + 1, len(starts)):
-            start = starts[b]
-            _block(lock, samplers[:kept], conns, children, b % slots, start,
-                   min(SAMPLE_BLOCK, n_iters - start))
-            if b + slots < len(starts):
-                for conn in conns:  # slot b % slots is free for block b + slots
-                    # a process that failed has stopped; its error waits in the pipe
-                    with contextlib.suppress(ConnectionError):
-                        conn.send(None)
-    except BaseException:
-        for proc in children:
-            proc.terminate()
-        raise
-    finally:
-        for proc in children:
-            proc.join()
-            proc.close()
-        for conn in conns:
-            conn.close()
-
-
 def run_replications(
     problem,
     stream_factory,
@@ -573,56 +536,71 @@ def run_replications(
     (block + 1, R, dim) history, row 0 holding the last iterate of the
     block before; then one division by the block's weight sums gives every
     w_i / S_i, and the smoothing steps and the records follow in order.
-    The last block draws only the rows it steps on.
+    One loop runs every block (:func:`_block`); the last draws only the
+    rows it steps on.
 
     With ``workers = P > 1``, blocks after ``TIMED_BLOCK`` and a platform
     that can fork, the other P - 1 processes only draw samples.  This
     process draws and steps the blocks up to ``TIMED_BLOCK`` for every
-    row, timing that block's draw per row and its step, smoothing and
-    records, and then keeps drawing the first x rows, the count that
-    balances the two (:func:`_stepper_rows`).  The other rows are split
-    into contiguous spans, and a forked process per span continues its
-    rows' samplers from where they stand, writing each block into a ring
-    of ``RING_SLOTS`` shared (block, R, dim) and (block, R) slots that the
-    step reads in place.  Each row still draws its own samples in order, so
-    the results, returned in replication order, do not depend on
-    ``workers`` or x.  Where fork is not available, this process also
-    draws every row.
+    row, in ring slot 0, timing that block's draw per row and its step,
+    smoothing and records.  On reaching the next block it keeps drawing
+    the first x rows, the count that balances the two
+    (:func:`_stepper_rows`).  The other rows are split into contiguous
+    spans, and a forked process per span continues its rows' samplers from
+    where they stand, writing each block into a ring of ``RING_SLOTS``
+    shared (block, R, dim) and (block, R) slots that the step reads in
+    place.  Each row still draws its own samples in order, so the results,
+    returned in replication order, do not depend on ``workers`` or x.
+    Where fork is not available, this process also draws every row.
 
     Each block runs under :func:`trap_divergence`, which names the cause
     and the block; the iterates are also checked once per block, for
     non-finite input that raises nothing.  An exception in a sampling
     process is raised here at the block it belongs to, as the serial run
     raises it, and a sampling process that ends without one raises
-    :class:`ChildProcessError`.  Too many replications to hold raise
-    ``MemoryError`` before any sampling.
+    :class:`ChildProcessError`; either way the sampling processes are
+    stopped first.  Too many replications to hold raise ``MemoryError``
+    from the lockstep's buffers, before any recorder, sampler or process
+    is made.
     """
     kappa, w = _start(problem, config, oracle, w0, track_pocket)
-    n_iters = config.iterations
-    n_rep, dim = config.replications, w.shape[0]
+    n_iters, n_rep = config.iterations, config.replications
     starts = range(0, n_iters, SAMPLE_BLOCK)
     split = workers > 1 and len(starts) > TIMED_BLOCK + 1 and _FORK is not None
-
-    # the buffers first, (R, dim) before (block, R, dim), so a size too
-    # large to hold fails at once
-    W_bar = np.tile(w, (n_rep, 1))
-    history = np.empty((SAMPLE_BLOCK + 1, n_rep, dim))
-    quotients = np.empty((SAMPLE_BLOCK, n_rep, dim))
-    # (slot, block, R, dim): step k reads contiguous rows
-    H, Y = _ring(RING_SLOTS if split else 1, n_rep, dim)
-    history[0] = w
-    steps = _Steps(problem, np.array(config.mu), kappa, config.record_stride)
-    recorders = [_Recorder(oracle, w, track_pocket) for _ in range(n_rep)]
-    lock = _Lockstep(steps, history, quotients, W_bar, H, Y, recorders)
+    slots = RING_SLOTS if split else 1
+    lock = _Lockstep(problem, config, kappa, w, slots, oracle, track_pocket)
     samplers = [stream_factory(config.seed + r) for r in range(n_rep)]
 
-    # slot 0 throughout, so that the timed block pays no first touch
-    for b in range(TIMED_BLOCK + 1 if split else len(starts)):
-        n = min(SAMPLE_BLOCK, n_iters - starts[b])
-        draw_s, step_s = _block(lock, samplers, [], [], 0, starts[b], n)
-    if split:
-        kept = _stepper_rows(n_rep, workers, draw_s / n_rep, step_s)
-        _finish(lock, samplers, kept, workers, n_iters)
+    kept, conns, children = n_rep, [], []
+    try:
+        for b, start in enumerate(starts):
+            if split and b == TIMED_BLOCK + 1:
+                kept = _stepper_rows(n_rep, workers, draw_s / n_rep, step_s)
+                spans = min(workers - 1, n_rep - kept)
+                cuts = ([kept + (n_rep - kept) * j // spans for j in range(spans + 1)]
+                        if spans else [])
+                for lo, hi in zip(cuts, cuts[1:]):
+                    conns.append(_fork(children, _sample_span, samplers[lo:hi],
+                                       lock.H[:, :, lo:hi], lock.Y[:, :, lo:hi], n_iters))
+            # slot 0 up to TIMED_BLOCK, so that the timed block pays no first touch
+            draw_s, step_s = _block(lock, samplers[:kept], conns, children,
+                                    b % slots if b > TIMED_BLOCK else 0, start,
+                                    min(SAMPLE_BLOCK, n_iters - start))
+            if b + slots < len(starts):
+                for conn in conns:  # slot b % slots is free for block b + slots
+                    # a process that failed has stopped; its error waits in the pipe
+                    with contextlib.suppress(ConnectionError):
+                        conn.send(None)
+    except BaseException:
+        for proc in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc in children:
+            proc.join()
+            proc.close()
+        for conn in conns:
+            conn.close()
     return lock.results()
 
 

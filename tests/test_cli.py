@@ -166,16 +166,22 @@ def test_run_lasso_divergence_is_property_failure_without_warnings(tmp_path, cap
 @pytest.mark.parametrize("workers", ["1", "2", "3"])
 def test_run_huge_replications_is_config_error(tmp_path, capsys, monkeypatch, workers):
     # 10**15 rows of dim 2 cannot be allocated, so this fails at once:
-    # before any sampler is made or any process starts
-    made = []
-    monkeypatch.setattr(data, "make_sampler", lambda spec, seed: made.append(seed))
-    monkeypatch.setattr(engine._FORK, "Process", lambda *args, **kwargs: made.append(args))
+    # before any recorder or sampler is made or any process starts.  The
+    # stand-ins raise on their first call, so per-row state built too early
+    # fails the test instead of filling memory.
+    def refused(what):
+        def stand_in(*args, **kwargs):
+            raise AssertionError(f"{what} was made before the buffers failed")
+        return stand_in
+
+    monkeypatch.setattr(data, "make_sampler", refused("a sampler"))
+    monkeypatch.setattr(engine, "_Recorder", refused("a recorder"))
+    monkeypatch.setattr(engine._FORK, "Process", refused("a sampling process"))
     text = LASSO_QUICK.replace("dim = 10", "dim = 2")
     cfg = write_config(tmp_path, text, iterations=5000, replications=10**15, out=tmp_path / "out")
     assert cli.main(["run", "--config", str(cfg), "--workers", workers]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "replications" in err and "too large" in err and "Traceback" not in err
-    assert made == []
 
 
 def shared_memory_names():
@@ -562,6 +568,19 @@ def test_large_w_true_runs_and_verifies(tmp_path, capsys, command):
     assert rc == cli.EXIT_OK
     captured = capsys.readouterr()
     assert captured.err == "" and "FAIL" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_repeated_w_true_index_is_config_error(tmp_path, capsys, command):
+    # a later entry would silently replace the earlier one
+    cfg = write_config(tmp_path, LASSO_QUICK.replace("w_true = 0:1.0 1:-1.0",
+                                                     "w_true = 0:1.0 1:-1.0 0:-1.0"),
+                       iterations=1000, replications=1, out=tmp_path / "out")
+    assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "[problem] w_true: index 0 given twice" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------- verify ----------

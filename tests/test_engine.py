@@ -417,10 +417,16 @@ def assert_same_results(results, refs):
 SPLIT_FIELDS = {"mu": 0.01, "kappa": 0.95, "iterations": 4000, "record_stride": 300,
                 "seed": 5, "replications": 5}
 
-# the workers of a run of five rows, and the rows whose samples the stepper
-# draws: none, some or all of them
-SPLIT_PLANS = {f"one-stepper-{workers}-keeps-{kept}": (workers, kept)
+# the workers of a run of five rows, the rows whose samples the stepper
+# draws (none, some or all of them) and the iterations
+SPLIT_PLANS = {f"one-stepper-{workers}-keeps-{kept}":
+               (workers, kept, SPLIT_FIELDS["iterations"])
                for workers in (2, 3) for kept in (0, 2, 5)}
+# the sampling processes start right before the last block, of one sample
+SPLIT_PLANS["one-stepper-3-keeps-2-iterations-1025"] = (3, 2, 1025)
+# the first word to the sampling processes follows block 2, and they first
+# wait for one before block 5, of one sample
+SPLIT_PLANS["one-stepper-3-keeps-2-iterations-2561"] = (3, 2, 2561)
 
 
 def sampling_processes(workers, kept):
@@ -431,11 +437,11 @@ def sampling_processes(workers, kept):
 @pytest.mark.parametrize("plan", list(SPLIT_PLANS))
 def test_split_runs_equal_one_worker_bit_for_bit(kind, plan, process_log, monkeypatch):
     p, factory, _, oracle = lockstep_case(kind)
-    cfg = engine.RunConfig(**SPLIT_FIELDS)
+    workers, kept, iterations = SPLIT_PLANS[plan]
+    cfg = engine.RunConfig(**{**SPLIT_FIELDS, "iterations": iterations})
     kwargs = {"oracle": oracle, "w0": 0.5 * oracle.w_star, "track_pocket": True}
     refs = engine.run_replications(p, factory, cfg, workers=1, **kwargs)
     assert process_log.started == 0
-    workers, kept = SPLIT_PLANS[plan]
     force_split(monkeypatch, kept)
     results = engine.run_replications(p, factory, cfg, workers=workers, **kwargs)
     assert process_log.started == sampling_processes(workers, kept)
@@ -519,7 +525,7 @@ def test_split_failure_is_raised_as_in_one_worker(kind, plan, process_log, monke
     error = NumericError if kind == "overflow" else StreamExhausted
     with pytest.raises(error) as serial:
         engine.run_replications(p, factory, cfg, workers=1)
-    workers, kept = SPLIT_PLANS[plan]
+    workers, kept, _ = SPLIT_PLANS[plan]
     force_split(monkeypatch, kept)
     with pytest.raises(error) as split:
         engine.run_replications(p, factory, cfg, workers=workers)
