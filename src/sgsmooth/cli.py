@@ -525,44 +525,32 @@ def _tv_alpha(mu):
     return 1.0 - mu + 2.0 * mu * mu
 
 
-# Pixels per chunk of a denoise step.  A chunk's float64 rows stay in the
-# core's L2 cache across the passes of one step, which measured faster than
-# whole-image passes.
-TV_CHUNK_PIXELS = 65536
-
-
 def _denoise(noisy, mu, lam, kappa, iterations):
     """Smoothed iterate, as pixels, after ``iterations`` TV steps from ``noisy``.
 
     The first step goes through problems.tv_subgradient_step, which checks
-    mu, lam and the shapes.  Each later step runs over horizontal row
-    chunks of about ``TV_CHUNK_PIXELS`` pixels, one after the other on the
-    calling thread: a chunk writes its rows of the next iterate and
-    advances the same rows of the smoothed image.  Every operation is
-    elementwise, so the result does not depend on the chunks.  Iterates
-    are double-buffered, and one set of chunk buffers is allocated once.
+    mu, lam and the shapes.  Each later step advances that one iterate in
+    place through problems.tv_step_bands, on the calling thread, and each
+    band it yields advances the same rows of the smoothed image.  Every
+    operation is elementwise, so the result does not depend on the bands.
+    One set of band buffers is allocated once.
     """
     w_bar = noisy.pixels.copy()
     if iterations == 0:
         return w_bar
     height, width = w_bar.shape
-    n_chunks = min(height, -(-height * width // TV_CHUNK_PIXELS))
-    cuts = [height * c // n_chunks for c in range(n_chunks + 1)]
-    chunks = list(zip(cuts, cuts[1:]))
-    buf = problems.TvBuffers.allocate(max(hi - lo for lo, hi in chunks), width)
+    bands = problems.tv_bands(height, width)
     s = kappa + 1.0  # S_1 = kappa S_0 + 1 with S_0 = 1
     with trap_divergence("iterate diverged in step 1"):
         p = problems.tv_subgradient_step(noisy, noisy, mu, lam).pixels
-        for lo, hi in chunks:
+        buf = problems.TvBuffers.for_bands(bands, width)
+        for lo, hi in bands:
             engine.smooth_in_place(w_bar[lo:hi], p[lo:hi], s, buf.scratch[: hi - lo])
-    p_next = np.empty_like(p)
     for step in range(2, iterations + 1):
         s = kappa * s + 1.0
         with trap_divergence(f"iterate diverged in step {step}"):
-            for lo, hi in chunks:
-                problems.tv_step_rows(p, noisy.pixels, p_next, lo, hi, mu, lam, buf)
-                engine.smooth_in_place(w_bar[lo:hi], p_next[lo:hi], s, buf.scratch[: hi - lo])
-        p, p_next = p_next, p
+            for lo, hi in problems.tv_step_bands(p, noisy.pixels, mu, lam, bands, buf):
+                engine.smooth_in_place(w_bar[lo:hi], p[lo:hi], s, buf.scratch[: hi - lo])
     return w_bar
 
 

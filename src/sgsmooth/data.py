@@ -25,9 +25,20 @@ from .problems import GrayImage, Sample
 
 def uniform_open(rng, size):
     """Uniforms strictly inside (0, 1): bin midpoints (k + 1/2) / 2^64 of a
-    64-bit integer draw, exactly one generator word per value."""
+    64-bit integer draw, exactly one generator word per value.
+
+    k is converted through its two 32-bit halves, hi 2^32 + lo, where both
+    terms are exact in float64, so the sum rounds once and equals numpy's
+    uint64 to float64 cast, which is slower because it branches on the top
+    bit of every word.
+    """
     k = rng.integers(0, 2**64, size=size, dtype=np.uint64)
-    return (k.astype(np.float64) + 0.5) * 2.0**-64
+    halves = k.reshape(-1).astype("<u8", copy=False).view("<u4")  # lo, hi, lo, hi, ...
+    u = np.multiply(halves[1::2], 2.0**32)
+    u += halves[0::2]
+    u += 0.5
+    u *= 2.0**-64
+    return u.reshape(k.shape)
 
 
 def standard_normal(rng, size):
@@ -313,7 +324,8 @@ def mse(img, reference):
     if img.shape != reference.shape:
         raise ValueError("image dimensions differ")
     d = img.pixels - reference.pixels
-    return float(np.mean(d * d))
+    d *= d
+    return float(np.mean(d))
 
 
 def psnr(img, reference):
@@ -363,6 +375,8 @@ def read_pgm(path):
     if not blob.startswith(b"P5"):
         raise FormatError("not a binary PGM (P5) file")
     tokens, offset = _read_pgm_tokens(blob, 4)
+    if tokens[0] != b"P5":
+        raise FormatError("not a binary PGM (P5) file")
     try:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError:
@@ -381,11 +395,12 @@ def read_pgm(path):
 
 def write_pgm(img, path):
     """Write a GrayImage as binary PGM, clamping to [0, 255] and rounding half-up."""
-    px = img.pixels
-    if img.peak != 255.0:
-        px = px * (255.0 / img.peak)
-    px = np.clip(px, 0.0, 255.0)
-    px = np.floor(px + 0.5).astype(np.uint8)
+    # one float scratch image, rounded in place
+    px = img.pixels * (255.0 / img.peak) if img.peak != 255.0 else img.pixels.copy()
+    np.clip(px, 0.0, 255.0, out=px)
+    px += 0.5
+    np.floor(px, out=px)
+    px = px.astype(np.uint8)
     height, width = px.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))

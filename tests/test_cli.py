@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from sgsmooth import cli, data, engine, problems, theory
 from sgsmooth.problems import GrayImage
 from test_engine import FailingSampler
+from test_problems import tv_sign_sum_reference
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -725,6 +726,16 @@ def test_denoise_degenerate_pgm_header_is_format_error(tmp_path, capsys):
     assert "2x2" in err and "Traceback" not in err
 
 
+def test_denoise_magic_must_be_exactly_p5(tmp_path, capsys):
+    # "P52" would otherwise read as magic P5 followed by width 2
+    path = tmp_path / "p52.pgm"
+    path.write_bytes(b"P52 2 2 255\n\x01\x02\x03\x04")
+    assert cli.main(["denoise", "--input", str(path), "--out", str(tmp_path / "o")]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "P5" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "denoised.pgm").exists()
+
+
 def test_denoise_requires_some_input():
     assert cli.main(["denoise", "--lam", "0.1"]) == cli.EXIT_CONFIG
 
@@ -751,31 +762,40 @@ def test_denoise_bad_flag_is_config_error(tmp_path, capsys, flags):
 
 
 def denoise_reference(noisy, mu, lam, kappa, iterations):
-    # the whole-image loop that the row chunks replace
-    img = noisy
-    state = engine.init_smoothing(noisy.pixels, kappa)
+    # the whole-image loop that the row bands replace, stepping by the
+    # whole-image formula p - mu ((p - noisy) + lam S(p))
+    p, y = noisy.pixels, noisy.pixels
+    state = engine.init_smoothing(p, kappa)
     for _ in range(iterations):
-        img = problems.tv_subgradient_step(img, noisy, mu, lam)
-        state = engine.smoothing_update(state, img.pixels)
+        p = p - mu * ((p - y) + lam * tv_sign_sum_reference(p))
+        state = engine.smoothing_update(state, p)
     return state.w_bar
 
 
 @pytest.mark.parametrize("height", [2, 3, 7, 16])
-@pytest.mark.parametrize("chunk_pixels", [cli.TV_CHUNK_PIXELS, 7, 1])
+@pytest.mark.parametrize("band_pixels", [problems.TV_BAND_PIXELS, 7, 1])
 @pytest.mark.parametrize("iterations", [0, 1, 2, 25])
-def test_banded_denoise_equals_whole_image_loop(monkeypatch, height, chunk_pixels, iterations):
-    # one chunk, chunks of one or two rows, and one row each
-    monkeypatch.setattr(cli, "TV_CHUNK_PIXELS", chunk_pixels)
+def test_banded_denoise_equals_whole_image_loop(monkeypatch, height, band_pixels, iterations):
+    # one band, bands of one or two rows, and one row each
+    monkeypatch.setattr(problems, "TV_BAND_PIXELS", band_pixels)
+    bands = []
+    update_rows = problems._tv_update_rows
+    monkeypatch.setattr(problems, "_tv_update_rows",
+                        lambda p, noisy, lo, hi, *rest: bands.append((lo, hi))
+                        or update_rows(p, noisy, lo, hi, *rest))
     rng = np.random.default_rng(height)
     noisy = GrayImage(rng.normal(size=(height, 6)), peak=1.0)
     got = cli._denoise(noisy, 0.05, 0.3, 0.9, iterations)
     assert np.array_equal(got, denoise_reference(noisy, 0.05, 0.3, 0.9, iterations))
+    per_step = min(height, -(-height * 6 // band_pixels))
+    assert len(bands) == iterations * per_step
 
 
-@pytest.mark.parametrize("chunk_pixels", [cli.TV_CHUNK_PIXELS, 1])
-def test_denoise_divergence_is_property_failure(tmp_path, capsys, monkeypatch, chunk_pixels):
-    # step 1 stays finite; step 2 overflows inside the row chunks
-    monkeypatch.setattr(cli, "TV_CHUNK_PIXELS", chunk_pixels)
+@pytest.mark.parametrize("band_pixels", [problems.TV_BAND_PIXELS, 1])
+def test_denoise_divergence_is_property_failure(tmp_path, capsys, monkeypatch, band_pixels):
+    # step 1 stays finite; step 2 overflows inside the row bands
+    monkeypatch.setattr(problems, "TV_BAND_PIXELS", band_pixels)
+    assert len(problems.tv_bands(64, 64)) == (1 if band_pixels > 64 * 64 else 64)
     clean = piecewise_image(tmp_path)
     before = threading.active_count()
     with runtime_warnings_raise():
@@ -789,8 +809,22 @@ def test_denoise_divergence_is_property_failure(tmp_path, capsys, monkeypatch, c
     assert not (tmp_path / "out" / "denoised.pgm").exists()
 
 
+def test_denoise_steps_once_through_tv_subgradient_step(tmp_path, monkeypatch):
+    # a benchmark that times denoise from its first tv_subgradient_step call
+    # needs that call; steps 2.. run in problems.tv_step_bands
+    calls = []
+    step = problems.tv_subgradient_step
+    monkeypatch.setattr(problems, "tv_subgradient_step",
+                        lambda *args: calls.append(args) or step(*args))
+    clean = piecewise_image(tmp_path)
+    rc = cli.main(["denoise", "--clean", str(clean), "--noise-std", "0.1", "--iterations", "4",
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_OK
+    assert len(calls) == 1
+
+
 def test_denoise_first_step_divergence_is_property_failure(tmp_path, capsys):
-    # lam times the sign sum overflows in the first, whole-image step
+    # lam times the sign sum overflows in the first step
     clean = piecewise_image(tmp_path)
     with runtime_warnings_raise():
         rc = cli.main(["denoise", "--clean", str(clean), "--noise-std", "0.1", "--kappa", "0.5",

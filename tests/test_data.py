@@ -28,6 +28,53 @@ def test_standard_normal_reproducible():
     np.testing.assert_array_equal(a, b)
 
 
+class WordStub:
+    """A generator whose integers() returns chosen 64-bit words."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 2**64, np.uint64)
+        return self.words.reshape(size)
+
+
+def uniform_reference(k):
+    # numpy's uint64 -> float64 cast, which the split-word conversion replaces
+    return (k.astype(np.float64) + 0.5) * 2.0**-64
+
+
+def split_word_cases():
+    words = {2**64 - 1}
+    for e in range(64):
+        words.update(2**e + d for d in range(-3, 4) if 0 <= 2**e + d < 2**64)
+    for e in range(53, 64):
+        # in [2^e, 2^(e+1)) float64 steps by 2^(e-52), so words halfway
+        # between two steps are ties: one that rounds down to an even
+        # mantissa, one that rounds up to one, and one up to 2^(e+1)
+        half = 2 ** (e - 53)
+        for tie in (2**e + half, 2**e + 3 * half, 2 ** (e + 1) - half):
+            words.update((tie - 1, tie, tie + 1))
+    return sorted(words)
+
+
+def test_uniform_open_equals_the_cast_on_powers_ties_and_the_top_word():
+    words = split_word_cases()
+    k = np.array(words, dtype=np.uint64)
+    u = data.uniform_open(WordStub(k), k.size)
+    assert np.array_equal(u, uniform_reference(k))
+    # Python's int to float conversion rounds correctly, independently of numpy
+    assert u.tolist() == [(float(w) + 0.5) * 2.0**-64 for w in words]
+
+
+@pytest.mark.parametrize("shape", [(1 << 20,), (1024, 1025)])
+def test_uniform_open_equals_the_cast_on_random_words(shape):
+    k = np.random.default_rng(25).integers(0, 2**64, size=shape, dtype=np.uint64)
+    u = data.uniform_open(WordStub(k), shape)
+    assert u.shape == shape and u.dtype == np.float64
+    assert np.array_equal(u, uniform_reference(k))
+
+
 @pytest.mark.parametrize("k", [0, 1, 511, 51237])
 def test_standard_normal_takes_one_generator_word_per_value(k):
     # a numpy change to full-range integers breaks this
@@ -401,6 +448,33 @@ def test_pgm_write_clamps_and_rounds(tmp_path):
     np.testing.assert_array_equal(out.pixels, [[0.0, 255.0], [0.0, 1.0]])
 
 
+def pgm_bytes_reference(img):
+    # the rounding formula with its whole-image temporaries
+    px = img.pixels
+    if img.peak != 255.0:
+        px = px * (255.0 / img.peak)
+    return np.floor(np.clip(px, 0.0, 255.0) + 0.5).astype(np.uint8).tobytes()
+
+
+@pytest.mark.parametrize("peak", [255.0, 1.0])
+def test_pgm_write_bytes_equal_the_rounding_formula(tmp_path, peak):
+    rng = np.random.default_rng(26)
+    values = np.concatenate([
+        rng.uniform(-300.0, 600.0, size=299),  # negatives and values above 255
+        np.arange(-2.0, 258.0) + 0.5,  # exact .5 ties
+        np.nextafter(np.arange(256.0) + 0.5, 0.0),
+        [-0.0, 0.0, 255.0, 1e300, -1e300],
+    ])
+    img = GrayImage((values * (peak / 255.0)).reshape(4, -1), peak=peak)
+    before = img.pixels.copy()
+    path = tmp_path / "img.pgm"
+    data.write_pgm(img, path)
+    height, width = img.shape
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    assert path.read_bytes() == header + pgm_bytes_reference(img)
+    assert np.array_equal(img.pixels, before)
+
+
 def test_pgm_normalized_write(tmp_path):
     img = GrayImage(np.array([[0.0, 1.0], [0.5, 0.25]]), peak=1.0)
     path = tmp_path / "norm.pgm"
@@ -429,3 +503,7 @@ def test_pgm_format_errors(tmp_path):
     short.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
     with pytest.raises(FormatError):
         data.read_pgm(short)
+    glued = tmp_path / "glued.pgm"
+    glued.write_bytes(b"P52 2 2 255\n" + bytes(4))
+    with pytest.raises(FormatError, match="P5"):
+        data.read_pgm(glued)

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -615,7 +616,7 @@ def test_tv_sign_sum_equals_float_sign_reference(name):
     for lo in range(height):
         for hi in range(lo + 1, height + 1):
             buf = problems.TvBuffers.allocate(hi - lo + lo % 2, width)
-            got = problems._tv_sign_sum_rows(p, lo, hi, buf)
+            got = problems._tv_sign_sum_rows(p, lo, hi, buf, lo % 2)
             assert np.array_equal(got, ref[lo:hi]), (lo, hi)
             assert np.abs(got).max() <= 4
 
@@ -632,19 +633,68 @@ def test_tv_step_pixels_are_float64_and_match_reference():
     assert np.array_equal(out.pixels, expected)
 
 
-def test_tv_step_rows_rejects_a_non_finite_band():
-    # under the trap the band's overflow raises; only the band's rows are written
+@pytest.mark.parametrize("band_rows", [1, 7, None])
+@pytest.mark.parametrize("name", sorted(tv_sign_sum_cases()))
+def test_tv_subgradient_step_bands_equal_whole_image_formula(monkeypatch, name, band_rows):
+    # bands of one row, of seven rows with a shorter last band, and the
+    # default (one band at these sizes), on zeros, subnormals and +-max
+    p = tv_sign_sum_cases()[name]
+    height, width = p.shape
+    if band_rows is not None:
+        monkeypatch.setattr(problems, "TV_BAND_PIXELS", band_rows * width)
+    assert len(problems.tv_bands(height, width)) == -(-height // (band_rows or height))
+    noisy = 0.5 * p
+    out = problems.tv_subgradient_step(GrayImage(p, peak=1.0), GrayImage(noisy, peak=1.0),
+                                       mu=0.05, lam=0.3)
+    expected = p - 0.05 * ((p - noisy) + 0.3 * tv_sign_sum_reference(p))
+    assert np.array_equal(out.pixels, expected)
+
+
+def test_tv_subgradient_step_holds_one_band_of_buffers():
+    # the step's traced peak is its output image plus one band's buffers,
+    # with room for a few Python objects; whole-image buffers would add 4 MiB
+    height, width = 512, 768
+    img = GrayImage(np.random.default_rng(23).uniform(size=(height, width)), peak=1.0)
+    bands = problems.tv_bands(height, width)
+    assert len(bands) > 1
+    band_bytes = sum(a.nbytes for a in problems.TvBuffers.for_bands(bands, width))
+    tracemalloc.start()
+    try:
+        out = problems.tv_subgradient_step(img, img, mu=0.01, lam=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.pixels.nbytes + band_bytes + 64 * 1024
+
+
+def test_tv_step_bands_rejects_a_non_finite_band():
+    # under the trap a band's overflow raises before that band is yielded;
+    # the bands above it already hold the next iterate
     p = np.zeros((6, 4))
-    p[2, 1] = 1.0
-    out = np.zeros((6, 4))
-    buf = problems.TvBuffers.allocate(2, 4)
+    p[4, 1] = 1.0  # rows 3..5 see it: bands (2, 4) and (4, 6) overflow
+    bands = [(0, 2), (2, 4), (4, 6)]
+    buf = problems.TvBuffers.for_bands(bands, 4)
+    done = []
     with pytest.raises(NumericError, match="^overflow encountered in multiply: band$"):
         with trap_divergence("band"):
-            problems.tv_step_rows(p, np.zeros((6, 4)), out, 1, 3, 1e308, 10.0, buf)
-    assert not out[[0, 3, 4, 5]].any()
-    with trap_divergence("band"):  # rows 4..5 and their halo are flat: nothing overflows
-        problems.tv_step_rows(p, np.zeros((6, 4)), out, 4, 6, 1e308, 10.0, buf)
-    assert not out[[0, 3, 4, 5]].any()
+            for band in problems.tv_step_bands(p, np.zeros((6, 4)), 1e308, 10.0, bands, buf):
+                done.append(band)
+    assert done == [(0, 2)]
+    assert not p[:2].any()
+
+
+def test_tv_step_bands_writes_in_place_one_band_late():
+    # every band reads the old iterate although the bands above it are
+    # already written; each band is yielded once, in order
+    p = tv_sign_sum_cases()["normals"]
+    noisy = np.random.default_rng(27).normal(size=p.shape)
+    expected = p - 0.1 * ((p - noisy) + 0.3 * tv_sign_sum_reference(p))
+    bands = [(0, 1), (1, 3), (3, 4), (4, 11), (11, 31)]
+    got = p.copy()
+    yielded = list(problems.tv_step_bands(got, noisy, 0.1, 0.3, bands,
+                                          problems.TvBuffers.for_bands(bands, p.shape[1])))
+    assert yielded == bands
+    assert np.array_equal(got, expected)
 
 
 def test_gray_image_validation():
