@@ -505,13 +505,13 @@ def cmd_verify(ns):
         rng = np.random.default_rng(seed + 5)
         with trap_divergence("check strong-monotonicity diverged"):
             viol = theory.verify_strong_monotonicity(
-                p.true_subgradient, bundle.w_star, p.min_eigenvalue, dim, pairs, rng,
+                p.true_subgradient, bundle.w_star, k.eta, dim, pairs, rng,
                 scale=scale,
             )
         all_ok &= _report_check(
             "strong-monotonicity",
             viol == 0,
-            f"{viol}/{pairs} violations with eta={p.min_eigenvalue:.6g}",
+            f"{viol}/{pairs} violations with eta={k.eta:.6g}",
         )
 
     return EXIT_OK if all_ok else EXIT_PROPERTY

@@ -14,13 +14,18 @@ iteration, the per-sample forms of the reference loop
 
 from dataclasses import dataclass
 import math
+import re
 
 import numpy as np
 from scipy.special import ndtri
 
 from .engine import SAMPLE_BLOCK
 from .errors import FormatError, ParseError, StreamExhausted, trap_divergence
-from .problems import GrayImage, Sample
+from .problems import GrayImage, Sample, check_identity_cov
+
+
+# the largest double below 1, as a 0-d operand
+_BELOW_ONE = np.array(np.nextafter(1.0, 0.0))
 
 
 def uniform_open(rng, size):
@@ -30,7 +35,9 @@ def uniform_open(rng, size):
     k is converted through its two 32-bit halves, hi 2^32 + lo, where both
     terms are exact in float64, so the sum rounds once and equals numpy's
     uint64 to float64 cast, which is slower because it branches on the top
-    bit of every word.
+    bit of every word.  The top 1024 words round up to 1.0 there, so values
+    are clamped to the largest double below 1, the value of the word below
+    them.
     """
     k = rng.integers(0, 2**64, size=size, dtype=np.uint64)
     halves = k.reshape(-1).astype("<u8", copy=False).view("<u4")  # lo, hi, lo, hi, ...
@@ -38,6 +45,7 @@ def uniform_open(rng, size):
     u += halves[0::2]
     u += 0.5
     u *= 2.0**-64
+    np.minimum(u, _BELOW_ONE, out=u)
     return u.reshape(k.shape)
 
 
@@ -52,27 +60,13 @@ def standard_normal(rng, size):
     return ndtri(uniform_open(rng, size))
 
 
-def _cholesky_or_none(cov, dim):
-    """Lower Cholesky factor, or None when the covariance is the identity."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (dim, dim):
-        raise ValueError("covariance shape does not match dimension")
-    if np.array_equal(cov, np.eye(dim)):
-        return None
-    if not np.allclose(cov, cov.T, atol=1e-12):
-        raise ValueError("covariance must be symmetric")
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance must be positive definite") from exc
-
-
 @dataclass(frozen=True, eq=False)
 class RegressionStreamSpec:
     """Linear-model stream: gamma = h . w_true + noise.
 
-    Regressors are zero-mean Gaussian with covariance ``cov_h`` and the noise
-    is independent zero-mean Gaussian with variance ``noise_var``.
+    Regressors are standard normal, h ~ N(0, I) (``cov_h`` is the identity,
+    see :func:`~sgsmooth.problems.check_identity_cov`), and the noise is
+    independent zero-mean Gaussian with variance ``noise_var``.
     """
 
     w_true: np.ndarray
@@ -84,10 +78,9 @@ class RegressionStreamSpec:
     def __post_init__(self):
         w = np.asarray(self.w_true, dtype=float)
         object.__setattr__(self, "w_true", w)
-        object.__setattr__(self, "cov_h", np.asarray(self.cov_h, dtype=float))
+        object.__setattr__(self, "cov_h", check_identity_cov(self.cov_h, w.shape[0]))
         if self.noise_var < 0:
             raise ValueError("noise_var must be nonnegative")
-        _cholesky_or_none(self.cov_h, w.shape[0])
 
     @property
     def dim(self):
@@ -151,13 +144,12 @@ class RegressionSampler(_Sampler):
         self.spec = spec
         self.dim = spec.dim
         self._rng = np.random.default_rng(seed)
-        self._chol = _cholesky_or_none(spec.cov_h, spec.dim)
         self._sigma = math.sqrt(spec.noise_var)
 
     def draw_batch(self, n):
         """Return (features (n, dim), targets (n,)); dim + 1 variates per row."""
         z = standard_normal(self._rng, (n, self.dim + 1))
-        feats = z[:, :-1] if self._chol is None else z[:, :-1] @ self._chol.T
+        feats = z[:, :-1]
         noise = self._sigma * z[:, -1]
         return feats, feats @ self.spec.w_true + noise
 
@@ -345,26 +337,22 @@ def psnr(img, reference):
     return 10.0 * math.log10(img.peak**2 / err)
 
 
+# One header token after whitespace and comments; a '#' where a token would
+# start opens a comment through its newline.  No part of the pattern can fail,
+# so it matches greedily without backtracking; the token is empty only at EOF.
+_PGM_TOKEN = re.compile(rb"\s*(?:#[^\n]*\s*)*(\S*)")
+
+
 def _read_pgm_tokens(blob, count):
-    # Whitespace-separated header tokens; '#' starts a comment to end of line.
     tokens = []
     pos = 0
-    n = len(blob)
-    while len(tokens) < count:
-        if pos >= n:
+    for _ in range(count):
+        match = _PGM_TOKEN.match(blob, pos)
+        token = match.group(1)
+        if not token:
             raise FormatError("truncated PGM header")
-        ch = blob[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            nl = blob.find(b"\n", pos)
-            pos = n if nl < 0 else nl + 1
-        else:
-            end = pos
-            while end < n and not blob[end : end + 1].isspace():
-                end += 1
-            tokens.append(blob[pos:end])
-            pos = end
+        tokens.append(token)
+        pos = match.end()
     return tokens, pos + 1  # skip the single whitespace after the last token
 
 

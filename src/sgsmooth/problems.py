@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError, UnsupportedConfiguration, trap_divergence
+from .errors import NumericError, trap_divergence
 
 
 # SvmSampleSet.minimize stops once the duality gap of its tail average is
@@ -343,13 +343,26 @@ class SvmSampleSet:
         return float(np.mean(pred == self.labels))
 
 
+def check_identity_cov(cov_h, dim):
+    """``cov_h`` as floats; ``ValueError`` unless it is the dim x dim identity.
+
+    LASSO regressors are N(0, I), the one rule that :class:`LassoProblem` and
+    the regression stream both check here.
+    """
+    cov = np.asarray(cov_h, dtype=float)
+    if not np.array_equal(cov, np.eye(dim)):
+        raise ValueError(f"cov_h must be the {dim} x {dim} identity: regressors are N(0, I)")
+    return cov
+
+
 @dataclass(frozen=True, eq=False)
 class LassoProblem:
     """Stochastic LASSO: risk (1/2) E (gamma - h.w)^2 + delta ||w||_1.
 
-    The data model is gamma = h.w_true + noise with zero-mean regressors of
-    covariance ``cov_h`` and independent zero-mean noise of variance
-    ``noise_var``, which makes the risk and its subgradient closed-form.
+    The data model is gamma = h.w_true + noise with regressors h ~ N(0, I)
+    (``cov_h`` is the identity, see :func:`check_identity_cov`) and
+    independent zero-mean noise of variance ``noise_var``, which makes the
+    risk, its subgradient and its minimizer closed-form.
     """
 
     delta: float
@@ -359,44 +372,23 @@ class LassoProblem:
 
     def __post_init__(self):
         w_true = np.asarray(self.w_true, dtype=float)
-        cov = np.asarray(self.cov_h, dtype=float)
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.noise_var < 0:
             raise ValueError("noise_var must be nonnegative")
         if w_true.ndim != 1:
             raise ValueError("w_true must be a vector")
-        m = w_true.shape[0]
-        if cov.shape != (m, m):
-            raise ValueError("cov_h must be square and match w_true")
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise ValueError("cov_h must be symmetric")
-        if np.linalg.eigvalsh(cov).min() <= 0:
-            raise ValueError("cov_h must be positive definite")
         object.__setattr__(self, "w_true", w_true)
-        object.__setattr__(self, "cov_h", cov)
+        object.__setattr__(self, "cov_h", check_identity_cov(self.cov_h, w_true.shape[0]))
 
     @property
     def dim(self):
         return self.w_true.shape[0]
 
-    @cached_property
-    def _identity_cov(self):
-        return bool(np.array_equal(self.cov_h, np.eye(self.dim)))
-
-    @cached_property
-    def min_eigenvalue(self):
-        """Smallest eigenvalue of the regressor covariance."""
-        return float(np.linalg.eigvalsh(self.cov_h)[0])
-
-    @cached_property
-    def spectral_norm(self):
-        """2-norm of the regressor covariance."""
-        return float(np.abs(np.linalg.eigvalsh(self.cov_h)).max())
-
-    @cached_property
+    @property
     def trace(self):
-        return float(np.trace(self.cov_h))
+        """Trace of the regressor covariance, M."""
+        return float(self.dim)
 
     def instantaneous_subgradient(self, w, sample):
         """Per-sample subgradient -h (gamma - h.w) + delta sgn(w), sgn(0)=0."""
@@ -425,36 +417,31 @@ class LassoProblem:
         return out
 
     def true_subgradient(self, w):
-        """Exact subgradient cov_h (w - w_true) + delta sgn(w)."""
+        """Exact subgradient (w - w_true) + delta sgn(w)."""
         w = np.asarray(w, dtype=float)
-        return self.cov_h @ (w - self.w_true) + self.delta * np.sign(w)
+        return (w - self.w_true) + self.delta * np.sign(w)
 
     def risk_and_subgradient(self, w):
         """(:meth:`risk`, :meth:`true_subgradient`) at ``w``."""
         return self.risk(w), self.true_subgradient(w)
 
     def risk(self, w):
-        """Closed-form risk (1/2)(w-w_true).cov.(w-w_true) + noise_var/2 + delta||w||_1.
+        """Closed-form risk (1/2)||w - w_true||^2 + noise_var/2 + delta ||w||_1.
 
         The constant noise_var/2 keeps the value aligned with Monte-Carlo
         estimates of the risk; it cancels in excess-risk differences.
         """
         w = np.asarray(w, dtype=float)
         d = w - self.w_true
-        quad = d @ d if self._identity_cov else d @ self.cov_h @ d
-        return 0.5 * quad + 0.5 * self.noise_var + self.delta * np.abs(w).sum()
+        return 0.5 * (d @ d) + 0.5 * self.noise_var + self.delta * np.abs(w).sum()
 
     def optimum(self):
-        """Minimizer soft_threshold(w_true, delta); identity covariance only.
+        """Minimizer soft_threshold(w_true, delta).
 
-        The shrinkage formula solves the first-order condition coordinatewise,
-        which decouples only when cov_h is the identity.  The returned point
+        The shrinkage formula solves the first-order condition, which
+        decouples coordinatewise at identity covariance.  The returned point
         is re-checked against the optimality condition before returning.
         """
-        if not self._identity_cov:
-            raise UnsupportedConfiguration(
-                "closed-form LASSO optimum requires identity covariance"
-            )
         w_star = soft_threshold(self.w_true, self.delta)
         # 0 must lie in the subdifferential: residual + delta*t = 0 with
         # t = sgn(w*_j) on the support and |t| <= 1 off it.  The residual

@@ -17,9 +17,10 @@ iterate contracts geometrically with per-iteration factor
 toward a steady-state level of mu * tau^2 / 2 (and mu * tau^2 / eta in
 mean-square deviation).  This module computes those numbers for the built-in
 problem families and provides Monte-Carlo checkers that confirm the
-assumptions actually hold on live samplers.  The LASSO spectral noise
-modulus is exact at identity covariance and a serial Monte-Carlo estimate
-at any other.
+assumptions actually hold on live samplers.  LASSO regressors are N(0, I),
+so the LASSO constants are closed-form: eta = c = 1, the Gaussian noise
+modulus is 1 + M, and the spectral noise modulus has a closed form that
+:func:`estimate_lasso_a` checks by Monte Carlo.
 """
 
 from dataclasses import dataclass
@@ -164,13 +165,12 @@ def svm_constants(rho, trace_rh):
 def lasso_constants(problem, a, w_star=None):
     """Constant ledger of the stochastic LASSO for noise modulus ``a``.
 
-    eta = lambda_min(R_h), c = ||R_h||, d = 2 delta sqrt(M), and the gradient
-    noise satisfies beta^2 = 2a, sigma^2 = sigma_n^2 Tr(R_h) + 2a ||w_true - w*||^2.
-    ``a`` may be the spectral modulus, exact from
-    :func:`lasso_spectral_noise_modulus` at identity covariance or estimated
-    by :func:`estimate_lasso_a` at any other, or the exact Gaussian modulus
-    from :func:`lasso_gaussian_noise_modulus`; each makes the noise bound
-    valid for Gaussian regressors.
+    With regressors h ~ N(0, I) the risk Hessian is the identity, so
+    eta = c = 1; d = 2 delta sqrt(M), and the gradient noise satisfies
+    beta^2 = 2a, sigma^2 = sigma_n^2 M + 2a ||w_true - w*||^2.  ``a`` may be
+    the spectral modulus :func:`lasso_spectral_noise_modulus` or the Gaussian
+    modulus :func:`lasso_gaussian_noise_modulus`; each makes the noise bound
+    valid.
     """
     if a < 0:
         raise ValueError("a must be nonnegative")
@@ -178,8 +178,8 @@ def lasso_constants(problem, a, w_star=None):
         w_star = problem.optimum()
     gap = problem.w_true - np.asarray(w_star, dtype=float)
     return ProblemConstants(
-        eta=problem.min_eigenvalue,
-        c=problem.spectral_norm,
+        eta=1.0,
+        c=1.0,
         d=2.0 * problem.delta * math.sqrt(problem.dim),
         beta2=2.0 * a,
         sigma2=problem.noise_var * problem.trace + 2.0 * a * float(gap @ gap),
@@ -187,16 +187,15 @@ def lasso_constants(problem, a, w_star=None):
 
 
 def lasso_gaussian_noise_modulus(problem):
-    """Exact conditional-second-moment modulus for Gaussian regressors.
+    """Exact conditional-second-moment modulus a_g = 1 + M.
 
-    For h ~ N(0, R) the regression gradient noise satisfies
-    E||(R - h h^T) v||^2 = v^T (R^2 + Tr(R) R) v <= a_g ||v||^2 with
-    a_g = ||R||^2 + Tr(R) ||R||.  This plays the same role as the
-    distribution-free spectral-norm estimate but grows like M instead of M^2,
+    For h ~ N(0, I_M) the regression gradient noise satisfies
+    E||(I - h h^T) v||^2 = (1 + M) ||v||^2 for every v, since
+    E (h h^T)^2 = E ||h||^2 h h^T = (M + 2) I.  This plays the same role as
+    the distribution-free spectral modulus but grows like M instead of M^2,
     so it keeps moderate step sizes inside the admissible range.
     """
-    nrm = problem.spectral_norm
-    return nrm * nrm + problem.trace * nrm
+    return 1.0 + problem.dim
 
 
 def lasso_spectral_noise_modulus(problem):
@@ -205,15 +204,8 @@ def lasso_spectral_noise_modulus(problem):
     I - h h^T has eigenvalues 1 - X along h, X = ||h||^2 ~ chi^2_M, and for
     M >= 2 also 1 on the orthogonal complement, so a = 2 E max(1, |1 - X|)^2
     = 2 [2M + (M - 1)^2 - M (M + 2) F_{M+4}(2) + 2M F_{M+2}(2)] with F_k the
-    chi^2_k CDF, and a = 2 E (1 - X)^2 = 4 at M = 1.  Raises
-    UnsupportedConfiguration at any other covariance, where
-    :func:`estimate_lasso_a` estimates a.
+    chi^2_k CDF, and a = 2 E (1 - X)^2 = 4 at M = 1.
     """
-    if not problem._identity_cov:
-        raise UnsupportedConfiguration(
-            "the spectral noise modulus has a closed form only at identity "
-            "covariance; estimate it with estimate_lasso_a"
-        )
     m = problem.dim
     if m == 1:
         return 4.0
@@ -228,39 +220,27 @@ class AEstimate(NamedTuple):
 
 
 def estimate_lasso_a(problem, n, seed=0):
-    """Monte-Carlo estimate of a = 2 E ||R_h - h h^T||^2 (spectral norm).
+    """Monte-Carlo estimate of a = 2 E ||I - h h^T||^2 (spectral norm).
 
-    Draws ``n`` regressors from the problem's Gaussian model and averages
-    twice the squared spectral norm of the covariance estimation error.
-    Returns the estimate with its standard error.  Rows are drawn and
-    reduced to their norm ``SAMPLE_BLOCK`` at a time, in the order of one
-    (n, dim) draw, so memory is 16 bytes per draw plus one fixed block.
-    At identity covariance :func:`lasso_spectral_noise_modulus` gives the
-    exact value.
+    Draws ``n`` regressors h ~ N(0, I) and averages twice the squared
+    spectral norm of the covariance estimation error.  Returns the estimate
+    with its standard error.  Rows are drawn and reduced to their norm
+    ``SAMPLE_BLOCK`` at a time, in the order of one (n, dim) draw, so memory
+    is 16 bytes per draw plus one fixed block.  It checks the closed form
+    of :func:`lasso_spectral_noise_modulus`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     m = problem.dim
-    cov = problem.cov_h
-    identity = problem._identity_cov
-    # the general path stacks one dim x dim matrix per row: keep that batch small
-    rows = SAMPLE_BLOCK if identity else max(1, min(SAMPLE_BLOCK, 2**22 // (m * m)))
     rng = np.random.default_rng(seed)
-    chol = None if identity else np.linalg.cholesky(cov)
     norms = np.empty(n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
+    for start in range(0, n, SAMPLE_BLOCK):
+        stop = min(start + SAMPLE_BLOCK, n)
         block = standard_normal(rng, (stop - start, m))
-        if chol is not None:
-            block = block @ chol.T
-        if identity:
-            # I - h h^T has eigenvalues 1 - ||h||^2 (along h) and, for M >= 2,
-            # 1 on the orthogonal complement.
-            q = np.abs(1.0 - np.einsum("ij,ij->i", block, block))
-            norms[start:stop] = q if m == 1 else np.maximum(1.0, q)
-        else:
-            diff = cov[None, :, :] - block[:, :, None] * block[:, None, :]
-            norms[start:stop] = np.abs(np.linalg.eigvalsh(diff)).max(axis=1)
+        # I - h h^T has eigenvalues 1 - ||h||^2 (along h) and, for M >= 2,
+        # 1 on the orthogonal complement.
+        q = np.abs(1.0 - np.einsum("ij,ij->i", block, block))
+        norms[start:stop] = q if m == 1 else np.maximum(1.0, q)
 
     draws = norms  # 2 * norms**2, in place
     draws *= norms

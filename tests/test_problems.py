@@ -6,25 +6,17 @@ import numpy as np
 import pytest
 
 from sgsmooth import data, engine, problems
-from sgsmooth.errors import NumericError, UnsupportedConfiguration, trap_divergence
+from sgsmooth.errors import NumericError, trap_divergence
 from sgsmooth.problems import GrayImage, Sample
 
 
-def make_lasso(dim=6, delta=0.01, noise_var=0.01, cov=None, w_true=None, seed=0):
-    rng = np.random.default_rng(seed)
+def make_lasso(dim=6, delta=0.01, noise_var=0.01, w_true=None):
     if w_true is None:
         w_true = np.zeros(dim)
         w_true[0], w_true[1] = 1.0, -1.0
-    if cov is None:
-        cov = np.eye(dim)
     return problems.LassoProblem(
-        delta=delta, w_true=w_true, cov_h=cov, noise_var=noise_var
+        delta=delta, w_true=w_true, cov_h=np.eye(dim), noise_var=noise_var
     )
-
-
-def random_spd(dim, rng):
-    a = rng.normal(size=(dim, dim))
-    return a @ a.T + dim * np.eye(dim)
 
 
 # ---------- soft threshold ----------
@@ -367,8 +359,7 @@ def test_lasso_soft_threshold_point_is_stationary():
 
 def test_lasso_true_subgradient_matches_finite_differences():
     rng = np.random.default_rng(31)
-    cov = random_spd(5, rng)
-    p = make_lasso(dim=5, delta=0.07, cov=cov, w_true=rng.normal(size=5))
+    p = make_lasso(dim=5, delta=0.07, w_true=rng.normal(size=5))
     for _ in range(25):
         w = rng.normal(size=5)
         if np.min(np.abs(w)) < 0.05:
@@ -390,11 +381,11 @@ def test_lasso_risk_closed_form_values():
     )
     # at w_true the quadratic part vanishes: risk = noise_var/2 + delta*||w||_1
     assert p.risk(w_true) == pytest.approx(0.02 + 1e-9 * 2.0, rel=1e-12)
-    rng = np.random.default_rng(2)
-    cov = random_spd(3, rng)
-    p2 = problems.LassoProblem(delta=0.3, w_true=w_true, cov_h=cov, noise_var=0.04)
-    expected = 0.5 * float(w_true @ cov @ w_true) + 0.02
-    assert p2.risk(np.zeros(3)) == pytest.approx(expected, rel=1e-12)
+    p2 = problems.LassoProblem(delta=0.3, w_true=w_true, cov_h=np.eye(3), noise_var=0.04)
+    assert p2.risk(np.zeros(3)) == pytest.approx(0.5 * 2.0 + 0.02, rel=1e-12)
+    # ||w - w_true||^2 = 0.25 + 1 + 4 and ||w||_1 = 2.5
+    assert p2.risk(np.array([0.5, 0.0, -2.0])) == pytest.approx(
+        0.5 * 5.25 + 0.02 + 0.3 * 2.5, rel=1e-12)
 
 
 def test_lasso_risk_matches_monte_carlo():
@@ -452,30 +443,28 @@ def test_lasso_optimum_rejects_a_point_moved_by_1e_6_relative(monkeypatch, big, 
         p.optimum()
 
 
-def test_lasso_optimum_requires_identity_covariance():
-    rng = np.random.default_rng(8)
-    p = make_lasso(dim=3, cov=random_spd(3, rng))
-    with pytest.raises(UnsupportedConfiguration):
-        p.optimum()
-
-
 def test_lasso_validation():
     with pytest.raises(ValueError):
         make_lasso(delta=0.0)
-    with pytest.raises(ValueError):
-        problems.LassoProblem(
-            delta=0.1,
-            w_true=np.zeros(2),
-            cov_h=np.array([[1.0, 2.0], [0.0, 1.0]]),
-            noise_var=0.1,
-        )
-    with pytest.raises(ValueError):
-        problems.LassoProblem(
-            delta=0.1,
-            w_true=np.zeros(2),
-            cov_h=-np.eye(2),
-            noise_var=0.1,
-        )
+
+
+NON_IDENTITY_COVARIANCES = {
+    "spd": np.array([[2.0, 0.5], [0.5, 1.0]]),
+    "non-symmetric": np.array([[1.0, 2.0], [0.0, 1.0]]),
+    "minus-identity": -np.eye(2),
+    "wrong-shape": np.eye(3),
+    "one-entry-1+1e-15": np.diag([1.0 + 1e-15, 1.0]),
+}
+
+
+@pytest.mark.parametrize("build", [
+    lambda cov: problems.LassoProblem(delta=0.1, w_true=np.zeros(2), cov_h=cov, noise_var=0.1),
+    lambda cov: data.RegressionStreamSpec(np.zeros(2), cov, 0.1),
+], ids=["LassoProblem", "RegressionStreamSpec"])
+@pytest.mark.parametrize("cov", NON_IDENTITY_COVARIANCES.values(), ids=NON_IDENTITY_COVARIANCES)
+def test_lasso_regressors_must_have_identity_covariance(build, cov):
+    with pytest.raises(ValueError, match="cov_h"):
+        build(cov)
 
 
 # ---------- total variation ----------

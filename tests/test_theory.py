@@ -148,18 +148,6 @@ def test_lasso_constants_pure_lms():
     assert k.f2 == pytest.approx(0.0, abs=1e-290)
 
 
-def test_lasso_constants_e2_invariant_general_covariance():
-    rng = np.random.default_rng(3)
-    a_mat = rng.normal(size=(4, 4))
-    cov = a_mat @ a_mat.T + 4 * np.eye(4)
-    p = problems.LassoProblem(
-        delta=0.01, w_true=rng.normal(size=4), cov_h=cov, noise_var=0.01
-    )
-    k = theory.lasso_constants(p, 1.0, w_star=np.zeros(4))
-    assert k.e2 == pytest.approx(2 * p.spectral_norm**2, rel=1e-12)
-    assert k.eta == pytest.approx(p.min_eigenvalue, rel=1e-12)
-
-
 def test_constants_validation():
     with pytest.raises(ValueError):
         theory.ProblemConstants(eta=2.0, c=1.0, d=0.0, beta2=0.0, sigma2=0.0)
@@ -189,32 +177,12 @@ def test_estimate_lasso_a_consistency_between_sample_sizes():
     assert abs(small.value - big.value) <= 3 * math.hypot(small.stderr, big.stderr)
 
 
-def test_estimate_lasso_a_identity_fast_path_matches_general_path():
-    p = problems.LassoProblem(
-        delta=0.01, w_true=np.zeros(3), cov_h=np.eye(3), noise_var=0.0
-    )
-    fast = theory.estimate_lasso_a(p, 500, seed=9)
-    # force the general eigenvalue path through a numerically identical problem;
-    # one seed draws the same regressors up to its Cholesky factor
-    cov = np.eye(3)
-    cov[0, 0] = 1.0 + 1e-15
-    p2 = problems.LassoProblem(delta=0.01, w_true=np.zeros(3), cov_h=cov, noise_var=0.0)
-    slow = theory.estimate_lasso_a(p2, 500, seed=9)
-    assert fast.value == pytest.approx(slow.value, rel=1e-10)
-
-
 def whole_draw_a(problem, n, seed):
     # the estimate from one (n, dim) draw held at once, reduced as one array
     m = problem.dim
     z = data.standard_normal(np.random.default_rng(seed), (n, m))
-    if problem._identity_cov:
-        q = np.einsum("ij,ij->i", z, z)
-        norms = np.abs(1.0 - q) if m == 1 else np.maximum(1.0, np.abs(1.0 - q))
-    else:
-        cov = problem.cov_h
-        feats = z @ np.linalg.cholesky(cov).T
-        diff = cov[None, :, :] - feats[:, :, None] * feats[:, None, :]
-        norms = np.abs(np.linalg.eigvalsh(diff)).max(axis=1)
+    q = np.einsum("ij,ij->i", z, z)
+    norms = np.abs(1.0 - q) if m == 1 else np.maximum(1.0, np.abs(1.0 - q))
     draws = 2.0 * norms**2
     stderr = float(draws.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
     return float(draws.mean()), stderr
@@ -228,18 +196,6 @@ def test_estimate_lasso_a_blocks_equal_one_whole_draw(n, m):
     value, stderr = whole_draw_a(p, n, 21)
     assert est.value == value  # bit for bit
     assert est.stderr == stderr
-
-
-@pytest.mark.parametrize("m", [3, 30])
-def test_estimate_lasso_a_general_covariance_matches_one_whole_draw(m):
-    rng = np.random.default_rng(22)
-    a = rng.normal(size=(m, m))
-    cov = a @ a.T / m + 0.5 * np.eye(m)
-    p = problems.LassoProblem(delta=0.01, w_true=np.zeros(m), cov_h=cov, noise_var=0.0)
-    est = theory.estimate_lasso_a(p, 1300, seed=23)
-    value, stderr = whole_draw_a(p, 1300, 23)
-    assert est.value == pytest.approx(value, rel=1e-12)
-    assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
 
 def test_estimate_lasso_a_memory_does_not_hold_the_whole_draw():
@@ -286,34 +242,18 @@ def test_spectral_noise_modulus_agrees_with_the_estimate(m):
     assert abs(theory.lasso_spectral_noise_modulus(p) - est.value) < 4 * est.stderr
 
 
-def test_spectral_noise_modulus_needs_identity_covariance():
-    cov = np.eye(3)
-    cov[0, 0] = 2.0
-    p = problems.LassoProblem(delta=0.01, w_true=np.zeros(3), cov_h=cov, noise_var=0.0)
-    with pytest.raises(UnsupportedConfiguration, match="estimate_lasso_a"):
-        theory.lasso_spectral_noise_modulus(p)
-
-
 def test_gaussian_noise_modulus_matches_direct_moment():
-    # E ||(R - h h^T) v||^2 = v^T (R^2 + Tr(R) R) v for Gaussian h
-    rng = np.random.default_rng(10)
-    a_mat = rng.normal(size=(3, 3))
-    cov = a_mat @ a_mat.T + 3 * np.eye(3)
-    p = problems.LassoProblem(
-        delta=0.01, w_true=np.zeros(3), cov_h=cov, noise_var=0.0
-    )
-    a_g = theory.lasso_gaussian_noise_modulus(p)
-    nrm = p.spectral_norm
-    assert a_g == pytest.approx(nrm**2 + np.trace(cov) * nrm, rel=1e-12)
-    # Monte-Carlo check of the worst-direction bound
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    v = eigvecs[:, -1]  # top eigenvector attains the bound
-    chol = np.linalg.cholesky(cov)
-    h = data.standard_normal(np.random.default_rng(11), (200_000, 3)) @ chol.T
-    prods = (cov[None, :, :] - h[:, :, None] * h[:, None, :]) @ v
+    # E ||(I - h h^T) v||^2 = (1 + M) ||v||^2 for h ~ N(0, I_M), every v
+    assert theory.lasso_gaussian_noise_modulus(identity_lasso(1)) == 2.0
+    assert theory.lasso_gaussian_noise_modulus(identity_lasso(100)) == 101.0
+    a_g = theory.lasso_gaussian_noise_modulus(identity_lasso(3))
+    assert a_g == 4.0
+    v = np.random.default_rng(10).normal(size=3)
+    h = data.standard_normal(np.random.default_rng(11), (200_000, 3))
+    prods = v - h * (h @ v)[:, None]
     second = np.einsum("ij,ij->i", prods, prods)
     stderr = second.std(ddof=1) / math.sqrt(len(second))
-    assert abs(second.mean() - a_g) <= 4 * stderr
+    assert abs(second.mean() - a_g * (v @ v)) <= 4 * stderr
 
 
 # ---------- tight SVM bound ----------
@@ -428,19 +368,19 @@ def test_noise_moments_svm_variance_below_trace():
 
 def test_affine_lipschitz_lasso_has_no_violations():
     p = make_lasso(dim=8)
+    k = theory.lasso_constants(p, 0.0)
     rng = np.random.default_rng(17)
-    viol = theory.verify_affine_lipschitz(
-        p.true_subgradient, 8, p.spectral_norm, 2 * p.delta * math.sqrt(8), 10_000, rng
-    )
+    viol = theory.verify_affine_lipschitz(p.true_subgradient, 8, k.c, k.d, 10_000, rng)
     assert viol == 0
 
 
 def test_affine_lipschitz_needs_the_offset_term():
     # with d forced to 0 the sign-flip discontinuity is exposed
     p = make_lasso(dim=8)
+    k = theory.lasso_constants(p, 0.0)
     rng = np.random.default_rng(18)
     viol = theory.verify_affine_lipschitz(
-        p.true_subgradient, 8, p.spectral_norm, 0.0, 2_000, rng, scale=0.05
+        p.true_subgradient, 8, k.c, 0.0, 2_000, rng, scale=0.05
     )
     assert viol > 0
 
@@ -474,9 +414,10 @@ def test_subgradient_inequality_svm_empirical():
 
 def test_strong_monotonicity_lasso():
     p = make_lasso(dim=6)
+    k = theory.lasso_constants(p, 0.0)
     rng = np.random.default_rng(22)
     viol = theory.verify_strong_monotonicity(
-        p.true_subgradient, p.optimum(), p.min_eigenvalue, 6, 10_000, rng
+        p.true_subgradient, p.optimum(), k.eta, 6, 10_000, rng
     )
     assert viol == 0
 
