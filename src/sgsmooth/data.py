@@ -21,7 +21,7 @@ from scipy.special import ndtri
 
 from .engine import SAMPLE_BLOCK
 from .errors import FormatError, ParseError, StreamExhausted, trap_divergence
-from .problems import GrayImage, Sample, check_identity_cov
+from .problems import GrayImage, Sample, check_linear_model
 
 
 # the largest double below 1, as a 0-d operand
@@ -65,7 +65,7 @@ class RegressionStreamSpec:
     """Linear-model stream: gamma = h . w_true + noise.
 
     Regressors are standard normal, h ~ N(0, I) (``cov_h`` is the identity,
-    see :func:`~sgsmooth.problems.check_identity_cov`), and the noise is
+    see :func:`~sgsmooth.problems.check_linear_model`), and the noise is
     independent zero-mean Gaussian with variance ``noise_var``.
     """
 
@@ -76,11 +76,9 @@ class RegressionStreamSpec:
     kind = "regression"
 
     def __post_init__(self):
-        w = np.asarray(self.w_true, dtype=float)
-        object.__setattr__(self, "w_true", w)
-        object.__setattr__(self, "cov_h", check_identity_cov(self.cov_h, w.shape[0]))
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be nonnegative")
+        w_true, cov = check_linear_model(self.w_true, self.cov_h, self.noise_var)
+        object.__setattr__(self, "w_true", w_true)
+        object.__setattr__(self, "cov_h", cov)
 
     @property
     def dim(self):

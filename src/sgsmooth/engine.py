@@ -23,9 +23,9 @@ have ``draw_batch(n)``.  Row r equals the per-sample reference :func:`run`
 samples) on the same samples bit for bit; the SVM set's batch form reads
 signed rows, so its lockstep stream samples
 :attr:`sgsmooth.problems.SvmSampleSet.signed` where :func:`run` reads
-(h, gamma).  One process steps every row, every block in one loop; with
-more workers, the others only draw samples into a shared ring, split by
-measured cost.
+(h, gamma).  One process steps every row from zero, every block in one
+loop; with more workers, the others only draw the blocks it sends them,
+into a shared ring, their rows split by measured cost.
 
 At a few rows of a few coordinates a numpy call costs its dispatch, not
 its arithmetic, and a Python float or a broadcast column nearly doubles
@@ -285,21 +285,18 @@ class _Recorder:
         return RunResult(w, smoothing, trajectory, self.pocket)
 
 
-def _start(problem, config, oracle, w0, track_pocket):
-    """Checked kappa and start point shared by both loops."""
+def _start(problem, config, oracle, track_pocket):
+    """Checked kappa and the start point, zero, shared by both loops."""
     if config.kappa == "auto":
         raise ValueError("kappa is unresolved; call resolve_kappa first")
-    if w0 is None:
-        w = np.zeros(problem.dim)
-    else:
-        w = np.array(w0, dtype=float)
     if track_pocket and oracle is None:
         raise ValueError("pocket tracking requires a risk oracle")
-    return float(config.kappa), w
+    return float(config.kappa), np.zeros(problem.dim)
 
 
-def run(problem, stream, config, *, oracle=None, w0=None, track_pocket=False):
-    """Run the subgradient + smoothing loop for ``config.iterations`` steps.
+def run(problem, stream, config, *, oracle=None, track_pocket=False):
+    """Run the subgradient + smoothing loop for ``config.iterations`` steps
+    from the zero vector.
 
     Parameters
     ----------
@@ -312,10 +309,8 @@ def run(problem, stream, config, *, oracle=None, w0=None, track_pocket=False):
         ``config.kappa`` must already be numeric (see :func:`resolve_kappa`).
     oracle : RiskOracle, optional
         Enables excess-risk / MSD recording and pocket tracking.
-    w0 : array, optional
-        Start point; defaults to the zero vector.
     """
-    kappa, w = _start(problem, config, oracle, w0, track_pocket)
+    kappa, w = _start(problem, config, oracle, track_pocket)
     mu = config.mu
     stride = config.record_stride
     n_iters = config.iterations
@@ -436,12 +431,13 @@ class _Lockstep:
         ]
 
 
-def _block(lock, own, conns, children, slot, start, n):
-    """The block of steps ``start + 1`` .. ``start + n`` of the rows of
-    ``lock``, on ring slot ``slot``: draws the samples of the samplers
-    ``own``, those of its leading rows, takes the word of the sampling
-    processes ``children``, over ``conns``, for the others, and steps.
-    Returns the seconds of the draw and of the step.
+def _block(lock, own, conns, children, start, n, slot):
+    """The block ``(start, n, slot)`` of the schedule: steps ``start + 1``
+    .. ``start + n`` of the rows of ``lock`` on ring slot ``slot``.  Draws
+    the samples of the samplers ``own``, those of its leading rows, takes
+    the word of the sampling processes ``children``, over ``conns``, that
+    the others are drawn, and steps.  Returns the seconds of the draw and
+    of the step.
 
     A sampling process that ended without a word raises
     :class:`ChildProcessError`, which names the block and how it ended."""
@@ -465,29 +461,31 @@ def _block(lock, own, conns, children, slot, start, n):
     return t1 - t0, time.perf_counter() - t2
 
 
-def _sample_span(samplers, H, Y, n_iters, conn):
-    """Body of a sampling process: the blocks after ``TIMED_BLOCK`` of the
-    rows of ``H``, ``Y``, the span's part of the ring.
+def _sample_span(samplers, H, Y, conn):
+    """Body of a sampling process: draws each block ``(start, n, slot)``
+    the stepper sends, into slot ``slot`` of ``H``, ``Y``, the span's part
+    of the ring, and replies None, until the stepper sends None.
 
-    Block b goes into slot b % slots; past the first lap it waits for the
-    stepper's word that the block last in that slot is stepped.  After each
-    block it sends None; on an exception it sends the exception, which the
-    stepper raises on reaching that block, and stops.
+    On an exception it sends the exception, which the stepper raises on
+    reaching that block, and stops.
     """
-    slots = len(H)
     try:
-        first_block = TIMED_BLOCK + 1
-        starts = range(first_block * SAMPLE_BLOCK, n_iters, SAMPLE_BLOCK)
-        for b, start in enumerate(starts, first_block):
-            if b > TIMED_BLOCK + slots:
-                conn.recv()
-            n = min(SAMPLE_BLOCK, n_iters - start)
+        for start, n, slot in iter(conn.recv, None):
             with trap_divergence(_block_where(start, n)):
-                _draw_rows(samplers, H[b % slots], Y[b % slots], n)
+                _draw_rows(samplers, H[slot], Y[slot], n)
             conn.send(None)
     except Exception as exc:
         with contextlib.suppress(OSError):  # the stepper has already stopped
             conn.send(exc)
+
+
+def _send(conns, orders):
+    """Sends ``orders`` over each of ``conns``; a sampling process that
+    failed has stopped, and its error waits in the pipe."""
+    for conn in conns:
+        with contextlib.suppress(ConnectionError):
+            for order in orders:
+                conn.send(order)
 
 
 def _stepper_rows(rows, workers, draw_s, step_s):
@@ -522,7 +520,6 @@ def run_replications(
     config,
     *,
     oracle=None,
-    w0=None,
     track_pocket=False,
     workers=1,
 ):
@@ -530,14 +527,14 @@ def run_replications(
 
     ``stream_factory(seed)`` must build a fresh sampler with ``draw_batch``;
     replication r gets seed ``config.seed + r``.  Every replication is a row
-    of one (R, dim) matrix that this process steps, with the arithmetic of
-    :func:`run`: ``G *= mu`` then ``W - G`` keeps the rounding of
-    ``w -= mu * g``.  A block of steps writes iterate k into row k of a
+    of one (R, dim) matrix that this process steps from zero, with the
+    arithmetic of :func:`run`: ``G *= mu`` then ``W - G`` keeps the rounding
+    of ``w -= mu * g``.  A block of steps writes iterate k into row k of a
     (block + 1, R, dim) history, row 0 holding the last iterate of the
     block before; then one division by the block's weight sums gives every
     w_i / S_i, and the smoothing steps and the records follow in order.
-    One loop runs every block (:func:`_block`); the last draws only the
-    rows it steps on.
+    One loop runs every block ``(start, n, slot)`` of the one schedule,
+    made here: ``n`` steps from ``start`` on ring slot ``slot`` (:func:`_block`).
 
     With ``workers = P > 1``, blocks after ``TIMED_BLOCK`` and a platform
     that can fork, the other P - 1 processes only draw samples.  This
@@ -549,8 +546,10 @@ def run_replications(
     spans, and a forked process per span continues its rows' samplers from
     where they stand, writing each block into a ring of ``RING_SLOTS``
     shared (block, R, dim) and (block, R) slots that the step reads in
-    place.  Each row still draws its own samples in order, so the results,
-    returned in replication order, do not depend on ``workers`` or x.
+    place.  Each is sent the blocks to draw: the ring's first lap at the
+    fork, then after each step the block that takes the slot stepped, or
+    None, its end.  Each row still draws its own samples in order, so the
+    results, returned in replication order, do not depend on ``workers`` or x.
     Where fork is not available, this process also draws every row.
 
     Each block runs under :func:`trap_divergence`, which names the cause
@@ -563,17 +562,21 @@ def run_replications(
     from the lockstep's buffers, before any recorder, sampler or process
     is made.
     """
-    kappa, w = _start(problem, config, oracle, w0, track_pocket)
+    kappa, w = _start(problem, config, oracle, track_pocket)
     n_iters, n_rep = config.iterations, config.replications
     starts = range(0, n_iters, SAMPLE_BLOCK)
     split = workers > 1 and len(starts) > TIMED_BLOCK + 1 and _FORK is not None
     slots = RING_SLOTS if split else 1
+    # slot 0 up to TIMED_BLOCK, so that the timed block pays no first touch
+    blocks = [(start, min(SAMPLE_BLOCK, n_iters - start), b % slots if b > TIMED_BLOCK else 0)
+              for b, start in enumerate(starts)]
+    orders = [*blocks, None]  # what a sampling process is sent, block by block
     lock = _Lockstep(problem, config, kappa, w, slots, oracle, track_pocket)
     samplers = [stream_factory(config.seed + r) for r in range(n_rep)]
 
     kept, conns, children = n_rep, [], []
     try:
-        for b, start in enumerate(starts):
+        for b, block in enumerate(blocks):
             if split and b == TIMED_BLOCK + 1:
                 kept = _stepper_rows(n_rep, workers, draw_s / n_rep, step_s)
                 spans = min(workers - 1, n_rep - kept)
@@ -581,16 +584,10 @@ def run_replications(
                         if spans else [])
                 for lo, hi in zip(cuts, cuts[1:]):
                     conns.append(_fork(children, _sample_span, samplers[lo:hi],
-                                       lock.H[:, :, lo:hi], lock.Y[:, :, lo:hi], n_iters))
-            # slot 0 up to TIMED_BLOCK, so that the timed block pays no first touch
-            draw_s, step_s = _block(lock, samplers[:kept], conns, children,
-                                    b % slots if b > TIMED_BLOCK else 0, start,
-                                    min(SAMPLE_BLOCK, n_iters - start))
-            if b + slots < len(starts):
-                for conn in conns:  # slot b % slots is free for block b + slots
-                    # a process that failed has stopped; its error waits in the pipe
-                    with contextlib.suppress(ConnectionError):
-                        conn.send(None)
+                                       lock.H[:, :, lo:hi], lock.Y[:, :, lo:hi]))
+                _send(conns, orders[b : b + slots])  # the first lap of the ring
+            draw_s, step_s = _block(lock, samplers[:kept], conns, children, *block)
+            _send(conns, orders[b + slots : b + slots + 1])  # into the slot just stepped
     except BaseException:
         for proc in children:
             proc.terminate()

@@ -343,16 +343,23 @@ class SvmSampleSet:
         return float(np.mean(pred == self.labels))
 
 
-def check_identity_cov(cov_h, dim):
-    """``cov_h`` as floats; ``ValueError`` unless it is the dim x dim identity.
+def check_linear_model(w_true, cov_h, noise_var):
+    """``w_true`` and ``cov_h`` as floats, the rules of the linear model that
+    :class:`LassoProblem` and the regression stream both check here.
 
-    LASSO regressors are N(0, I), the one rule that :class:`LassoProblem` and
-    the regression stream both check here.
+    ``ValueError`` unless ``w_true`` is a vector, ``noise_var`` is
+    nonnegative and ``cov_h`` is the identity: regressors are N(0, I).
     """
+    w_true = np.asarray(w_true, dtype=float)
+    if w_true.ndim != 1:
+        raise ValueError("w_true must be a vector")
+    if noise_var < 0:
+        raise ValueError("noise_var must be nonnegative")
+    dim = w_true.shape[0]
     cov = np.asarray(cov_h, dtype=float)
     if not np.array_equal(cov, np.eye(dim)):
         raise ValueError(f"cov_h must be the {dim} x {dim} identity: regressors are N(0, I)")
-    return cov
+    return w_true, cov
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,7 +367,7 @@ class LassoProblem:
     """Stochastic LASSO: risk (1/2) E (gamma - h.w)^2 + delta ||w||_1.
 
     The data model is gamma = h.w_true + noise with regressors h ~ N(0, I)
-    (``cov_h`` is the identity, see :func:`check_identity_cov`) and
+    (``cov_h`` is the identity, see :func:`check_linear_model`) and
     independent zero-mean noise of variance ``noise_var``, which makes the
     risk, its subgradient and its minimizer closed-form.
     """
@@ -371,15 +378,11 @@ class LassoProblem:
     noise_var: float
 
     def __post_init__(self):
-        w_true = np.asarray(self.w_true, dtype=float)
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be nonnegative")
-        if w_true.ndim != 1:
-            raise ValueError("w_true must be a vector")
+        w_true, cov = check_linear_model(self.w_true, self.cov_h, self.noise_var)
         object.__setattr__(self, "w_true", w_true)
-        object.__setattr__(self, "cov_h", check_identity_cov(self.cov_h, w_true.shape[0]))
+        object.__setattr__(self, "cov_h", cov)
 
     @property
     def dim(self):

@@ -486,7 +486,7 @@ def test_size_too_large_to_allocate_is_config_error(tmp_path, capsys, command, t
     assert not (tmp_path / "out").exists()
 
 
-def test_run_summary_does_not_depend_on_the_split_a_estimate(tmp_path):
+def test_run_summary_does_not_depend_on_the_worker_count(tmp_path):
     cfg = write_config(tmp_path, LASSO_QUICK, iterations=400, replications=1,
                        out=tmp_path / "unused")
     summaries = []

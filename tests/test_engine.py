@@ -1,4 +1,6 @@
+import ast
 import functools
+import inspect
 import multiprocessing
 import os
 import signal
@@ -298,11 +300,11 @@ def lockstep_case(kind):
 # default, which is not a multiple of the 512-sample draw block)
 LOCKSTEP_CASES = {
     "oracle": ("oracle", {}),
-    "w0-pocket": ("w0-pocket", {}),
+    "pocket": ("pocket", {}),
     "no-oracle": ("no-oracle", {}),
     "kappa-0": ("oracle", {"kappa": 0.0}),
     # one record, mid-block; the first and last blocks record nothing
-    "stride-700": ("w0-pocket", {"record_stride": 700}),
+    "stride-700": ("pocket", {"record_stride": 700}),
     "300-iterations": ("no-oracle", {"iterations": 300}),
     "0-iterations": ("oracle", {"iterations": 0}),
     "one-replication": ("oracle", {"replications": 1}),
@@ -316,7 +318,7 @@ def test_run_replications_rows_equal_run_bit_for_bit(kind, case):
     recording, changes = LOCKSTEP_CASES[case]
     kwargs = {
         "oracle": {"oracle": oracle},
-        "w0-pocket": {"oracle": oracle, "w0": 0.5 * oracle.w_star, "track_pocket": True},
+        "pocket": {"oracle": oracle, "track_pocket": True},
         "no-oracle": {},
     }[recording]
     fields = {"mu": 0.01, "kappa": 0.95, "iterations": 1300, "record_stride": 100,
@@ -337,7 +339,7 @@ def test_run_replications_rows_equal_run_bit_for_bit(kind, case):
                     getattr(res.trajectory, name), getattr(ref.trajectory, name)
                 )
             assert res.trajectory.iterations.size == (0 if recording == "no-oracle" else n_records)
-            if recording == "w0-pocket":
+            if recording == "pocket":
                 np.testing.assert_array_equal(res.pocket[0], ref.pocket[0])
                 assert res.pocket[1] == ref.pocket[1]
             else:
@@ -360,14 +362,27 @@ def test_lockstep_divergence_names_the_block_without_warnings(recwarn):
     assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
+class InfiniteTargetSampler:
+    """``make(seed)``, except that the last target of each draw is inf."""
+
+    def __init__(self, make, seed):
+        self.sampler = make(seed)
+
+    def draw_batch(self, n):
+        feats, targets = self.sampler.draw_batch(n)
+        targets[-1] = np.inf
+        return feats, targets
+
+
 def test_lockstep_checks_a_partial_block():
+    # the last step's infinite target makes an infinite iterate without a
+    # floating-point flag, so the trap passes it and the block's check stops it
     p, factory, _, _ = lockstep_case("lasso")
     cfg = engine.RunConfig(mu=0.01, kappa=0.9, iterations=300, record_stride=10**6,
                            seed=5, replications=2)
-    w0 = np.zeros(p.dim)
-    w0[3] = np.inf
-    with pytest.raises(NumericError, match=r"iterations 1\.\.300$"):
-        engine.run_replications(p, factory, cfg, w0=w0)
+    factory = functools.partial(InfiniteTargetSampler, factory)
+    with pytest.raises(NumericError, match=r"^iterate diverged in iterations 1\.\.300$"):
+        engine.run_replications(p, factory, cfg)
 
 
 class ProcessLog:
@@ -439,7 +454,7 @@ def test_split_runs_equal_one_worker_bit_for_bit(kind, plan, process_log, monkey
     p, factory, _, oracle = lockstep_case(kind)
     workers, kept, iterations = SPLIT_PLANS[plan]
     cfg = engine.RunConfig(**{**SPLIT_FIELDS, "iterations": iterations})
-    kwargs = {"oracle": oracle, "w0": 0.5 * oracle.w_star, "track_pocket": True}
+    kwargs = {"oracle": oracle, "track_pocket": True}
     refs = engine.run_replications(p, factory, cfg, workers=1, **kwargs)
     assert process_log.started == 0
     force_split(monkeypatch, kept)
@@ -466,12 +481,99 @@ def test_measured_split_equals_one_worker(workers, process_log):
 def test_runs_of_two_blocks_or_fewer_start_no_process(iterations, process_log, monkeypatch):
     p, factory, _, oracle = lockstep_case("lasso")
     cfg = engine.RunConfig(**{**SPLIT_FIELDS, "iterations": iterations})
-    kwargs = {"oracle": oracle, "w0": 0.5 * oracle.w_star, "track_pocket": True}
+    kwargs = {"oracle": oracle, "track_pocket": True}
     refs = engine.run_replications(p, factory, cfg, workers=1, **kwargs)
     force_split(monkeypatch, 0)
     results = engine.run_replications(p, factory, cfg, workers=3, **kwargs)
     assert process_log.started == 0
     assert_same_results(results, refs)
+
+
+class StubSampler:
+    """Seeded normal draws, each kept in ``draws``; draw number ``bad_draw``
+    (from 1) overflows instead."""
+
+    def __init__(self, seed, dim, bad_draw=0):
+        self.rng, self.dim, self.bad_draw = np.random.default_rng(seed), dim, bad_draw
+        self.draws = []
+
+    def draw_batch(self, n):
+        if len(self.draws) + 1 == self.bad_draw:
+            np.array([1e308]) * 1e308
+        self.draws.append((self.rng.standard_normal((n, self.dim)), self.rng.standard_normal(n)))
+        return self.draws[-1]
+
+
+def sample_span_in_process(samplers, orders):
+    # _sample_span run here over a pipe that already holds ``orders``, on a
+    # ring of NaN slots; returns the ring, the replies and the orders unread
+    H = np.full((engine.RING_SLOTS, engine.SAMPLE_BLOCK, len(samplers), samplers[0].dim), np.nan)
+    Y = np.full(H.shape[:-1], np.nan)
+    stepper, span = multiprocessing.Pipe()
+    with stepper, span:
+        for order in orders:
+            stepper.send(order)
+        assert engine._sample_span(samplers, H, Y, span) is None
+        replies = [stepper.recv() for _ in iter(stepper.poll, False)]
+        unread = [span.recv() for _ in iter(span.poll, False)]
+    return H, Y, replies, unread
+
+
+def test_sampling_process_draws_the_blocks_it_is_sent():
+    # a block into slot 2, one into slot 0, then one sample into slot 0 again
+    samplers = [StubSampler(seed, 3) for seed in (1, 2)]
+    orders = [(1024, 512, 2), (1536, 512, 0), (2048, 1, 0), None, (2049, 512, 1)]
+    H, Y, replies, unread = sample_span_in_process(samplers, orders)
+    assert replies == [None, None, None]
+    assert unread == [(2049, 512, 1)]
+    for r, sampler in enumerate(samplers):
+        assert [len(y) for _, y in sampler.draws] == [512, 512, 1]
+        (h2, y2), (h0, y0), (h_one, y_one) = sampler.draws
+        for got, want in ((H[2, :, r], h2), (Y[2, :, r], y2), (H[0, 1:, r], h0[1:]),
+                          (Y[0, 1:, r], y0[1:]), (H[0, :1, r], h_one), (Y[0, :1, r], y_one)):
+            np.testing.assert_array_equal(got, want)
+    assert np.isnan(H[1]).all() and np.isnan(Y[1]).all()
+
+
+def test_sampling_process_sends_its_error_and_stops():
+    # row 1's second draw overflows: block 2's reply is the error, and the
+    # process reads no further order
+    samplers = [StubSampler(1, 3), StubSampler(2, 3, bad_draw=2)]
+    orders = [(1024, 512, 2), (1536, 512, 0), (2048, 512, 1), None]
+    _, _, replies, unread = sample_span_in_process(samplers, orders)
+    assert replies[0] is None and len(replies) == 2
+    assert isinstance(replies[1], NumericError)
+    assert str(replies[1]) == ("overflow encountered in multiply: "
+                               "iterate diverged in iterations 1537..2048")
+    assert unread == orders[2:]
+    assert [len(s.draws) for s in samplers] == [2, 1]
+
+
+def names_read(func, seen=None):
+    # the names and attributes an engine function reads, with those of the
+    # engine functions it calls
+    seen = seen or {func}
+    tree = ast.parse(inspect.getsource(getattr(engine, func)))
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    for callee in sorted(names - seen):
+        obj = getattr(engine, callee, None)
+        if inspect.isfunction(obj) and obj.__module__ == engine.__name__:
+            seen.add(callee)
+            names |= names_read(callee, seen)
+    return names
+
+
+SCHEDULE_CONSTANTS = {"TIMED_BLOCK", "SAMPLE_BLOCK", "RING_SLOTS"}
+
+
+def test_only_the_stepper_reads_the_block_schedule():
+    # the block list of run_replications is the one place the schedule is
+    # computed; the sampling processes draw what they are sent
+    assert SCHEDULE_CONSTANTS <= names_read("run_replications")
+    span = names_read("_sample_span")
+    assert {"_draw_rows", "draw_batch", "_block_where"} <= span
+    assert span.isdisjoint(SCHEDULE_CONSTANTS)
 
 
 def test_stepper_rows_balance_the_stepper_and_the_samplers():

@@ -182,18 +182,33 @@ def test_svm_minimize_without_certificate_returns_tail_average(monkeypatch):
         sset.minimize(0)
 
 
+class Shifted:
+    """``problem`` in the coordinates v = w - ``origin``: a run from v = 0
+    starts at w = ``origin``."""
+
+    def __init__(self, problem, origin):
+        self.problem, self.origin, self.dim = problem, origin, problem.dim
+
+    def batch_work(self, rows):
+        return self.problem.batch_work(rows)
+
+    def subgradient_batch(self, V, H, y, out, work):
+        return self.problem.subgradient_batch(V + self.origin, H, y, out, work)
+
+
 def test_svm_negative_excess_risk_lies_within_certified_gap():
     # tiny steps from w* keep every record next to the minimum, where the
     # approximate w* makes some mean excess risks negative
     sset = frozen_svm_set(n=2000, seed=5)
     cert = sset.minimize(100_000, full_output=True)
     assert cert.certified
-    oracle = engine.RiskOracle(sset.risk, cert.w, sset.risk(cert.w))
+    oracle = engine.RiskOracle(lambda v: sset.risk(v + cert.w), np.zeros(sset.dim),
+                               sset.risk(cert.w))
     config = engine.RunConfig(mu=1e-6, kappa=0.99, iterations=2000,
                               record_stride=100, seed=9, replications=3)
     results = engine.run_replications(
-        sset, functools.partial(data.SetSampler, sset.signed, np.ones(sset.n)), config,
-        oracle=oracle, w0=cert.w,
+        Shifted(sset, cert.w), functools.partial(data.SetSampler, sset.signed, np.ones(sset.n)),
+        config, oracle=oracle,
     )
     stats = engine.average_trajectories([r.trajectory for r in results])
     assert stats.excess_risk.min() < 0.0
@@ -448,6 +463,27 @@ def test_lasso_validation():
         make_lasso(delta=0.0)
 
 
+LINEAR_MODELS = {
+    "LassoProblem": lambda w_true, cov, noise_var: problems.LassoProblem(
+        delta=0.1, w_true=w_true, cov_h=cov, noise_var=noise_var),
+    "RegressionStreamSpec": data.RegressionStreamSpec,
+}
+
+# (w_true, cov_h, noise_var) and the error both constructors raise
+BAD_LINEAR_MODELS = {
+    "scalar-w_true": ((1.0, np.eye(1), 0.1), "w_true must be a vector"),
+    "2-D-w_true": ((np.zeros((2, 1)), np.eye(2), 0.1), "w_true must be a vector"),
+    "negative-noise_var": ((np.zeros(2), np.eye(2), -0.1), "noise_var must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("build", LINEAR_MODELS.values(), ids=LINEAR_MODELS)
+@pytest.mark.parametrize("args, message", BAD_LINEAR_MODELS.values(), ids=BAD_LINEAR_MODELS)
+def test_lasso_linear_model_is_checked_alike(build, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(*args)
+
+
 NON_IDENTITY_COVARIANCES = {
     "spd": np.array([[2.0, 0.5], [0.5, 1.0]]),
     "non-symmetric": np.array([[1.0, 2.0], [0.0, 1.0]]),
@@ -457,14 +493,11 @@ NON_IDENTITY_COVARIANCES = {
 }
 
 
-@pytest.mark.parametrize("build", [
-    lambda cov: problems.LassoProblem(delta=0.1, w_true=np.zeros(2), cov_h=cov, noise_var=0.1),
-    lambda cov: data.RegressionStreamSpec(np.zeros(2), cov, 0.1),
-], ids=["LassoProblem", "RegressionStreamSpec"])
+@pytest.mark.parametrize("build", LINEAR_MODELS.values(), ids=LINEAR_MODELS)
 @pytest.mark.parametrize("cov", NON_IDENTITY_COVARIANCES.values(), ids=NON_IDENTITY_COVARIANCES)
 def test_lasso_regressors_must_have_identity_covariance(build, cov):
     with pytest.raises(ValueError, match="cov_h"):
-        build(cov)
+        build(np.zeros(2), cov, 0.1)
 
 
 # ---------- total variation ----------
