@@ -7,6 +7,7 @@ directory and the README for the key reference).  Exit codes: 0 success,
 
 import argparse
 import configparser
+import contextlib
 import functools
 import math
 import os
@@ -97,6 +98,15 @@ def _positive(cfg, section, key, cast, default=None, required=False):
     return val
 
 
+@contextlib.contextmanager
+def _too_large(what):
+    # numpy refuses a size past the address space at once, with MemoryError
+    try:
+        yield
+    except MemoryError as exc:
+        raise ConfigError(f"{what} is too large: {exc}") from None
+
+
 def _parse_sparse_vector(raw, dim):
     """Parse 'idx:val idx:val ...' (0-based) into a dense length-dim vector."""
     vec = np.zeros(dim)
@@ -117,16 +127,20 @@ def _parse_sparse_vector(raw, dim):
     return _finite("problem", "w_true", vec, raw)
 
 
-def _run_config(cfg, seed_override=None):
-    mu = _positive(cfg, "run", "mu", float, required=True)
-    kappa = _get(cfg, "run", "kappa", str, default="auto").strip()
-    if kappa != "auto":
-        kappa = _get(cfg, "run", "kappa", float)
+def _run_seed(cfg, seed_override):
     seed = _get(cfg, "run", "seed", int, default=0)
     _require_count("[run] seed", seed)
     if seed_override is not None:
         _require_count("--seed", seed_override)
         seed = seed_override
+    return seed
+
+
+def _run_config(cfg, seed, constants):
+    # kappa = auto is the rate that the problem's constants give at [run] mu
+    mu = _positive(cfg, "run", "mu", float, required=True)
+    kappa = _smoothing_factor("[run] kappa", _get(cfg, "run", "kappa", str, default="auto"),
+                              theory.rate_alpha(mu, constants), f"[run] mu = {mu!r}")
     try:
         return engine.RunConfig(
             mu=mu,
@@ -280,11 +294,8 @@ def _build_bundle(cfg, seed):
     bundle = {"lasso": _LassoBundle, "svm": _SvmBundle}.get(kind)
     if bundle is None:
         raise ConfigError(f"[problem] kind must be 'lasso' or 'svm', got {kind!r}")
-    try:
-        with trap_divergence(f"{kind} setup diverged"):
-            return bundle(cfg, seed)
-    except MemoryError as exc:
-        raise ConfigError(f"[problem] dim or train_size is too large: {exc}") from None
+    with _too_large("[problem] dim or train_size"), trap_divergence(f"{kind} setup diverged"):
+        return bundle(cfg, seed)
 
 
 # ---------- run ----------
@@ -302,6 +313,24 @@ def _require_count(flag, value):
         raise ConfigError(f"{flag} must be nonnegative, got {value!r}")
 
 
+def _smoothing_factor(name, setting, alpha, step):
+    """The smoothing factor that ``setting``, of the key or flag ``name``, gives:
+    ``auto`` is the rate ``alpha``, in [0, 1) only while the step size
+    ``step`` is below its ceiling, and any other setting a number in [0, 1)."""
+    if setting.strip() == "auto":
+        if not 0.0 <= alpha < 1.0:  # NaN fails too
+            raise ConfigError(f"{step} is above the step-size ceiling: {name} = auto, "
+                              f"the rate alpha = {alpha:.6g}, lies outside [0, 1)")
+        return alpha
+    try:
+        kappa = float(setting)
+    except ValueError:
+        kappa = math.nan
+    if not 0.0 <= kappa < 1.0:
+        raise ConfigError(f"{name} must be 'auto' or a number in [0, 1), got {setting!r}")
+    return kappa
+
+
 def _workers(requested, cap):
     # --workers 0 means the default: one per usable CPU; either way at most cap
     if requested:
@@ -314,16 +343,16 @@ def _workers(requested, cap):
 def cmd_run(ns):
     _require_count("--workers", ns.workers)
     cfg = _load_config(ns.config)
-    run_cfg = _run_config(cfg, ns.seed)
-    bundle = _build_bundle(cfg, run_cfg.seed)
-    run_cfg = engine.resolve_kappa(run_cfg, theory.rate_alpha(run_cfg.mu, bundle.constants))
+    seed = _run_seed(cfg, ns.seed)
+    bundle = _build_bundle(cfg, seed)
+    run_cfg = _run_config(cfg, seed, bundle.constants)
 
     out_dir = Path(ns.out or _get(cfg, "output", "dir", str, default="out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     workers = _workers(ns.workers, run_cfg.replications)
 
     t0 = time.perf_counter()
-    try:
+    with _too_large(f"[run] replications = {run_cfg.replications}"):
         results = engine.run_replications(
             bundle.problem,
             bundle.stream_factory,
@@ -331,10 +360,6 @@ def cmd_run(ns):
             oracle=bundle.oracle,
             workers=workers,
         )
-    except MemoryError as exc:
-        raise ConfigError(
-            f"[run] replications = {run_cfg.replications} is too large: {exc}"
-        ) from None
     elapsed = time.perf_counter() - t0
     with trap_divergence("averaging diverged"):
         stats = engine.average_trajectories([r.trajectory for r in results])
@@ -439,7 +464,7 @@ def _check_noise(problem, sampler_factory, w_star, beta2, sigma2, probes, n, see
 
 def cmd_verify(ns):
     cfg = _load_config(ns.config)
-    run_cfg = _run_config(cfg, ns.seed)
+    run_seed = _run_seed(cfg, ns.seed)
     pairs = _positive(cfg, "verify", "pairs", int, default=10_000)
     n_noise = _get(cfg, "verify", "noise_samples", int, default=20_000)
     if n_noise < 2:  # the moment checks need a sample variance
@@ -449,9 +474,10 @@ def cmd_verify(ns):
     # the statistical checks are sharp (3 stderr, componentwise, zero violations
     # allowed), so their sampler seed is its own knob; rerun with another seed
     # if a borderline z-score trips on an otherwise sound problem
-    seed = _get(cfg, "verify", "seed", int, default=run_cfg.seed)
+    seed = _get(cfg, "verify", "seed", int, default=run_seed)
     _require_count("[verify] seed", seed)
-    bundle = _build_bundle(cfg, run_cfg.seed)
+    bundle = _build_bundle(cfg, run_seed)
+    _run_config(cfg, run_seed, bundle.constants)  # what run would reject, verify rejects
 
     p = bundle.problem
     dim = p.dim
@@ -461,7 +487,8 @@ def cmd_verify(ns):
 
     # an overflowed pair compares as no violation: the trap fails the check
     rng = np.random.default_rng(seed + 1)
-    with trap_divergence("check subgradient-inequality diverged"):
+    with (_too_large(f"[verify] pairs = {pairs}"),
+          trap_divergence("check subgradient-inequality diverged")):
         viol = theory.verify_subgradient_inequality(
             p.risk, p.risk_and_subgradient, dim, pairs, rng, scale=scale
         )
@@ -473,7 +500,8 @@ def cmd_verify(ns):
 
     k = bundle.constants if bundle.kind == "svm" else bundle.constants_spectral
     rng = np.random.default_rng(seed + 2)
-    with trap_divergence("check affine-lipschitz diverged"):
+    with (_too_large(f"[verify] pairs = {pairs}"),
+          trap_divergence("check affine-lipschitz diverged")):
         viol = theory.verify_affine_lipschitz(
             p.true_subgradient, dim, k.c, k.d, pairs, rng, scale=scale
         )
@@ -486,10 +514,11 @@ def cmd_verify(ns):
     rng = np.random.default_rng(seed + 3)
     with trap_divergence("checks noise-zero-mean and noise-variance diverged"):
         probe_points = _noise_probes(bundle.w_star, dim, rng, probes)
-        mean_ok, var_ok, worst = _check_noise(
-            p, bundle.stream_factory, bundle.w_star, k.beta2, k.sigma2,
-            probe_points, n_noise, seed + 4,
-        )
+        with _too_large(f"[verify] noise_samples = {n_noise}"):
+            mean_ok, var_ok, worst = _check_noise(
+                p, bundle.stream_factory, bundle.w_star, k.beta2, k.sigma2,
+                probe_points, n_noise, seed + 4,
+            )
     all_ok &= _report_check(
         "noise-zero-mean",
         mean_ok,
@@ -503,7 +532,8 @@ def cmd_verify(ns):
 
     if bundle.kind == "lasso":
         rng = np.random.default_rng(seed + 5)
-        with trap_divergence("check strong-monotonicity diverged"):
+        with (_too_large(f"[verify] pairs = {pairs}"),
+              trap_divergence("check strong-monotonicity diverged")):
             viol = theory.verify_strong_monotonicity(
                 p.true_subgradient, bundle.w_star, k.eta, dim, pairs, rng,
                 scale=scale,
@@ -561,20 +591,7 @@ def cmd_denoise(ns):
     _require_count("--seed", ns.seed)
     if ns.noise_std is not None:
         _require("--noise-std", ns.noise_std, ns.noise_std >= 0.0, "nonnegative and finite")
-    if ns.kappa == "auto":
-        kappa = _tv_alpha(ns.mu)
-        if not kappa < 1.0:
-            raise ConfigError(
-                f"--mu {ns.mu!r} puts kappa=auto at {kappa!r}, outside [0,1); "
-                "use --mu below 0.5 or set --kappa"
-            )
-    else:
-        try:
-            kappa = float(ns.kappa)
-        except ValueError:
-            raise ConfigError(f"--kappa must be a number or 'auto', got {ns.kappa!r}") from None
-        if not 0.0 <= kappa < 1.0:
-            raise ConfigError(f"--kappa must lie in [0,1) or be 'auto', got {kappa}")
+    kappa = _smoothing_factor("--kappa", ns.kappa, _tv_alpha(ns.mu), f"--mu {ns.mu!r}")
     if ns.input is None and ns.clean is None:
         raise ConfigError("provide --input NOISY.pgm or --clean CLEAN.pgm --noise-std S")
     clean = None
@@ -648,15 +665,11 @@ def cmd_svm_train(ns):
     if test is not None:
         test = _pad_dataset(test, dim)
 
-    # kappa < 1 needs mu*rho < 1; testing that first keeps the square from overflowing
-    kappa = math.inf
+    # alpha < 1 needs mu*rho < 1; testing that first keeps the square from overflowing
+    alpha = math.inf
     if ns.mu * ns.rho < 1.0:
-        kappa = 1.0 - 2.0 * ns.mu * ns.rho + 2.0 * (ns.mu * ns.rho) ** 2
-    if not 0.0 <= kappa < 1.0:
-        raise ConfigError(
-            f"mu*rho={ns.mu * ns.rho:.6g} puts the smoothing factor {kappa:.6g} "
-            "outside [0,1); reduce mu or rho"
-        )
+        alpha = 1.0 - 2.0 * ns.mu * ns.rho + 2.0 * (ns.mu * ns.rho) ** 2
+    kappa = _smoothing_factor("kappa", "auto", alpha, f"mu*rho = {ns.mu * ns.rho:.6g}")
     problem = problems.SvmSampleSet(train.features, train.labels, ns.rho)
     # no oracle, so the run records nothing; an overflowing margin stops it
     run_cfg = engine.RunConfig(mu=ns.mu, kappa=kappa, iterations=train.n * ns.epochs,

@@ -7,10 +7,12 @@ exponentially smoothed iterate
     w_bar_i = (1 - 1/S_i) * w_bar_{i-1} + (1/S_i) * w_i
 
 which is the realizable substitute for best-iterate tracking when the risk
-cannot be evaluated online.  Every loop that smooths, here and in the
-``denoise`` command, takes the step from :func:`smoothing_terms` and
-:func:`smooth_step`, one iterate at a time through :func:`smooth_in_place`
-or a block at a time in the lockstep.  A single run is strictly sequential.
+cannot be evaluated online.  The factor kappa is a number in [0, 1); the
+theory's choice, kappa = alpha, the problem's rate, is the caller's to make.
+Every loop that smooths, here and in the ``denoise`` command, takes the step
+from :func:`smoothing_terms` and :func:`smooth_step`, one iterate at a time
+through :func:`smooth_in_place` or a block at a time in the lockstep.  A
+single run is strictly sequential.
 
 :func:`run_replications`, the one loop the commands step through, advances
 independent replications in lockstep, as the rows of one (R, dim) matrix,
@@ -40,17 +42,18 @@ array: a factor the shape of the iterates would cost a (block, R, dim)
 copy per block, which at many rows outweighs its cheaper dispatch.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 import contextlib
 import math
 import mmap
 import multiprocessing
+import numbers
 import time
 
 import numpy as np
 
-from .errors import NumericError, StreamExhausted, UnsupportedConfiguration, trap_divergence
+from .errors import NumericError, StreamExhausted, trap_divergence
 
 # Samples drawn per sampler call, fewer in a run's last block.  The samplers'
 # iterators draw full blocks, and a short draw is the prefix of a full one, so
@@ -157,13 +160,13 @@ def pocket_update(current_best, candidate, risk_estimate):
 class RunConfig:
     """Parameters of one streaming run.
 
-    ``kappa`` may be a float in [0, 1) or the string "auto", in which case it
-    must be resolved to the problem's theoretical rate before running (see
-    :func:`resolve_kappa`).  Replication r uses seed ``seed + r``.
+    ``kappa``, the smoothing factor, is a number in [0, 1); the theory's
+    choice, the problem's rate alpha, is the caller's to compute.
+    Replication r uses seed ``seed + r``.
     """
 
     mu: float
-    kappa: object = "auto"
+    kappa: float
     iterations: int = 10_000
     record_stride: int = 100
     seed: int = 0
@@ -178,30 +181,9 @@ class RunConfig:
             raise ValueError("record_stride must be positive")
         if self.replications < 1:
             raise ValueError("replications must be positive")
-        if self.kappa != "auto":
-            k = float(self.kappa)
-            if not 0.0 <= k < 1.0:
-                raise ValueError("kappa must lie in [0, 1) or be 'auto'")
-
-
-def resolve_kappa(config, theoretical_alpha=None):
-    """Replace kappa='auto' with the problem's theoretical rate alpha.
-
-    The smoothing guarantee needs alpha <= kappa < 1, so 'auto' uses alpha
-    itself.  If alpha >= 1 the step size is too large for the rate theory
-    (it exceeds the ceiling eta / (e^2 + beta^2)) and the run is rejected.
-    """
-    if config.kappa != "auto":
-        return config
-    if theoretical_alpha is None:
-        raise ValueError("kappa='auto' needs the problem's theoretical alpha")
-    if not 0.0 <= theoretical_alpha < 1.0:
-        raise UnsupportedConfiguration(
-            f"theoretical rate alpha={theoretical_alpha:.6g} is outside [0, 1); "
-            "the step size exceeds the ceiling eta/(e^2 + beta^2) -- reduce mu "
-            "or set kappa explicitly"
-        )
-    return replace(config, kappa=float(theoretical_alpha))
+        # a string is no number, whatever it spells; NaN fails the range
+        if not (isinstance(self.kappa, numbers.Real) and 0.0 <= self.kappa < 1.0):
+            raise ValueError(f"kappa must be a number in [0, 1), got {self.kappa!r}")
 
 
 @dataclass(frozen=True)
@@ -246,10 +228,12 @@ class _Recorder:
     """Records and pocket of one replication, every ``record_stride`` steps.
 
     Both loops call it, so a lockstep row records exactly what :func:`run`
-    would.  Without an oracle it records nothing.
+    would.  Without an oracle it records nothing, and it cannot keep a pocket.
     """
 
     def __init__(self, oracle, w0, track_pocket):
+        if track_pocket and oracle is None:
+            raise ValueError("pocket tracking requires a risk oracle")
         self.oracle = oracle
         self.track_pocket = track_pocket
         self.columns = ([], [], [], [], [])
@@ -285,15 +269,6 @@ class _Recorder:
         return RunResult(w, smoothing, trajectory, self.pocket)
 
 
-def _start(problem, config, oracle, track_pocket):
-    """Checked kappa and the start point, zero, shared by both loops."""
-    if config.kappa == "auto":
-        raise ValueError("kappa is unresolved; call resolve_kappa first")
-    if track_pocket and oracle is None:
-        raise ValueError("pocket tracking requires a risk oracle")
-    return float(config.kappa), np.zeros(problem.dim)
-
-
 def run(problem, stream, config, *, oracle=None, track_pocket=False):
     """Run the subgradient + smoothing loop for ``config.iterations`` steps
     from the zero vector.
@@ -306,12 +281,13 @@ def run(problem, stream, config, *, oracle=None, track_pocket=False):
         Yields one sample per iteration; exhausting it early raises
         :class:`StreamExhausted` rather than truncating silently.
     config : RunConfig
-        ``config.kappa`` must already be numeric (see :func:`resolve_kappa`).
+        Step size ``mu``, smoothing factor ``kappa``, horizon and record stride.
     oracle : RiskOracle, optional
         Enables excess-risk / MSD recording and pocket tracking.
     """
-    kappa, w = _start(problem, config, oracle, track_pocket)
-    mu = config.mu
+    w = np.zeros(problem.dim)
+    recorder = _Recorder(oracle, w, track_pocket)
+    kappa, mu = float(config.kappa), config.mu
     stride = config.record_stride
     n_iters = config.iterations
     subgrad = problem.instantaneous_subgradient
@@ -320,7 +296,6 @@ def run(problem, stream, config, *, oracle=None, track_pocket=False):
     scratch = np.empty_like(w)
     s_sum = 1.0
     it = iter(stream)
-    recorder = _Recorder(oracle, w, track_pocket)
 
     for i in range(1, n_iters + 1):
         try:
@@ -367,8 +342,8 @@ class _Lockstep:
     """The rows of a lockstep run, at one point of it.
 
     It allocates every buffer of the run, the (R, dim) smoothed iterates
-    first, before any per-row object: a size too large to hold raises
-    ``MemoryError`` before a recorder or sampler is made.  ``history``
+    first, at zero, before any per-row object: a size too large to hold
+    raises ``MemoryError`` before a recorder or sampler is made.  ``history``
     (block + 1, rows, dim) receives a block's iterates, row 0 holding the
     last iterate of the block before; ``quotients`` (block, rows, dim) its
     w_i / S_i.  ``H`` and ``Y`` are a sample ring of ``slots`` blocks.
@@ -376,8 +351,8 @@ class _Lockstep:
     every call.
     """
 
-    def __init__(self, problem, config, kappa, w, slots, oracle, track_pocket):
-        rows = config.replications
+    def __init__(self, problem, config, slots, oracle, track_pocket):
+        rows, w = config.replications, np.zeros(problem.dim)
         self.W_bar = np.tile(w, (rows, 1))
         self.history = np.empty((SAMPLE_BLOCK + 1, *self.W_bar.shape))
         self.quotients = np.empty((SAMPLE_BLOCK, *self.W_bar.shape))
@@ -387,7 +362,7 @@ class _Lockstep:
         self.work = problem.batch_work(rows)
         self.factors = np.empty(SAMPLE_BLOCK)
         self.history[0] = w
-        self.problem, self.kappa, self.stride = problem, kappa, config.record_stride
+        self.problem, self.kappa, self.stride = problem, float(config.kappa), config.record_stride
         self.mu = np.array(config.mu)  # 0-d: numpy converts a float on every call
         self.s_sum = 1.0
         self.W_rows, self.q_rows = list(self.history), list(self.quotients)
@@ -534,7 +509,8 @@ def run_replications(
     block before; then one division by the block's weight sums gives every
     w_i / S_i, and the smoothing steps and the records follow in order.
     One loop runs every block ``(start, n, slot)`` of the one schedule,
-    made here: ``n`` steps from ``start`` on ring slot ``slot`` (:func:`_block`).
+    kept here: ``n`` steps from ``start`` on ring slot ``slot`` (:func:`_block`),
+    each computed from its index when it is stepped or sent.
 
     With ``workers = P > 1``, blocks after ``TIMED_BLOCK`` and a platform
     that can fork, the other P - 1 processes only draw samples.  This
@@ -562,21 +538,26 @@ def run_replications(
     from the lockstep's buffers, before any recorder, sampler or process
     is made.
     """
-    kappa, w = _start(problem, config, oracle, track_pocket)
     n_iters, n_rep = config.iterations, config.replications
-    starts = range(0, n_iters, SAMPLE_BLOCK)
-    split = workers > 1 and len(starts) > TIMED_BLOCK + 1 and _FORK is not None
+    n_blocks = -(-n_iters // SAMPLE_BLOCK)
+    split = workers > 1 and n_blocks > TIMED_BLOCK + 1 and _FORK is not None
     slots = RING_SLOTS if split else 1
-    # slot 0 up to TIMED_BLOCK, so that the timed block pays no first touch
-    blocks = [(start, min(SAMPLE_BLOCK, n_iters - start), b % slots if b > TIMED_BLOCK else 0)
-              for b, start in enumerate(starts)]
-    orders = [*blocks, None]  # what a sampling process is sent, block by block
-    lock = _Lockstep(problem, config, kappa, w, slots, oracle, track_pocket)
+
+    def block(b):
+        # slot 0 up to TIMED_BLOCK, so that the timed block pays no first touch
+        start = b * SAMPLE_BLOCK
+        return start, min(SAMPLE_BLOCK, n_iters - start), b % slots if b > TIMED_BLOCK else 0
+
+    def orders(lo, hi):
+        # what a sampling process is sent for blocks lo .. hi - 1: None past the last
+        return [block(b) if b < n_blocks else None for b in range(lo, min(hi, n_blocks + 1))]
+
+    lock = _Lockstep(problem, config, slots, oracle, track_pocket)
     samplers = [stream_factory(config.seed + r) for r in range(n_rep)]
 
     kept, conns, children = n_rep, [], []
     try:
-        for b, block in enumerate(blocks):
+        for b in range(n_blocks):
             if split and b == TIMED_BLOCK + 1:
                 kept = _stepper_rows(n_rep, workers, draw_s / n_rep, step_s)
                 spans = min(workers - 1, n_rep - kept)
@@ -585,9 +566,9 @@ def run_replications(
                 for lo, hi in zip(cuts, cuts[1:]):
                     conns.append(_fork(children, _sample_span, samplers[lo:hi],
                                        lock.H[:, :, lo:hi], lock.Y[:, :, lo:hi]))
-                _send(conns, orders[b : b + slots])  # the first lap of the ring
-            draw_s, step_s = _block(lock, samplers[:kept], conns, children, *block)
-            _send(conns, orders[b + slots : b + slots + 1])  # into the slot just stepped
+                _send(conns, orders(b, b + slots))  # the first lap of the ring
+            draw_s, step_s = _block(lock, samplers[:kept], conns, children, *block(b))
+            _send(conns, orders(b + slots, b + slots + 1))  # into the slot just stepped
     except BaseException:
         for proc in children:
             proc.terminate()

@@ -297,14 +297,63 @@ def test_run_missing_config_file_is_io_error(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "nope.ini")]) == cli.EXIT_IO
 
 
-def test_run_unparseable_kappa_is_config_error(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path, LASSO_QUICK.replace("kappa = 0.999", "kappa = abc"),
-        iterations=0, replications=1, out=tmp_path / "out",
-    )
-    assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_CONFIG
+def kappa_argv(tmp_path, command, setting):
+    # run with [run] kappa = setting, or denoise with --kappa setting
+    out = tmp_path / "out"
+    if command == "run":
+        text = LASSO_QUICK.replace("kappa = 0.999", f"kappa = {setting}")
+        cfg = write_config(tmp_path, text, iterations=200, replications=1, out=out)
+        return ["run", "--config", str(cfg), "--out", str(out)]
+    return ["denoise", "--clean", str(piecewise_image(tmp_path)), "--noise-std", "0.1",
+            "--iterations", "2", f"--kappa={setting}", "--out", str(out)]
+
+
+# one rule settles kappa for every command: auto, or a number in [0, 1)
+@pytest.mark.parametrize("command, name", [("run", "[run] kappa"), ("denoise", "--kappa")],
+                         ids=["run", "denoise"])
+@pytest.mark.parametrize("setting, ok", [
+    (" auto ", True), ("0", True), ("0.5", True),
+    ("1", False), ("-0.1", False), ("nan", False), ("inf", False), ("abc", False),
+], ids=["spaced-auto", "0", "0.5", "1", "-0.1", "nan", "inf", "abc"])
+def test_kappa_setting_follows_one_rule(tmp_path, capsys, command, name, setting, ok):
+    rc = cli.main(kappa_argv(tmp_path, command, setting))
+    captured = capsys.readouterr()
+    if ok:
+        assert rc == cli.EXIT_OK
+        if command == "run":
+            shown = (tmp_path / "out" / "summary.txt").read_text()
+            alpha = re.search(r"rates\[gaussian-modulus\]: alpha=(\S+)", shown)[1]
+        else:
+            shown, alpha = captured.out, repr(cli._tv_alpha(0.002))
+        kappa = alpha if setting.strip() == "auto" else repr(float(setting))
+        assert re.search(rf"kappa={re.escape(kappa)}\b", shown)
+    else:
+        assert rc == cli.EXIT_CONFIG
+        assert name in captured.err and "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, step", [
+    (["run"], "[run] mu"),
+    (["denoise", "--mu", "0.6"], "--mu"),
+    (["svm-train", "--mu", "2", "--rho", "1"], "mu*rho"),
+], ids=["run", "denoise", "svm-train"])
+def test_auto_kappa_above_the_step_size_ceiling_is_config_error(tmp_path, capsys, argv, step):
+    out = tmp_path / "out"
+    if argv[0] == "run":
+        text = LASSO_QUICK.replace("kappa = 0.999", "kappa = auto").replace("mu = 0.001", "mu = 10")
+        argv += ["--config", str(write_config(tmp_path, text, iterations=200, replications=1,
+                                              out=out))]
+    elif argv[0] == "denoise":
+        argv += ["--clean", str(piecewise_image(tmp_path)), "--noise-std", "0.1"]
+    else:
+        path = tmp_path / "toy.libsvm"
+        path.write_text("+1 1:1.0\n-1 1:-1.0\n")
+        argv += ["--train", str(path)]
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "[run] kappa" in err and "Traceback" not in err
+    assert step in err and "ceiling" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
@@ -484,6 +533,15 @@ def test_size_too_large_to_allocate_is_config_error(tmp_path, capsys, command, t
     err = capsys.readouterr().err
     assert key in err and "too large" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["pairs", "noise_samples"])
+def test_verify_sample_too_large_to_allocate_is_config_error(tmp_path, capsys, key):
+    text = re.sub(rf"^{key} = \d+$", f"{key} = {HUGE}", LASSO_QUICK, flags=re.M)
+    cfg = write_config(tmp_path, text, iterations=200, replications=1, out=tmp_path / "out")
+    assert cli.main(["verify", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"[verify] {key} = {HUGE} is too large" in err and "Traceback" not in err
 
 
 def test_run_summary_does_not_depend_on_the_worker_count(tmp_path):

@@ -4,12 +4,13 @@ import inspect
 import multiprocessing
 import os
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sgsmooth import data, engine, problems
-from sgsmooth.errors import NumericError, StreamExhausted, UnsupportedConfiguration
+from sgsmooth.errors import NumericError, StreamExhausted
 
 
 class QuadraticProblem:
@@ -717,26 +718,37 @@ def test_interrupted_run_stops_the_sampling_processes_of_a_stepping_process(monk
     assert "Traceback" not in capfd.readouterr().err
 
 
-def test_resolve_kappa():
-    cfg = engine.RunConfig(mu=0.1, kappa="auto", iterations=10)
-    resolved = engine.resolve_kappa(cfg, 0.97)
-    assert resolved.kappa == 0.97
-    # explicit kappa passes through untouched
-    cfg2 = engine.RunConfig(mu=0.1, kappa=0.5, iterations=10)
-    assert engine.resolve_kappa(cfg2, None).kappa == 0.5
-    with pytest.raises(UnsupportedConfiguration):
-        engine.resolve_kappa(cfg, 1.02)
-    with pytest.raises(ValueError):
-        engine.resolve_kappa(cfg, None)
-
-
 def test_run_config_validation():
     with pytest.raises(ValueError):
-        engine.RunConfig(mu=-1.0)
+        engine.RunConfig(mu=-1.0, kappa=0.5)
     with pytest.raises(ValueError):
-        engine.RunConfig(mu=0.1, kappa=1.0)
-    with pytest.raises(ValueError):
-        engine.RunConfig(mu=0.1, iterations=-1)
+        engine.RunConfig(mu=0.1, kappa=0.5, iterations=-1)
+    with pytest.raises(TypeError):
+        engine.RunConfig(mu=0.1)  # the smoothing factor has no default
+
+
+# the command line settles kappa = auto; the engine takes only a number
+@pytest.mark.parametrize("kappa", ["auto", "0.5", None, 1.0, -0.1, float("nan")])
+def test_run_config_kappa_is_a_number_in_the_unit_interval(kappa):
+    with pytest.raises(ValueError, match=r"^kappa must be a number in \[0, 1\)"):
+        engine.RunConfig(mu=0.1, kappa=kappa)
+
+
+def test_block_schedule_is_computed_as_it_is_stepped():
+    # 10**8 iterations are 195,313 blocks; a run that fails in its third
+    # block holds no entry of the schedule past it
+    p = problems.LassoProblem(delta=0.01, w_true=np.array([1.0, -1.0, 0.0]), cov_h=np.eye(3),
+                              noise_var=0.01)
+    factory = functools.partial(StubSampler, dim=3, bad_draw=3)
+    cfg = engine.RunConfig(mu=0.01, kappa=0.9, iterations=10**8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericError, match=r"iterations 1025\.\.1536$"):
+            engine.run_replications(p, factory, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_pocket_requires_oracle():

@@ -1,9 +1,11 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sgsmooth import engine
 from sgsmooth.errors import NumericError, trap_divergence
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sgsmooth"
@@ -85,3 +87,14 @@ def test_only_the_engine_starts_processes():
         assert not roots & {"concurrent", "subprocess"}, name
     assert sorted(n for n, modules in imports.items() if "multiprocessing" in modules) == [
         "engine.py"]
+
+
+# kappa = auto, the theory's rate, is settled where it is configured, in the
+# command line: the engine takes a number and must not learn the policy again
+def test_the_engine_has_no_auto_kappa():
+    tree = ast.parse((SRC / "engine.py").read_text(encoding="utf-8"))
+    strings = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert strings  # the scan found the docstrings at least
+    assert [s for s in strings if re.search(r"\bauto\b", s)] == []
+    assert not hasattr(engine, "resolve_kappa")
