@@ -436,12 +436,11 @@ def _report_check(name, ok, detail):
 
 
 def _noise_probes(w_star, dim, rng, count):
-    probes = [np.asarray(w_star, dtype=float)]
-    ladder = (0.1, 0.3, 1.0, 3.0, 10.0)
-    for k in range(count - 1):
-        scale = ladder[k % len(ladder)]
-        probes.append(w_star + scale * data.standard_normal(rng, dim))
-    return probes
+    # w* and count - 1 points about it, at distances up a ladder of scales,
+    # drawn in one call: row-major draws take one generator word per value
+    offsets = data.standard_normal(rng, (count - 1, dim))
+    scales = np.resize([0.1, 0.3, 1.0, 3.0, 10.0], count - 1)[:, None]
+    return np.vstack([w_star, w_star + scales * offsets])
 
 
 def _check_noise(problem, sampler_factory, w_star, beta2, sigma2, probes, n, seed):
@@ -513,7 +512,8 @@ def cmd_verify(ns):
 
     rng = np.random.default_rng(seed + 3)
     with trap_divergence("checks noise-zero-mean and noise-variance diverged"):
-        probe_points = _noise_probes(bundle.w_star, dim, rng, probes)
+        with _too_large(f"[verify] probes = {probes}"):
+            probe_points = _noise_probes(bundle.w_star, dim, rng, probes)
         with _too_large(f"[verify] noise_samples = {n_noise}"):
             mean_ok, var_ok, worst = _check_noise(
                 p, bundle.stream_factory, bundle.w_star, k.beta2, k.sigma2,

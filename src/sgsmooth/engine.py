@@ -9,37 +9,35 @@ exponentially smoothed iterate
 which is the realizable substitute for best-iterate tracking when the risk
 cannot be evaluated online.  The factor kappa is a number in [0, 1); the
 theory's choice, kappa = alpha, the problem's rate, is the caller's to make.
-Every loop that smooths, here and in the ``denoise`` command, takes the step
-from :func:`smoothing_terms` and :func:`smooth_step`, one iterate at a time
-through :func:`smooth_in_place` or a block at a time in the lockstep.  A
-single run is strictly sequential.
+The runs here carry it in numerator form, Z_i = kappa Z_{i-1} + w_i and
+w_bar_i = Z_i / S_i, and evaluate it once per block of ``SAMPLE_BLOCK``
+steps, from the block's iterates, at the record points and the block's end
+(:class:`_BlockSmoothing`).  The ``denoise`` command, which keeps no block
+of iterates, takes the recursion one iterate at a time
+(:func:`smooth_in_place`).  A single run is strictly sequential.
 
 :func:`run_replications`, the one loop the commands step through, advances
 independent replications in lockstep, as the rows of one (R, dim) matrix,
 each row fed by its own sampler.  It needs the problem's
-``subgradient_batch(W, H, y, out, work)``, which writes the rows'
-subgradients into ``out`` and its temporaries into ``work``, made once per
-run by the problem's ``batch_work(R)``, and a stream factory whose samplers
-have ``draw_batch(n)``.  Row r equals the per-sample reference :func:`run`
-(any ``dim`` and ``instantaneous_subgradient(w, sample)``, any iterable of
-samples) on the same samples bit for bit; the SVM set's batch form reads
-signed rows, so its lockstep stream samples
-:attr:`sgsmooth.problems.SvmSampleSet.signed` where :func:`run` reads
-(h, gamma).  One process steps every row from zero, every block in one
-loop; with more workers, the others only draw the blocks it sends them,
-into a shared ring, their rows split by measured cost.
+``batch_kernel(R)``, which binds once per run a kernel
+``kernel(W, H, y, out)`` that writes the rows' subgradients into ``out``,
+and a stream factory whose samplers have ``draw_batch(n)``.  Row r equals
+the per-sample reference :func:`run` (any ``dim`` and
+``instantaneous_subgradient(w, sample)``, any iterable of samples) on the
+same samples bit for bit; the SVM set's batch form reads signed rows, so
+its lockstep stream samples :attr:`sgsmooth.problems.SvmSampleSet.signed`
+where :func:`run` reads (h, gamma).  One process steps every row from zero,
+every block in one loop; with more workers, the others only draw the
+blocks it sends them, into a shared ring, their rows split by measured
+cost.
 
 At a few rows of a few coordinates a numpy call costs its dispatch, not
 its arithmetic, and a Python float or a broadcast column nearly doubles
-that.  So the lockstep step writes the iterates of a block of
-``SAMPLE_BLOCK`` steps into the rows of a history, then takes every
-w_i / S_i of the block in one division and runs the block's smoothing
-steps, two calls each (:func:`smoothing_terms`, :func:`smooth_step`).
-Every call of the loop takes operands of its output's shape or 0-d
-arrays, and every buffer is allocated once per run, by the lockstep,
-before any per-row object.  A step's smoothing factor 1 - 1/S_i is a 0-d
-array: a factor the shape of the iterates would cost a (block, R, dim)
-copy per block, which at many rows outweighs its cheaper dispatch.
+that.  So the loop over a lockstep block's steps holds only the kernel,
+``G *= mu`` and ``W - G``, every numpy call on operands of its output's
+shape or 0-d arrays, and writes the block's iterates into the rows of a
+history.  Every buffer is allocated once per run, by the lockstep, before
+any per-row object.
 """
 
 from dataclasses import dataclass
@@ -88,32 +86,16 @@ def init_smoothing(w0, kappa):
     return SmoothingState(1.0, np.array(w0, dtype=float), kappa)
 
 
-def smoothing_terms(w, s, quotient):
-    """Terms of the smoothing steps that take in ``w`` at weight sums ``s``.
-
-    Writes w / s into ``quotient`` and returns the factor 1 - 1/s, so the
-    step is ``smooth_step(w_bar, factor, quotient)``.  ``s`` is one new
-    weight sum S_i, or a column of them for a stack of iterates, one step
-    each.
-    """
-    np.divide(w, s, out=quotient)
-    # the (1 - 1/S) form makes kappa = 0 reduce to the last iterate exactly
-    return 1.0 - 1.0 / s
-
-
-def smooth_step(w_bar, factor, quotient):
-    """One smoothing step in place: w_bar <- factor * w_bar + quotient."""
-    w_bar *= factor
-    w_bar += quotient
-
-
 def smooth_in_place(w_bar, w, s, scratch):
     """One smoothing step in place: w_bar <- (1 - 1/s) w_bar + w / s.
 
     ``s`` is the new weight sum S_i.  ``scratch``, shaped like ``w_bar``,
     receives w / s, so nothing is allocated.
     """
-    smooth_step(w_bar, smoothing_terms(w, s, scratch), scratch)
+    np.divide(w, s, out=scratch)
+    # the (1 - 1/S) form makes kappa = 0 reduce to the last iterate exactly
+    w_bar *= 1.0 - 1.0 / s
+    w_bar += scratch
 
 
 def smoothing_update(state, w):
@@ -269,6 +251,53 @@ class _Recorder:
         return RunResult(w, smoothing, trajectory, self.pocket)
 
 
+class _BlockSmoothing:
+    """The smoothed iterates of a run's blocks, in numerator form.
+
+    The numerator Z_i = kappa Z_{i-1} + w_i, with Z_0 = w_0 = 0, gives
+    w_bar_i = Z_i / S_i.  After a block's steps, Z_k = kappa^k Z_0 +
+    sum_{j<=k} kappa^(k-j) w_j is one product of the powers kappa^0 ..
+    kappa^SAMPLE_BLOCK, taken once by repeated multiplication, with the
+    block's iterates.  It is taken at each record point, every ``stride``
+    steps of the run, and at the block's end.  ``scratch`` receives one
+    row's iterates of a block: BLAS sums a strided or a many-row operand in
+    other orders, so each row's product reads the same contiguous
+    (block, dim) rows in every loop.
+    """
+
+    def __init__(self, config, dim):
+        self.kappa, self.stride, self.s_sum = float(config.kappa), config.record_stride, 1.0
+        self.powers = np.cumprod(np.r_[1.0, np.full(SAMPLE_BLOCK, self.kappa)])
+        self.reverse = self.powers[::-1].copy()
+        self.scratch, self.z_k = np.empty((SAMPLE_BLOCK, dim)), np.empty(dim)
+
+    def sums(self, n):
+        """The weight sums S of the next ``n`` steps, which S moves past."""
+        sums, s_sum, kappa = [], self.s_sum, self.kappa
+        for _ in range(n):
+            s_sum = kappa * s_sum + 1.0
+            sums.append(s_sum)
+        self.s_sum = s_sum
+        return sums
+
+    def _numerator(self, z, k):
+        # kappa^k z + sum_{j=1..k} kappa^(k-j) w_j, with w_j in scratch row j - 1
+        z_k = np.matmul(self.reverse[SAMPLE_BLOCK + 1 - k :], self.scratch[:k], out=self.z_k)
+        z_k += self.powers[k] * z
+        return z_k
+
+    def block(self, z, iterates, start, sums, recorder):
+        """Records, to ``recorder``, the points of the block of steps
+        ``start + 1`` .. ``start + n`` whose iterates are the rows of
+        ``iterates`` and whose weight sums are ``sums``, and moves the
+        numerator ``z`` to the block's end, in place."""
+        n, stride = len(sums), self.stride
+        np.copyto(self.scratch[:n], iterates)
+        for k in range(stride - start % stride, n + 1, stride):
+            recorder.record(start + k, self.scratch[k - 1], self._numerator(z, k) / sums[k - 1])
+        np.copyto(z, self._numerator(z, n))
+
+
 def run(problem, stream, config, *, oracle=None, track_pocket=False):
     """Run the subgradient + smoothing loop for ``config.iterations`` steps
     from the zero vector.
@@ -284,34 +313,32 @@ def run(problem, stream, config, *, oracle=None, track_pocket=False):
         Step size ``mu``, smoothing factor ``kappa``, horizon and record stride.
     oracle : RiskOracle, optional
         Enables excess-risk / MSD recording and pocket tracking.
+
+    As in the lockstep, the smoothed iterate is evaluated once per block,
+    from the block's iterates (:class:`_BlockSmoothing`).
     """
     w = np.zeros(problem.dim)
     recorder = _Recorder(oracle, w, track_pocket)
-    kappa, mu = float(config.kappa), config.mu
-    stride = config.record_stride
-    n_iters = config.iterations
+    mu, n_iters = config.mu, config.iterations
     subgrad = problem.instantaneous_subgradient
-
-    w_bar = w.copy()
-    scratch = np.empty_like(w)
-    s_sum = 1.0
+    smoothing = _BlockSmoothing(config, problem.dim)
+    iterates, z = np.empty((SAMPLE_BLOCK, problem.dim)), np.zeros(problem.dim)
     it = iter(stream)
 
-    for i in range(1, n_iters + 1):
-        try:
-            sample = next(it)
-        except StopIteration:
-            raise StreamExhausted(
-                f"stream exhausted at iteration {i} of {n_iters}"
-            ) from None
-        g = subgrad(w, sample)
-        w -= mu * g
-        s_sum = kappa * s_sum + 1.0
-        smooth_in_place(w_bar, w, s_sum, scratch)
-        if i % stride == 0:
-            recorder.record(i, w, w_bar)
+    for start in range(0, n_iters, SAMPLE_BLOCK):
+        n = min(SAMPLE_BLOCK, n_iters - start)
+        for k in range(n):
+            try:
+                sample = next(it)
+            except StopIteration:
+                raise StreamExhausted(f"stream exhausted at iteration {start + k + 1} "
+                                      f"of {n_iters}") from None
+            w -= mu * subgrad(w, sample)
+            iterates[k] = w
+        smoothing.block(z, iterates[:n], start, smoothing.sums(n), recorder)
 
-    return recorder.result(w, SmoothingState(s_sum, w_bar, kappa))
+    s_sum = smoothing.s_sum
+    return recorder.result(w, SmoothingState(s_sum, z / s_sum, smoothing.kappa))
 
 
 def _block_where(start, n):
@@ -341,69 +368,52 @@ def _ring(slots, rows, dim):
 class _Lockstep:
     """The rows of a lockstep run, at one point of it.
 
-    It allocates every buffer of the run, the (R, dim) smoothed iterates
-    first, at zero, before any per-row object: a size too large to hold
-    raises ``MemoryError`` before a recorder or sampler is made.  ``history``
-    (block + 1, rows, dim) receives a block's iterates, row 0 holding the
-    last iterate of the block before; ``quotients`` (block, rows, dim) its
-    w_i / S_i.  ``H`` and ``Y`` are a sample ring of ``slots`` blocks.
-    Every per-step view is made once: indexing an array makes a new view on
-    every call.
+    It allocates every buffer of the run, the (R, dim) numerators of the
+    smoothed iterates first, at zero, before any per-row object: a size too
+    large to hold raises ``MemoryError`` before a recorder or sampler is
+    made.  ``history`` (block + 1, rows, dim) receives a block's iterates,
+    row 0 holding the last iterate of the block before.  ``H`` and ``Y`` are
+    a sample ring of ``slots`` blocks.  Every per-step view is made once:
+    indexing an array makes a new view on every call.
     """
 
     def __init__(self, problem, config, slots, oracle, track_pocket):
         rows, w = config.replications, np.zeros(problem.dim)
-        self.W_bar = np.tile(w, (rows, 1))
-        self.history = np.empty((SAMPLE_BLOCK + 1, *self.W_bar.shape))
-        self.quotients = np.empty((SAMPLE_BLOCK, *self.W_bar.shape))
+        self.Z = np.tile(w, (rows, 1))
+        self.history = np.empty((SAMPLE_BLOCK + 1, *self.Z.shape))
         # (slot, block, R, dim): step k reads contiguous rows
-        self.H, self.Y = _ring(slots, *self.W_bar.shape)
-        self.G = np.empty_like(self.W_bar)
-        self.work = problem.batch_work(rows)
-        self.factors = np.empty(SAMPLE_BLOCK)
+        self.H, self.Y = _ring(slots, *self.Z.shape)
+        self.G = np.empty_like(self.Z)
+        self.kernel = problem.batch_kernel(rows)
+        self.smoothing = _BlockSmoothing(config, problem.dim)
         self.history[0] = w
-        self.problem, self.kappa, self.stride = problem, float(config.kappa), config.record_stride
         self.mu = np.array(config.mu)  # 0-d: numpy converts a float on every call
-        self.s_sum = 1.0
-        self.W_rows, self.q_rows = list(self.history), list(self.quotients)
-        self.c_rows = [self.factors[k : k + 1].reshape(()) for k in range(SAMPLE_BLOCK)]  # 0-d
+        self.W_rows = list(self.history)
         self.H_slots, self.Y_slots = [list(h) for h in self.H], [list(y) for y in self.Y]
         self.recorders = [_Recorder(oracle, w, track_pocket) for _ in range(rows)]
 
     def step(self, start, n, slot):
         """Steps ``start + 1`` .. ``start + n`` on the samples in ring slot
-        ``slot``, with their smoothing and records; a non-finite iterate
-        that raised nothing raises :class:`NumericError` at the end."""
-        problem, mu, kappa, stride = self.problem, self.mu, self.kappa, self.stride
-        subgrad = problem.subgradient_batch
-        W_rows, G, work, W_bar, s_sum = self.W_rows, self.G, self.work, self.W_bar, self.s_sum
-        sums = []
+        ``slot``, then smooths and records them row by row; a non-finite
+        iterate that raised nothing raises :class:`NumericError` at the end."""
+        kernel, mu, W_rows, G = self.kernel, self.mu, self.W_rows, self.G
+        multiply, subtract = np.multiply, np.subtract
         for k, H_k, Y_k in zip(range(n), self.H_slots[slot], self.Y_slots[slot]):
-            subgrad(W_rows[k], H_k, Y_k, G, work)
-            np.multiply(G, mu, G)
-            np.subtract(W_rows[k], G, W_rows[k + 1])
-            s_sum = kappa * s_sum + 1.0
-            sums.append(s_sum)
-        column = np.array(sums)[:, None, None]
-        terms = smoothing_terms(self.history[1 : n + 1], column, self.quotients[:n])
-        np.copyto(self.factors[:n], terms[:, 0, 0])
-        for i, c, q, W in zip(range(start + 1, start + n + 1), self.c_rows, self.q_rows, W_rows[1:]):
-            smooth_step(W_bar, c, q)
-            if i % stride == 0:
-                for recorder, w_row, w_bar_row in zip(self.recorders, W, W_bar):
-                    recorder.record(i, w_row, w_bar_row)
+            kernel(W_rows[k], H_k, Y_k, G)
+            multiply(G, mu, G)
+            subtract(W_rows[k], G, W_rows[k + 1])
+        sums = self.smoothing.sums(n)
+        for recorder, z, iterates in zip(self.recorders, self.Z,
+                                         self.history[1 : n + 1].swapaxes(0, 1)):
+            self.smoothing.block(z, iterates, start, sums, recorder)
         if not np.isfinite(W_rows[n]).all():
             raise NumericError(_block_where(start, n))
         np.copyto(W_rows[0], W_rows[n])
-        self.s_sum = s_sum
 
     def results(self):
-        W = self.W_rows[0]
-        return [
-            recorder.result(W[r].copy(), SmoothingState(self.s_sum, self.W_bar[r].copy(),
-                                                        self.kappa))
-            for r, recorder in enumerate(self.recorders)
-        ]
+        W, s_sum, kappa = self.W_rows[0], self.smoothing.s_sum, self.smoothing.kappa
+        return [recorder.result(W[r].copy(), SmoothingState(s_sum, self.Z[r] / s_sum, kappa))
+                for r, recorder in enumerate(self.recorders)]
 
 
 def _block(lock, own, conns, children, start, n, slot):
@@ -506,8 +516,10 @@ def run_replications(
     arithmetic of :func:`run`: ``G *= mu`` then ``W - G`` keeps the rounding
     of ``w -= mu * g``.  A block of steps writes iterate k into row k of a
     (block + 1, R, dim) history, row 0 holding the last iterate of the
-    block before; then one division by the block's weight sums gives every
-    w_i / S_i, and the smoothing steps and the records follow in order.
+    block before.  Then, row by row, the row's iterates are copied into one
+    contiguous block, its smoothed iterates are evaluated from them at the
+    record points, as :func:`run` evaluates its own, and the records follow
+    in order.
     One loop runs every block ``(start, n, slot)`` of the one schedule,
     kept here: ``n`` steps from ``start`` on ring slot ``slot`` (:func:`_block`),
     each computed from its index when it is stepped or sent.

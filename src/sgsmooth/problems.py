@@ -1,17 +1,28 @@
 """Built-in problem families: regularized SVM, stochastic LASSO, TV denoising.
 
 The SVM set and LASSO provide the row-wise subgradient
-``subgradient_batch(W, H, y, out=None, work=None)``, which the lockstep
-replications and the gradient-noise check run on, with its working memory
-from ``batch_work(rows)``; the SVM set's reads signed rows gamma * h
+``subgradient_batch(W, H, y, out=None)``, which the gradient-noise check
+runs on, through the kernel that ``batch_kernel(rows)`` binds once per
+lockstep run; the SVM set's reads signed rows gamma * h
 (:attr:`SvmSampleSet.signed`).  Both also keep the per-sample
 (instantaneous) subgradient of the reference loop
 :func:`sgsmooth.engine.run`, which each batch row matches bit for bit.
-Exact quantities come with them: the LASSO risk and its subgradient are
-closed-form under the linear regression model, the SVM ones are evaluated
-exactly on a frozen sample set (:class:`SvmSampleSet`), and the TV objective
-is deterministic.  :class:`SvmProblem` keeps only the per-sample SVM
-subgradient.
+
+A kernel ``kernel(W, H, y, out)`` writes the R rows' subgradients into
+``out`` and its temporaries into work buffers it closed over, and allocates
+nothing.  Every operand of its calls is 0-d or has the shape of the call's
+output: the constants are 0-d arrays, and an R-long residual or hinge mask
+is read as (R, dim) through a broadcast view.  At a few rows numpy would
+convert a Python float, or broadcast a column, on every call, which costs
+more than the arithmetic.  The row dots come from ``np.vecdot``, the kernel
+of the per-sample h @ w; einsum sums in another order and moves results by
+an ulp.
+
+Each family comes with exact quantities: the LASSO risk and its
+subgradient are closed-form under the linear regression model, the SVM
+ones are evaluated exactly on a frozen sample set (:class:`SvmSampleSet`),
+and the TV objective is deterministic.  :class:`SvmProblem` keeps only the
+per-sample SVM subgradient.
 
 Subgradient conventions are fixed once and kept for the whole run:
 ``sgn(0) = 0`` everywhere, and the hinge indicator is active at margin
@@ -61,45 +72,6 @@ def soft_threshold(x, delta):
         raise ValueError("delta must be nonnegative")
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.maximum(np.abs(x) - delta, 0.0)
-
-
-class BatchWork(NamedTuple):
-    """Working memory and constants of ``subgradient_batch`` on R rows.
-
-    A problem's ``batch_work(R)`` makes one; a kernel given it writes its
-    temporaries here and allocates nothing but a missing ``out``.  The
-    constants are 0-d arrays and ``spread`` and ``mask_rows`` read the R-long
-    ``per_row`` and ``mask`` as (R, dim), so every operand of a kernel call
-    is 0-d or has the shape of its output: numpy would convert a Python
-    float, or broadcast a column, on every call, and at a few rows that
-    costs more than the arithmetic.  The row dots come from ``np.vecdot``,
-    the kernel of the per-sample h @ w; einsum sums in another order and
-    moves results by an ulp.
-    """
-
-    coef: np.ndarray  # 0-d: rho or delta
-    one: np.ndarray  # 0-d: the hinge threshold 1.0
-    dots: np.ndarray  # (R,) row dot products
-    per_row: np.ndarray  # (R,) LASSO residuals
-    spread: np.ndarray  # (R, dim) read-only view of per_row
-    mask: np.ndarray  # (R,) SVM hinge indicator
-    mask_rows: np.ndarray  # (R, dim) read-only view of mask
-    product: np.ndarray  # (R, dim) residual times row, or rho w - s
-
-    @classmethod
-    def allocate(cls, rows, dim, coef):
-        per_row = np.empty(rows)
-        mask = np.empty(rows, dtype=bool)
-        return cls(
-            np.array(float(coef)),
-            np.array(1.0),
-            np.empty(rows),
-            per_row,
-            np.broadcast_to(per_row[:, None], (rows, dim)),
-            mask,
-            np.broadcast_to(mask[:, None], (rows, dim)),
-            np.empty((rows, dim)),
-        )
 
 
 def _check_label(gamma):
@@ -201,11 +173,28 @@ class SvmSampleSet:
 
     instantaneous_subgradient = SvmProblem.instantaneous_subgradient
 
-    def batch_work(self, rows):
-        """:class:`BatchWork` of :meth:`subgradient_batch` on ``rows`` rows."""
-        return BatchWork.allocate(rows, self.dim, self.rho)
+    def batch_kernel(self, rows):
+        """``kernel(W, H, y, out)``: :meth:`subgradient_batch` on ``rows`` rows,
+        into ``out``, with working memory of its own (see the module notes)."""
+        coef, one = np.array(float(self.rho)), np.array(1.0)
+        dots, mask = np.empty(rows), np.empty(rows, dtype=bool)
+        mask_rows = np.broadcast_to(mask[:, None], (rows, self.dim))
+        product = np.empty((rows, self.dim))
+        vecdot, less_equal, multiply, subtract, copyto = (
+            np.vecdot, np.less_equal, np.multiply, np.subtract, np.copyto)
 
-    def subgradient_batch(self, W, H, y, out=None, work=None):
+        def kernel(W, H, y, out):
+            vecdot(H, W, dots)
+            less_equal(dots, one, mask)
+            multiply(W, coef, out)
+            # a masked copy costs a third of a masked subtract
+            subtract(out, H, product)
+            copyto(out, product, where=mask_rows)
+            return out
+
+        return kernel
+
+    def subgradient_batch(self, W, H, y, out=None):
         """Row r is rho W[r] - [s_r . W[r] <= 1] s_r for the signed row s_r = H[r].
 
         With s_r = gamma h this is ``instantaneous_subgradient(W[r],
@@ -213,18 +202,9 @@ class SvmSampleSet:
         already in the row.  Streams for it sample :attr:`signed`, and with
         label +1 (the sample (gamma h, +1) has the same subgradient) they
         also feed :meth:`instantaneous_subgradient`.  The result is written
-        into ``out`` and the temporaries into ``work`` (:meth:`batch_work`),
-        each allocated when not given.
+        into ``out``, allocated when not given, by :meth:`batch_kernel`.
         """
-        if work is None:
-            work = self.batch_work(len(W))
-        np.vecdot(H, W, work.dots)
-        np.less_equal(work.dots, work.one, work.mask)
-        out = np.multiply(W, work.coef, out)
-        # a masked copy costs a third of a masked subtract
-        np.subtract(out, H, work.product)
-        np.copyto(out, work.product, where=work.mask_rows)
-        return out
+        return self.batch_kernel(len(W))(W, H, y, np.empty(np.shape(W)) if out is None else out)
 
     def risk(self, w):
         """Exact regularized hinge risk on the set."""
@@ -399,25 +379,33 @@ class LassoProblem:
         residual = sample.gamma - h @ w
         return self.delta * np.sign(w) - residual * h
 
-    def batch_work(self, rows):
-        """:class:`BatchWork` of :meth:`subgradient_batch` on ``rows`` rows."""
-        return BatchWork.allocate(rows, self.dim, self.delta)
+    def batch_kernel(self, rows):
+        """``kernel(W, H, y, out)``: :meth:`subgradient_batch` on ``rows`` rows,
+        into ``out``, with working memory of its own (see the module notes)."""
+        coef = np.array(float(self.delta))
+        dots, residuals = np.empty(rows), np.empty(rows)
+        spread = np.broadcast_to(residuals[:, None], (rows, self.dim))
+        product = np.empty((rows, self.dim))
+        vecdot, subtract, sign, multiply = np.vecdot, np.subtract, np.sign, np.multiply
 
-    def subgradient_batch(self, W, H, y, out=None, work=None):
+        def kernel(W, H, y, out):
+            vecdot(H, W, dots)
+            subtract(y, dots, residuals)
+            sign(W, out)
+            multiply(out, coef, out)
+            multiply(spread, H, product)
+            subtract(out, product, out)
+            return out
+
+        return kernel
+
+    def subgradient_batch(self, W, H, y, out=None):
         """Row r is ``instantaneous_subgradient(W[r], Sample(H[r], y[r]))``, bit for bit.
 
-        The result is written into ``out`` and the temporaries into ``work``
-        (:meth:`batch_work`), each allocated when not given.
+        The result is written into ``out``, allocated when not given, by
+        :meth:`batch_kernel`.
         """
-        if work is None:
-            work = self.batch_work(len(W))
-        np.vecdot(H, W, work.dots)
-        np.subtract(y, work.dots, work.per_row)
-        out = np.sign(W, out)
-        np.multiply(out, work.coef, out)
-        np.multiply(work.spread, H, work.product)
-        np.subtract(out, work.product, out)
-        return out
+        return self.batch_kernel(len(W))(W, H, y, np.empty(np.shape(W)) if out is None else out)
 
     def true_subgradient(self, w):
         """Exact subgradient (w - w_true) + delta sgn(w)."""

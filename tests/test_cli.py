@@ -535,7 +535,9 @@ def test_size_too_large_to_allocate_is_config_error(tmp_path, capsys, command, t
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key", ["pairs", "noise_samples"])
+# probes: the offsets are drawn in one call, so a count past the address
+# space fails at once rather than building probes one at a time
+@pytest.mark.parametrize("key", ["pairs", "noise_samples", "probes"])
 def test_verify_sample_too_large_to_allocate_is_config_error(tmp_path, capsys, key):
     text = re.sub(rf"^{key} = \d+$", f"{key} = {HUGE}", LASSO_QUICK, flags=re.M)
     cfg = write_config(tmp_path, text, iterations=200, replications=1, out=tmp_path / "out")

@@ -347,6 +347,80 @@ def test_run_replications_rows_equal_run_bit_for_bit(kind, case):
                 assert res.pocket is None
 
 
+# ---------- block smoothing ----------
+
+
+def lasso_of_dim(dim):
+    # (problem, stream factory, oracle) of a LASSO run in ``dim`` coordinates
+    w_true = np.zeros(dim)
+    w_true[0], w_true[1:2] = 1.0, -1.0
+    p = problems.LassoProblem(delta=0.005, w_true=w_true, cov_h=np.eye(dim), noise_var=0.01)
+    factory = functools.partial(
+        data.make_sampler, data.RegressionStreamSpec(p.w_true, p.cov_h, p.noise_var)
+    )
+    w_star = p.optimum()
+    return p, factory, engine.RiskOracle(p.risk, w_star, p.risk(w_star))
+
+
+# (iterations, record_stride): no block up to three blocks, the last one
+# partial, with records mid-block, on a block's end (512 and 1500) and after
+# every step
+BLOCK_RUNS = [(0, 1), (1, 1), (511, 7), (512, 512), (513, 1), (1500, 250), (1500, 700)]
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 0.999, 0.9999])
+@pytest.mark.parametrize("dim", [1, 3, 100])
+def test_block_smoothing_rows_equal_single_runs_bit_for_bit(dim, kappa):
+    # row r of a run of R = 1, 3 or 8 rows equals run() seeded r, which
+    # smooths its own block of iterates, and so the one-row run seeded r
+    p, factory, oracle = lasso_of_dim(dim)
+    kwargs = {"oracle": oracle, "track_pocket": True}
+    for iterations, stride in BLOCK_RUNS:
+        fields = {"mu": 0.01, "kappa": kappa, "iterations": iterations, "record_stride": stride}
+        refs = [engine.run(p, iter(factory(seed)), engine.RunConfig(**fields, seed=seed), **kwargs)
+                for seed in range(8)]
+        assert refs[0].trajectory.iterations.size == iterations // stride
+        for rows in (1, 3, 8):
+            cfg = engine.RunConfig(**fields, seed=0, replications=rows)
+            assert_same_results(engine.run_replications(p, factory, cfg, **kwargs), refs[:rows])
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 0.999, 0.9999])
+def test_block_smoothing_is_the_weighted_average_of_the_iterates(kappa):
+    # five blocks and a part, recorded after every step: the oracle is asked
+    # for the raw iterate, then the smoothed one
+    p, factory, _ = lasso_of_dim(3)
+    seen = []
+    oracle = engine.RiskOracle(lambda v: seen.append(v.copy()) or 0.0, np.zeros(3), 0.0)
+    cfg = engine.RunConfig(mu=0.01, kappa=kappa, iterations=5 * engine.SAMPLE_BLOCK + 100,
+                           record_stride=1, seed=4)
+    (res,) = engine.run_replications(p, factory, cfg, oracle=oracle)
+    raw, smoothed = np.array(seen[0::2]), np.array(seen[1::2])
+    assert len(raw) == cfg.iterations
+    np.testing.assert_array_equal(res.w, raw[-1])
+    np.testing.assert_array_equal(res.smoothing.w_bar, smoothed[-1])
+    if kappa == 0.0:
+        np.testing.assert_array_equal(smoothed, raw)
+    iterates = np.vstack([np.zeros(3), raw])  # w_0 = 0 carries the weight kappa^i
+    for i, w_bar in enumerate(smoothed, start=1):
+        direct = engine.weighted_average_direct(iterates[: i + 1], kappa)
+        assert np.abs(w_bar - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+def test_lockstep_buffers_hold_one_block_of_iterates():
+    # the tier-1 fixture's shape: the (block + 1, R, dim) history is 19.6 MiB,
+    # and a second buffer of a block's rows would double it
+    p, _, _ = lasso_of_dim(100)
+    cfg = engine.RunConfig(mu=0.001, kappa=0.999, replications=50)
+    tracemalloc.start()
+    try:
+        engine._Lockstep(p, cfg, engine.RING_SLOTS, None, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
 def test_lockstep_divergence_names_the_block_without_warnings(recwarn):
     # no oracle, so no record reads the risk: the step's first overflow stops it
     p, factory, _, _ = lockstep_case("lasso")

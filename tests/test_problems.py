@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 import tracemalloc
 
@@ -189,11 +190,9 @@ class Shifted:
     def __init__(self, problem, origin):
         self.problem, self.origin, self.dim = problem, origin, problem.dim
 
-    def batch_work(self, rows):
-        return self.problem.batch_work(rows)
-
-    def subgradient_batch(self, V, H, y, out, work):
-        return self.problem.subgradient_batch(V + self.origin, H, y, out, work)
+    def batch_kernel(self, rows):
+        kernel = self.problem.batch_kernel(rows)
+        return lambda V, H, y, out: kernel(V + self.origin, H, y, out)
 
 
 def test_svm_negative_excess_risk_lies_within_certified_gap():
@@ -217,28 +216,31 @@ def test_svm_negative_excess_risk_lies_within_certified_gap():
 
 
 def assert_batch_rows_match(p, W, H, y, rows=None, batch_y=None):
-    # subgradient_batch reads ``rows`` (default H) and ``batch_y`` (default y);
-    # row r must equal the subgradient of Sample(H[r], y[r]) bit for bit, the
-    # sign of every zero included, with or without ``out``, and with buffers
-    # from ``batch_work`` that a call on the rows in reverse order left stale
+    # subgradient_batch and a batch_kernel kernel read ``rows`` (default H) and
+    # ``batch_y`` (default y); row r must equal the subgradient of
+    # Sample(H[r], y[r]) bit for bit, the sign of every zero included, with
+    # or without ``out``, and from a kernel whose work buffers a call on the
+    # rows in reverse order left stale
     rows = H if rows is None else rows
     batch_y = y if batch_y is None else batch_y
     refs = [p.instantaneous_subgradient(W[r], Sample(H[r], y[r])) for r in range(W.shape[0])]
     out = np.full_like(W, np.nan)
     G = p.subgradient_batch(W, rows, batch_y)
     assert p.subgradient_batch(W, rows, batch_y, out=out) is out
-    work = p.batch_work(W.shape[0])
-    p.subgradient_batch(W, rows[::-1], batch_y[::-1], work=work)
-    stale = (work.mask.tobytes(), work.per_row.tobytes())
+    kernel = p.batch_kernel(W.shape[0])
+    work = inspect.getclosurevars(kernel).nonlocals
+    kernel(W, rows[::-1], batch_y[::-1], np.empty_like(W))
+    stale = {name: work[name].tobytes() for name in ("mask", "residuals") if name in work}
+    assert stale
     reused = np.full_like(W, np.nan)
-    assert p.subgradient_batch(W, rows, batch_y, out=reused, work=work) is reused
+    assert kernel(W, rows, batch_y, reused) is reused
     for got in (G, out, reused):
         assert got.shape == W.shape
         for g, ref in zip(got, refs):
             np.testing.assert_array_equal(g, ref)
             np.testing.assert_array_equal(np.signbit(g), np.signbit(ref))
     # the hinge mask (SVM) or the residuals (LASSO) changed between the calls
-    assert stale != (work.mask.tobytes(), work.per_row.tobytes())
+    assert all(stale[name] != work[name].tobytes() for name in stale)
 
 
 def test_svm_subgradient_batch_rows_equal_instantaneous():
