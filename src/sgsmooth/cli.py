@@ -558,30 +558,36 @@ def _tv_alpha(mu):
 def _denoise(noisy, mu, lam, kappa, iterations):
     """Smoothed iterate, as pixels, after ``iterations`` TV steps from ``noisy``.
 
-    The first step goes through problems.tv_subgradient_step, which checks
-    mu, lam and the shapes.  Each later step advances that one iterate in
-    place through problems.tv_step_bands, on the calling thread, and each
-    band it yields advances the same rows of the smoothed image.  Every
+    The smoothing carries S and the numerator Z = kappa Z + w from S_0 = 1 and
+    Z_0 = ``noisy``, and divides out w_bar = Z / S at the end.  The first step
+    goes through problems.tv_subgradient_step, which checks mu, lam and the
+    shapes.  Each later step advances that one iterate in place through
+    problems.tv_step_bands, on the calling thread, into one set of band
+    buffers, and each band it yields advances the same rows of Z.  Every
     operation is elementwise, so the result does not depend on the bands.
-    One set of band buffers is allocated once.
     """
-    w_bar = noisy.pixels.copy()
+    z = noisy.pixels.copy()
     if iterations == 0:
-        return w_bar
-    height, width = w_bar.shape
-    bands = problems.tv_bands(height, width)
+        return z
     s = kappa + 1.0  # S_1 = kappa S_0 + 1 with S_0 = 1
     with trap_divergence("iterate diverged in step 1"):
-        p = problems.tv_subgradient_step(noisy, noisy, mu, lam).pixels
-        buf = problems.TvBuffers.for_bands(bands, width)
-        for lo, hi in bands:
-            engine.smooth_in_place(w_bar[lo:hi], p[lo:hi], s, buf.scratch[: hi - lo])
+        try:
+            p = problems.tv_subgradient_step(noisy, noisy, mu, lam).pixels
+        except NumericError as exc:  # its own trap names the TV step, not the run's
+            cause = str(exc).rsplit(": ", 1)[0]
+            raise NumericError(f"{cause}: iterate diverged in step 1") from None
+        z *= kappa
+        z += p
+    bands = problems.tv_bands(*z.shape)
+    buf = problems.TvBuffers.for_bands(bands, z.shape[1])
     for step in range(2, iterations + 1):
         s = kappa * s + 1.0
         with trap_divergence(f"iterate diverged in step {step}"):
             for lo, hi in problems.tv_step_bands(p, noisy.pixels, mu, lam, bands, buf):
-                engine.smooth_in_place(w_bar[lo:hi], p[lo:hi], s, buf.scratch[: hi - lo])
-    return w_bar
+                z[lo:hi] *= kappa
+                z[lo:hi] += p[lo:hi]
+    z /= s
+    return z
 
 
 def cmd_denoise(ns):
@@ -594,15 +600,14 @@ def cmd_denoise(ns):
     kappa = _smoothing_factor("--kappa", ns.kappa, _tv_alpha(ns.mu), f"--mu {ns.mu!r}")
     if ns.input is None and ns.clean is None:
         raise ConfigError("provide --input NOISY.pgm or --clean CLEAN.pgm --noise-std S")
-    clean = None
-    if ns.clean is not None:
-        clean = data.read_pgm(ns.clean)
-    if ns.input is not None:
-        noisy = data.read_pgm(ns.input)
-    else:
-        if ns.noise_std is None:
-            raise ConfigError("--noise-std is required when generating noise from --clean")
-        noisy = None
+    clean = None if ns.clean is None else data.read_pgm(ns.clean)
+    if ns.input is None and ns.noise_std is None:
+        raise ConfigError("--noise-std is required when generating noise from --clean")
+    noisy = None if ns.input is None else data.read_pgm(ns.input)
+    if clean is not None and noisy is not None and clean.shape != noisy.shape:
+        (h, w), (h_c, w_c) = noisy.shape, clean.shape
+        raise ConfigError(f"--input {ns.input} is {w}x{h} pixels but "
+                          f"--clean {ns.clean} is {w_c}x{h_c}")
 
     peak = 1.0 if ns.normalize else 255.0
     if ns.normalize:
@@ -658,6 +663,9 @@ def cmd_svm_train(ns):
     _require_count("--seed", ns.seed)
     train = data.load_libsvm(ns.train)
     test = data.load_libsvm(ns.test) if ns.test else None
+    for flag, path, ds in (("--train", ns.train, train), ("--test", ns.test, test)):
+        if ds is not None and ds.n == 0:
+            raise ConfigError(f"{flag} {path}: dataset is empty")
     dim = max(train.dim, test.dim if test else 0)
     if dim == 0:
         raise ConfigError(f"--train {ns.train}: dataset is empty")

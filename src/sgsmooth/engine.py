@@ -1,20 +1,20 @@
 """Generic constant step-size stochastic subgradient loop with smoothing.
 
 The loop is problem-agnostic.  Alongside the raw iterate it maintains the
-exponentially smoothed iterate
+exponentially smoothed iterate by one recursion, on the weight sum S and the
+numerator Z:
 
-    S_i = kappa * S_{i-1} + 1
-    w_bar_i = (1 - 1/S_i) * w_bar_{i-1} + (1/S_i) * w_i
+    S_i = kappa * S_{i-1} + 1,    Z_i = kappa * Z_{i-1} + w_i,    w_bar_i = Z_i / S_i
 
-which is the realizable substitute for best-iterate tracking when the risk
+This is the realizable substitute for best-iterate tracking when the risk
 cannot be evaluated online.  The factor kappa is a number in [0, 1); the
 theory's choice, kappa = alpha, the problem's rate, is the caller's to make.
-The runs here carry it in numerator form, Z_i = kappa Z_{i-1} + w_i and
-w_bar_i = Z_i / S_i, and evaluate it once per block of ``SAMPLE_BLOCK``
-steps, from the block's iterates, at the record points and the block's end
-(:class:`_BlockSmoothing`).  The ``denoise`` command, which keeps no block
-of iterates, takes the recursion one iterate at a time
-(:func:`smooth_in_place`).  A single run is strictly sequential.
+It is evaluated in two orders, and w_bar is divided out only where it is
+read.  The runs take it once per block of ``SAMPLE_BLOCK`` steps, from the
+block's iterates, at the record points and the block's end
+(:class:`_BlockSmoothing`); :func:`smoothing_update` and the ``denoise``
+command, which keeps no block of iterates, take it one iterate at a time.
+A single run is strictly sequential.
 
 :func:`run_replications`, the one loop the commands step through, advances
 independent replications in lockstep, as the rows of one (R, dim) matrix,
@@ -72,38 +72,30 @@ _FORK = (multiprocessing.get_context("fork")
 
 
 class SmoothingState(NamedTuple):
-    """Running geometric weight sum S, smoothed iterate, and the factor kappa."""
+    """Running geometric weight sum S, numerator Z, and the factor kappa."""
 
     s: float
-    w_bar: np.ndarray
+    z: np.ndarray
     kappa: float
+
+    @property
+    def w_bar(self):
+        """The smoothed iterate Z / S."""
+        return self.z / self.s
 
 
 def init_smoothing(w0, kappa):
-    """Initial smoothing state: S = 1 and w_bar = w_0."""
+    """Initial smoothing state: S = 1 and Z = w_0."""
     if not 0.0 <= kappa < 1.0:
         raise ValueError("kappa must lie in [0, 1)")
     return SmoothingState(1.0, np.array(w0, dtype=float), kappa)
 
 
-def smooth_in_place(w_bar, w, s, scratch):
-    """One smoothing step in place: w_bar <- (1 - 1/s) w_bar + w / s.
-
-    ``s`` is the new weight sum S_i.  ``scratch``, shaped like ``w_bar``,
-    receives w / s, so nothing is allocated.
-    """
-    np.divide(w, s, out=scratch)
-    # the (1 - 1/S) form makes kappa = 0 reduce to the last iterate exactly
-    w_bar *= 1.0 - 1.0 / s
-    w_bar += scratch
-
-
 def smoothing_update(state, w):
-    """Advance the smoothing recursion by one iterate; returns a new state."""
-    s = state.kappa * state.s + 1.0
-    w_bar = np.array(state.w_bar, dtype=float)
-    smooth_in_place(w_bar, np.asarray(w, dtype=float), s, np.empty_like(w_bar))
-    return SmoothingState(s, w_bar, state.kappa)
+    """Advance the smoothing recursion by one iterate; returns a new state.
+    At kappa = 0, Z = w and S = 1: w_bar is the last iterate exactly."""
+    s, z, kappa = state
+    return SmoothingState(kappa * s + 1.0, kappa * z + np.asarray(w, dtype=float), kappa)
 
 
 def weighted_average_direct(iterates, kappa):
@@ -337,8 +329,7 @@ def run(problem, stream, config, *, oracle=None, track_pocket=False):
             iterates[k] = w
         smoothing.block(z, iterates[:n], start, smoothing.sums(n), recorder)
 
-    s_sum = smoothing.s_sum
-    return recorder.result(w, SmoothingState(s_sum, z / s_sum, smoothing.kappa))
+    return recorder.result(w, SmoothingState(smoothing.s_sum, z, smoothing.kappa))
 
 
 def _block_where(start, n):
@@ -412,7 +403,7 @@ class _Lockstep:
 
     def results(self):
         W, s_sum, kappa = self.W_rows[0], self.smoothing.s_sum, self.smoothing.kappa
-        return [recorder.result(W[r].copy(), SmoothingState(s_sum, self.Z[r] / s_sum, kappa))
+        return [recorder.result(W[r].copy(), SmoothingState(s_sum, self.Z[r].copy(), kappa))
                 for r, recorder in enumerate(self.recorders)]
 
 

@@ -851,6 +851,21 @@ def test_banded_denoise_equals_whole_image_loop(monkeypatch, height, band_pixels
     assert len(bands) == iterations * per_step
 
 
+@pytest.mark.parametrize("band_rows", [1, None])
+@pytest.mark.parametrize("iterations", [1, 2, 25])
+def test_denoise_kappa_zero_is_the_last_tv_iterate(monkeypatch, band_rows, iterations):
+    # with no memory, Z = w and S = 1: the smoothing hands back the iterate
+    rng = np.random.default_rng(iterations)
+    noisy = GrayImage(rng.normal(size=(7, 6)), peak=1.0)
+    img = noisy
+    for _ in range(iterations):
+        img = problems.tv_subgradient_step(img, noisy, 0.05, 0.3)
+    if band_rows is not None:
+        monkeypatch.setattr(problems, "TV_BAND_PIXELS", band_rows * 6)
+    assert len(problems.tv_bands(7, 6)) == (7 if band_rows else 1)
+    assert np.array_equal(cli._denoise(noisy, 0.05, 0.3, 0.0, iterations), img.pixels)
+
+
 @pytest.mark.parametrize("band_pixels", [problems.TV_BAND_PIXELS, 1])
 def test_denoise_divergence_is_property_failure(tmp_path, capsys, monkeypatch, band_pixels):
     # step 1 stays finite; step 2 overflows inside the row bands
@@ -892,7 +907,21 @@ def test_denoise_first_step_divergence_is_property_failure(tmp_path, capsys):
                        "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_PROPERTY
     err = capsys.readouterr().err
-    assert "overflow" in err and "diverged" in err and "Traceback" not in err
+    assert err.endswith(": iterate diverged in step 1\n")
+    assert "overflow" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "denoised.pgm").exists()
+
+
+def test_denoise_input_and_clean_of_different_sizes_is_config_error(tmp_path, capsys):
+    noisy, clean = tmp_path / "noisy.pgm", tmp_path / "clean.pgm"
+    data.write_pgm(GrayImage(np.full((10, 12), 90.0), peak=255.0), noisy)
+    data.write_pgm(GrayImage(np.full((20, 30), 90.0), peak=255.0), clean)
+    rc = cli.main(["denoise", "--input", str(noisy), "--clean", str(clean),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--input" in err and "--clean" in err and "12x10" in err and "30x20" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out" / "denoised.pgm").exists()
 
 
@@ -991,6 +1020,23 @@ def test_svm_train_pads_test_dimension(tmp_path, capsys):
     ])
     assert rc == 0
     assert "test accuracy = 1.0000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("empty_flag", ["--train", "--test"])
+def test_svm_train_set_without_rows_is_config_error(tmp_path, capsys, empty_flag):
+    # the other set gives a dimension, so only the row count is empty
+    paths = {"--train": tmp_path / "train.libsvm", "--test": tmp_path / "test.libsvm"}
+    for flag, path in paths.items():
+        path.write_text("# comments only\n" if flag == empty_flag else "+1 1:1.0\n-1 1:-1.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["svm-train", "--train", str(paths["--train"]),
+                       "--test", str(paths["--test"]), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{empty_flag} {paths[empty_flag]}: dataset is empty" in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "model.txt").exists()
 
 
 def test_svm_train_parse_error_is_io_error(tmp_path, capsys):

@@ -71,13 +71,15 @@ def test_smoothing_update_kappa_zero_has_no_memory():
     np.testing.assert_array_equal(state.w_bar, [7.0])
 
 
-def test_smooth_in_place_is_the_recursion_formula_bit_for_bit():
+def test_smoothing_update_is_the_numerator_recursion_bit_for_bit():
     rng = np.random.default_rng(8)
-    w_bar, w = rng.normal(size=(2, 3, 50))
-    for s in (1.0, 1.7, 3.0, 123.456):
-        got = w_bar.copy()
-        engine.smooth_in_place(got, w, s, np.empty_like(got))
-        assert np.array_equal(got, (1.0 - 1.0 / s) * w_bar + w / s)
+    z, w = rng.normal(size=(2, 3, 50))
+    for s, kappa in ((1.0, 0.0), (1.7, 0.3), (3.0, 0.9), (123.456, 0.999)):
+        state = engine.smoothing_update(engine.SmoothingState(s, z, kappa), w)
+        assert state.s == kappa * s + 1.0
+        assert np.array_equal(state.z, kappa * z + w)
+        assert np.array_equal(state.w_bar, state.z / state.s)
+        assert state.kappa == kappa
 
 
 def test_smoothing_long_run_constant_iterate():

@@ -98,3 +98,22 @@ def test_the_engine_has_no_auto_kappa():
     assert strings  # the scan found the docstrings at least
     assert [s for s in strings if re.search(r"\bauto\b", s)] == []
     assert not hasattr(engine, "resolve_kappa")
+
+
+def _is_one(node):
+    return isinstance(node, ast.Constant) and node.value == 1
+
+
+# one smoothing recursion, Z = kappa Z + w read as Z / S: the older form
+# w_bar <- (1 - 1/S) w_bar + w / S must not come back beside it
+def test_there_is_one_smoothing_recursion():
+    assert not hasattr(engine, "smooth_in_place")
+    paths, found = list(SRC.glob("*.py")), []
+    assert paths  # the scan found the sources
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                    and _is_one(node.left) and isinstance(node.right, ast.BinOp)
+                    and isinstance(node.right.op, ast.Div) and _is_one(node.right.left)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
