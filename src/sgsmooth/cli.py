@@ -12,6 +12,7 @@ import functools
 import math
 import os
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -555,16 +556,25 @@ def _tv_alpha(mu):
     return 1.0 - mu + 2.0 * mu * mu
 
 
+def _tv_parts(height, width):
+    """Row parts ``[lo, hi)`` of a denoise, each with its bands ``[(lo, hi), ...]``.
+
+    One part per usable CPU, at most one per band of problems.tv_bands, as
+    even as whole rows allow; each part is cut into bands of its own.
+    """
+    n = _workers(0, len(problems.tv_bands(height, width)))
+    cuts = [height * j // n for j in range(n + 1)]
+    return [(lo, hi, [(lo + a, lo + b) for a, b in problems.tv_bands(hi - lo, width)])
+            for lo, hi in zip(cuts, cuts[1:])]
+
+
 def _denoise(noisy, mu, lam, kappa, iterations):
     """Smoothed iterate, as pixels, after ``iterations`` TV steps from ``noisy``.
 
     The smoothing carries S and the numerator Z = kappa Z + w from S_0 = 1 and
     Z_0 = ``noisy``, and divides out w_bar = Z / S at the end.  The first step
     goes through problems.tv_subgradient_step, which checks mu, lam and the
-    shapes.  Each later step advances that one iterate in place through
-    problems.tv_step_bands, on the calling thread, into one set of band
-    buffers, and each band it yields advances the same rows of Z.  Every
-    operation is elementwise, so the result does not depend on the bands.
+    shapes; _tv_steps takes the others.
     """
     z = noisy.pixels.copy()
     if iterations == 0:
@@ -578,16 +588,82 @@ def _denoise(noisy, mu, lam, kappa, iterations):
             raise NumericError(f"{cause}: iterate diverged in step 1") from None
         z *= kappa
         z += p
-    bands = problems.tv_bands(*z.shape)
-    buf = problems.TvBuffers.for_bands(bands, z.shape[1])
-    for step in range(2, iterations + 1):
+    if iterations > 1:
+        _tv_steps(p, z, noisy.pixels, mu, lam, kappa, iterations)
+    for _ in range(2, iterations + 1):
         s = kappa * s + 1.0
-        with trap_divergence(f"iterate diverged in step {step}"):
-            for lo, hi in problems.tv_step_bands(p, noisy.pixels, mu, lam, bands, buf):
-                z[lo:hi] *= kappa
-                z[lo:hi] += p[lo:hi]
     z /= s
     return z
+
+
+def _tv_steps(p, z, noisy, mu, lam, kappa, iterations):
+    """Steps 2..``iterations`` of _denoise: ``p`` and ``z`` advance in place.
+
+    The image is cut into the row parts of _tv_parts, one thread per part,
+    the calling thread taking the first, and the parts meet at one barrier
+    per step.  Each part steps its own bands through problems.tv_step_bands,
+    into buffers of its own, and each band it yields advances the same rows
+    of Z.  A part reads its neighbours' rows not from ``p``, which they write
+    meanwhile, but from the edge rows that each part copies out after every
+    step, kept in two slots by step parity.  Every operation is elementwise,
+    so the result depends on neither the parts nor the bands.  A part that
+    fails breaks the barrier, and all failures come in the same step; the
+    one of the topmost part that failed is raised once every thread has
+    ended.
+    """
+    parts = _tv_parts(*p.shape)
+    # allocated on the calling thread: a worker thread's malloc arena would
+    # keep them resident after the steps, beside the arrays that follow
+    bufs = [problems.TvBuffers.for_bands(bands, p.shape[1]) for _, _, bands in parts]
+    # edges[step % 2, j] holds the first and the last row of part j after a step
+    edges = np.empty((2, len(parts), 2, p.shape[1]))
+
+    def copy_edges(slot, j):
+        lo, hi, _ = parts[j]
+        edges[slot, j, 0] = p[lo]
+        edges[slot, j, 1] = p[hi - 1]
+
+    for j in range(len(parts)):
+        copy_edges(1, j)
+    barrier = threading.Barrier(len(parts))
+    failures = [None] * len(parts)
+
+    def step_part(j):
+        bands, buf = parts[j][2], bufs[j]
+        try:
+            for step in range(2, iterations + 1):
+                old = edges[(step - 1) % 2]
+                above = old[j - 1, 1] if j > 0 else None
+                below = old[j + 1, 0] if j + 1 < len(parts) else None
+                with trap_divergence(f"iterate diverged in step {step}"):
+                    for a, b in problems.tv_step_bands(p, noisy, mu, lam, bands, buf,
+                                                       above, below):
+                        z[a:b] *= kappa
+                        z[a:b] += p[a:b]
+                copy_edges(step % 2, j)
+                barrier.wait()
+        except threading.BrokenBarrierError:
+            pass  # another part failed
+        except BaseException as exc:
+            failures[j] = exc
+            barrier.abort()
+
+    threads = []
+    try:
+        for j in range(1, len(parts)):
+            thread = threading.Thread(target=step_part, args=(j,))
+            thread.start()
+            threads.append(thread)
+        step_part(0)
+    except BaseException:  # a thread that could not start: release the others
+        barrier.abort()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc
 
 
 def cmd_denoise(ns):
@@ -600,23 +676,29 @@ def cmd_denoise(ns):
     kappa = _smoothing_factor("--kappa", ns.kappa, _tv_alpha(ns.mu), f"--mu {ns.mu!r}")
     if ns.input is None and ns.clean is None:
         raise ConfigError("provide --input NOISY.pgm or --clean CLEAN.pgm --noise-std S")
-    clean = None if ns.clean is None else data.read_pgm(ns.clean)
+    # --clean stays in 8 bits while the steps run; its float image is made
+    # for the noise and again for the PSNRs
+    clean = None if ns.clean is None else data.read_pgm_pixels(ns.clean)
     if ns.input is None and ns.noise_std is None:
         raise ConfigError("--noise-std is required when generating noise from --clean")
-    noisy = None if ns.input is None else data.read_pgm(ns.input)
+    noisy = None if ns.input is None else data.read_pgm_pixels(ns.input)
     if clean is not None and noisy is not None and clean.shape != noisy.shape:
         (h, w), (h_c, w_c) = noisy.shape, clean.shape
         raise ConfigError(f"--input {ns.input} is {w}x{h} pixels but "
                           f"--clean {ns.clean} is {w_c}x{h_c}")
 
     peak = 1.0 if ns.normalize else 255.0
-    if ns.normalize:
-        if clean is not None:
-            clean = problems.GrayImage(clean.pixels / 255.0, peak=1.0)
-        if noisy is not None:
-            noisy = problems.GrayImage(noisy.pixels / 255.0, peak=1.0)
+
+    def working_image(pixels):
+        px = pixels.astype(float)
+        if ns.normalize:
+            px /= 255.0
+        return problems.GrayImage(px, peak=peak)
+
     if noisy is None:
-        noisy = data.add_gaussian_noise(clean, ns.noise_std, ns.seed)
+        noisy = data.add_gaussian_noise(working_image(clean), ns.noise_std, ns.seed)
+    else:
+        noisy = working_image(noisy)
 
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -637,10 +719,14 @@ def cmd_denoise(ns):
     print(f"tv: noisy={problems.tv_value(noisy):.6g} "
           f"denoised={problems.tv_value(denoised):.6g}")
     if clean is not None:
-        before = data.psnr(noisy, clean)
-        after = data.psnr(denoised, clean)
-        print(f"psnr vs clean: noisy={before:.2f} dB denoised={after:.2f} dB "
-              f"(gain {after - before:+.2f} dB)")
+        clean = working_image(clean)
+        # each difference is formed over its image's pixels, read no more
+        before = data.psnr(noisy, clean, out=noisy.pixels)
+        after = data.psnr(denoised, clean, out=denoised.pixels)
+        # the gain of an infinite PSNR (identical or overflowing images) means nothing
+        finite = math.isfinite(before) and math.isfinite(after)
+        gain = f"{after - before:+.2f} dB" if finite else "n/a"
+        print(f"psnr vs clean: noisy={before:.2f} dB denoised={after:.2f} dB (gain {gain})")
     print(f"wrote {out_path} in {elapsed:.2f} s")
     return EXIT_OK
 
@@ -668,7 +754,7 @@ def cmd_svm_train(ns):
             raise ConfigError(f"{flag} {path}: dataset is empty")
     dim = max(train.dim, test.dim if test else 0)
     if dim == 0:
-        raise ConfigError(f"--train {ns.train}: dataset is empty")
+        raise ConfigError(f"--train {ns.train}: dataset has no features")
     train = _pad_dataset(train, dim)
     if test is not None:
         test = _pad_dataset(test, dim)

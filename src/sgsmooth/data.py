@@ -309,25 +309,31 @@ def add_gaussian_noise(img, sigma, seed):
     return GrayImage(noisy, peak=img.peak)
 
 
-def mse(img, reference):
-    """Mean squared pixel difference."""
+def mse(img, reference, out=None):
+    """Mean squared pixel difference.
+
+    The difference is formed in ``out`` when given, a float64 array of the
+    images' shape that may be either image's own pixels, and in a new array
+    otherwise.
+    """
     if img.shape != reference.shape:
         raise ValueError("image dimensions differ")
-    d = img.pixels - reference.pixels
+    d = np.subtract(img.pixels, reference.pixels, out=out)
     d *= d
     return float(np.mean(d))
 
 
-def psnr(img, reference):
+def psnr(img, reference, out=None):
     """Peak signal-to-noise ratio 10 log10(peak^2 / MSE) in dB.
 
     Identical images return +inf, and images so far apart that the MSE
     overflows return -inf.  Both images must share the same peak convention.
+    ``out`` is passed to :func:`mse`.
     """
     if img.peak != reference.peak:
         raise ValueError("images use different peak conventions")
     with np.errstate(over="ignore"):
-        err = mse(img, reference)
+        err = mse(img, reference, out)
     if err == 0.0:
         return math.inf
     if err == math.inf:
@@ -356,6 +362,12 @@ def _read_pgm_tokens(blob, count):
 
 def read_pgm(path):
     """Read a binary (P5) PGM with maxval 255 into a GrayImage with peak 255."""
+    return GrayImage(read_pgm_pixels(path).astype(float), peak=255.0)
+
+
+def read_pgm_pixels(path):
+    """The 8-bit pixels, a (height, width) uint8 array, of a binary (P5) PGM
+    with maxval 255."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(b"P5"):
@@ -375,15 +387,18 @@ def read_pgm(path):
     data = blob[offset : offset + expected]
     if len(data) != expected:
         raise FormatError("PGM pixel data shorter than header promises")
-    pixels = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
-    return GrayImage(pixels.astype(float), peak=255.0)
+    return np.frombuffer(data, dtype=np.uint8).reshape(height, width)
 
 
 def write_pgm(img, path):
     """Write a GrayImage as binary PGM, clamping to [0, 255] and rounding half-up."""
-    # one float scratch image, rounded in place
-    px = img.pixels * (255.0 / img.peak) if img.peak != 255.0 else img.pixels.copy()
-    np.clip(px, 0.0, 255.0, out=px)
+    # one float scratch image, rounded in place; clamped to [0, peak] before
+    # it is scaled, so that a pixel far above the peak cannot overflow.  That
+    # moves a scaled value by at most an ulp or two of 255, where it rounds
+    # to 255 either way.
+    px = np.clip(img.pixels, 0.0, img.peak)
+    if img.peak != 255.0:
+        px *= 255.0 / img.peak
     px += 0.5
     np.floor(px, out=px)
     px = px.astype(np.uint8)

@@ -499,9 +499,12 @@ def _sgn_diff(hi, lo, gt, lt):
     return d
 
 
-# Pixels per row band of a TV step.  A band's float64 rows stay in the
-# core's L2 cache across the passes of one step, which measured faster than
-# whole-image passes.
+# Pixels per row band of a TV step, at most.  A band's float64 rows stay in
+# the core's L2 cache across the passes of one step, which measured faster
+# than whole-image passes.  TvBuffers take 20 bytes per band pixel, held
+# once per row part of denoise: on 2 vCPUs, 768 x 512 parts in bands of
+# 98304 pixels ran about 6% faster than in 64k-pixel ones, but held 1.25 MiB
+# more, which the benchmark's peak_rss_mb could not spare.
 TV_BAND_PIXELS = 65536
 
 
@@ -547,27 +550,37 @@ class TvBuffers(NamedTuple):
         )
 
 
-def _tv_sign_sum_rows(p, lo, hi, buf, slot):
-    # rows [lo, hi) of the sum over existing neighbors of sgn(pixel - neighbor),
-    # read from one halo row above and below the band, into buf.sign[slot];
-    # shares the dropped-boundary convention of tv_value so the step is a
-    # true subgradient of fidelity + lam * tv_value.  The sum lies in [-4, 4].
+def _tv_sign_sum_rows(p, lo, hi, buf, slot, above=None, below=None):
+    # rows [lo, hi) of the sum over existing neighbors of sgn(pixel - neighbor)
+    # into buf.sign[slot]; shares the dropped-boundary convention of tv_value
+    # so the step is a true subgradient of fidelity + lam * tv_value.  The
+    # halo rows just above and below the band are read from p, or from
+    # ``above`` and ``below`` where given.  The sum lies in [-4, 4].
     height, width = p.shape
     rows = hi - lo
-    g = buf.sign[slot, :rows]
-    g.fill(0)
-    top, bottom = max(lo - 1, 0), min(hi + 1, height)
-    pairs = bottom - top - 1  # vertical pairs (r, r + 1) with r in [top, bottom - 1)
-    d = _sgn_diff(p[top + 1 : bottom], p[top : bottom - 1],
-                  buf.gt[: pairs * width].reshape(pairs, width),
-                  buf.lt[: pairs * width].reshape(pairs, width))
-    up = lo - top  # 1 when the band has a halo row above
-    g[1 - up :] += d[: rows - 1 + up]
-    down = min(hi, height - 1) - lo  # band rows with a neighbor below
-    g[:down] -= d[up : up + down]
+    band = p[lo:hi]
+    if above is None and lo > 0:
+        above = p[lo - 1]
+    if below is None and hi < height:
+        below = p[hi]
+    # vertical pair j joins band row j - 1 to band row j, the halo rows
+    # standing as rows -1 and `rows`; a pair that leaves the image has no sign
+    gt = buf.gt[: (rows + 1) * width].reshape(rows + 1, width)
+    lt = buf.lt[: (rows + 1) * width].reshape(rows + 1, width)
+    d = gt.view(np.int8)
+    _sgn_diff(band[1:], band[:-1], gt[1:rows], lt[1:rows])
+    if above is None:
+        d[0] = 0
+    else:
+        _sgn_diff(band[0], above, gt[0], lt[0])
+    if below is None:
+        d[rows] = 0
+    else:
+        _sgn_diff(below, band[-1], gt[rows], lt[rows])
+    g = np.subtract(d[:-1], d[1:], out=buf.sign[slot, :rows])
     # horizontal pairs as one flat run over the band; the pairs that join
     # the end of one row to the start of the next get no sign
-    flat = p[lo:hi].reshape(-1)
+    flat = band.reshape(-1)
     n = flat.size - 1
     d = _sgn_diff(flat[1:], flat[:-1], buf.gt[:n], buf.lt[:n])
     d[width - 1 :: width] = 0
@@ -591,26 +604,31 @@ def _tv_update_rows(p, noisy, lo, hi, g, mu, lam, buf):
     band -= scratch
 
 
-def tv_step_bands(p, noisy, mu, lam, bands, buf):
+def tv_step_bands(p, noisy, mu, lam, bands, buf, above=None, below=None):
     """Advance ``p`` in place to the next TV subgradient iterate, band by band.
 
     The new pixels are ``p - ((p - noisy) + lam * S(p)) * mu`` with S the
     sign sum of the old iterate.  Each band is written one band late: the
     sign sum of band k, which reads the last row of band k - 1, is taken
     before band k - 1 is written, so every band reads the old iterate.
+    ``above`` and ``below``, where given, stand in for the old rows of ``p``
+    just above the first band and just below the last one, for a caller
+    whose neighbouring rows are written meanwhile.
 
-    Yields each band ``(lo, hi)`` of ``bands`` (the :func:`tv_bands`, in
-    order) once its rows hold the next iterate, so the caller can use them
-    while they are in cache.  ``buf`` is a :class:`TvBuffers` for
-    ``bands``, and nothing else is allocated.  Run the loop under
+    Yields each band ``(lo, hi)`` of ``bands`` (contiguous, in order) once
+    its rows hold the next iterate, so the caller can use them while they
+    are in cache.  ``buf`` is a :class:`TvBuffers` for ``bands``, and
+    nothing else is allocated.  Run the loop under
     :func:`~sgsmooth.errors.trap_divergence`: from finite pixels, only an
     overflow or invalid operation makes a non-finite one, and it raises
     before its band is yielded.  Arguments are not checked here;
     :func:`tv_subgradient_step` checks them.
     """
     pending = None
+    last = len(bands) - 1
     for k, (lo, hi) in enumerate(bands):
-        g = _tv_sign_sum_rows(p, lo, hi, buf, k % 2)
+        g = _tv_sign_sum_rows(p, lo, hi, buf, k % 2,
+                              above if k == 0 else None, below if k == last else None)
         if pending is not None:
             _tv_update_rows(p, noisy, *pending, mu, lam, buf)
             yield pending[:2]

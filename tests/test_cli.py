@@ -5,7 +5,10 @@ import math
 import multiprocessing
 import os
 import re
+import sys
 import threading
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sgsmooth import cli, data, engine, problems, theory
+from sgsmooth.errors import NumericError
 from sgsmooth.problems import GrayImage
 from test_engine import FailingSampler
 from test_problems import tv_sign_sum_reference
@@ -847,8 +851,82 @@ def test_banded_denoise_equals_whole_image_loop(monkeypatch, height, band_pixels
     noisy = GrayImage(rng.normal(size=(height, 6)), peak=1.0)
     got = cli._denoise(noisy, 0.05, 0.3, 0.9, iterations)
     assert np.array_equal(got, denoise_reference(noisy, 0.05, 0.3, 0.9, iterations))
-    per_step = min(height, -(-height * 6 // band_pixels))
-    assert len(bands) == iterations * per_step
+    # step 1 takes the image's bands, the later steps the bands of each part
+    first = min(height, -(-height * 6 // band_pixels))
+    later = sum(len(part_bands) for part_bands in expected_parts(height, 6, cli._workers(0, 99)))
+    assert len(bands) == min(iterations, 1) * first + max(iterations - 1, 0) * later
+
+
+def expected_parts(height, width, cpus):
+    # the part rule: one part per CPU, at most one per band of the image,
+    # as even as rows allow, each cut into bands of its own
+    n = min(cpus, len(problems.tv_bands(height, width)))
+    cuts = [height * j // n for j in range(n + 1)]
+    return [[(lo + a, lo + b) for a, b in problems.tv_bands(hi - lo, width)]
+            for lo, hi in zip(cuts, cuts[1:])]
+
+
+def set_cpus(monkeypatch, count):
+    # the usable-CPU count that cli._workers reads
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+    assert cli._workers(0, 99) == count
+
+
+def record_parts(monkeypatch):
+    # the bands that each call of tv_step_bands steps, with its thread
+    calls = []
+    step_bands = problems.tv_step_bands
+
+    def recorded(p, noisy, mu, lam, bands, *rest):
+        calls.append((threading.get_ident(), tuple(bands)))
+        return step_bands(p, noisy, mu, lam, bands, *rest)
+
+    monkeypatch.setattr(problems, "tv_step_bands", recorded)
+    return calls
+
+
+@pytest.fixture
+def switch_storm():
+    # the interpreter hands the GIL between threads as often as it can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("storm", [False, True])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("height", [2, 3, 7, 16])
+@pytest.mark.parametrize("band_pixels", [problems.TV_BAND_PIXELS, 7, 1])
+@pytest.mark.parametrize("iterations", [0, 1, 2, 25])
+def test_denoise_parts_equal_whole_image_loop(request, monkeypatch, storm, cpus, height,
+                                              band_pixels, iterations):
+    # one part, and parts of a few rows or of one row each, on their own
+    # threads; with the storm the threads switch about every bytecode
+    if storm:
+        request.getfixturevalue("switch_storm")
+    monkeypatch.setattr(problems, "TV_BAND_PIXELS", band_pixels)
+    set_cpus(monkeypatch, cpus)
+    calls = record_parts(monkeypatch)
+    rng = np.random.default_rng(height)
+    noisy = GrayImage(rng.normal(size=(height, 6)), peak=1.0)
+    before = threading.enumerate()
+    got = cli._denoise(noisy, 0.05, 0.3, 0.9, iterations)
+    assert threading.enumerate() == before
+    assert np.array_equal(got, denoise_reference(noisy, 0.05, 0.3, 0.9, iterations))
+    # step 1 steps the image's bands on the calling thread, and each later
+    # step every part on a thread of its own, the first part on this one
+    me = threading.get_ident()
+    if iterations:
+        assert calls.pop(0) == (me, tuple(problems.tv_bands(height, 6)))
+    parts = [tuple(bands) for bands in expected_parts(height, 6, cpus)]
+    assert sorted(bands for _, bands in calls) == sorted(parts * (iterations - 1))
+    threads = {bands: {thread for thread, b in calls if b == bands} for bands in parts}
+    if iterations > 1:
+        assert threads[parts[0]] == {me}
+        assert all(len(t) == 1 for t in threads.values())
+        assert len(set.union(*threads.values())) == len(parts)
 
 
 @pytest.mark.parametrize("band_rows", [1, None])
@@ -882,6 +960,127 @@ def test_denoise_divergence_is_property_failure(tmp_path, capsys, monkeypatch, b
     err = capsys.readouterr().err
     assert err.endswith(": iterate diverged in step 2\n") and "Traceback" not in err
     assert not (tmp_path / "out" / "denoised.pgm").exists()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_denoise_divergence_in_parts_is_one_failure(tmp_path, capsys, monkeypatch, cpus):
+    # every part overflows in step 2, in whichever order its thread gets
+    # there; the message is the topmost part's, and nothing is left behind
+    monkeypatch.setattr(problems, "TV_BAND_PIXELS", 64 * 8)
+    set_cpus(monkeypatch, cpus)
+    clean = piecewise_image(tmp_path)
+    before = threading.enumerate()
+    messages = set()
+    for _ in range(20):
+        with runtime_warnings_raise():
+            rc = cli.main(["denoise", "--clean", str(clean), "--noise-std", "0.1",
+                           "--kappa", "0.5", "--mu", "1e300", "--iterations", "5",
+                           "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_PROPERTY
+        assert threading.enumerate() == before
+        messages.add(capsys.readouterr().err)
+    (err,) = messages
+    assert err.endswith(": iterate diverged in step 2\n") and "Traceback" not in err
+    assert not (tmp_path / "out" / "denoised.pgm").exists()
+
+
+def test_denoise_reports_the_topmost_failed_part(monkeypatch):
+    # the parts fail in step 3, the lower ones first in time, each with a
+    # cause of its own; the topmost part's failure is the one raised
+    monkeypatch.setattr(problems, "TV_BAND_PIXELS", 6)
+    set_cpus(monkeypatch, 3)
+    step_bands = problems.tv_step_bands
+    steps = {}
+
+    def failing(p, noisy, mu, lam, bands, *rest):
+        lo = bands[0][0]
+        steps[lo] = steps.get(lo, 0) + 1
+        if steps[lo] == 2 and lo > 0:  # step 3 of a part below the top
+            time.sleep(0.02 * (10 - lo))
+            raise FloatingPointError(f"part at row {lo}")
+        return step_bands(p, noisy, mu, lam, bands, *rest)
+
+    monkeypatch.setattr(problems, "tv_step_bands", failing)
+    noisy = GrayImage(np.random.default_rng(5).normal(size=(9, 6)), peak=1.0)
+    before = threading.enumerate()
+    with pytest.raises(NumericError, match=r"^part at row 3: iterate diverged in step 3$"):
+        cli._denoise(noisy, 0.05, 0.3, 0.9, 5)
+    assert threading.enumerate() == before
+
+
+def test_denoise_thread_that_cannot_start_leaves_none_running(monkeypatch):
+    # the parts already started are released from the barrier and joined
+    monkeypatch.setattr(problems, "TV_BAND_PIXELS", 6)
+    set_cpus(monkeypatch, 3)
+    starts = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            starts.append(self)
+            if len(starts) == 2:
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    monkeypatch.setattr(cli.threading, "Thread", Thread)
+    noisy = GrayImage(np.random.default_rng(6).normal(size=(9, 6)), peak=1.0)
+    before = threading.enumerate()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        cli._denoise(noisy, 0.05, 0.3, 0.9, 5)
+    assert len(starts) == 2 and not starts[0].is_alive()
+    assert threading.enumerate() == before
+
+
+def test_denoise_output_does_not_depend_on_the_parts(tmp_path, monkeypatch):
+    # small bands, so that the 64 x 64 image has parts on every CPU count
+    monkeypatch.setattr(problems, "TV_BAND_PIXELS", 64 * 8)
+    clean = piecewise_image(tmp_path)
+    outputs = set()
+    for cpus in (1, 2, 3):
+        set_cpus(monkeypatch, cpus)
+        out = tmp_path / f"out{cpus}"
+        before = threading.enumerate()
+        rc = cli.main(["denoise", "--clean", str(clean), "--noise-std", "0.1",
+                       "--iterations", "30", "--seed", "7", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        assert threading.enumerate() == before
+        outputs.add((out / "denoised.pgm").read_bytes())
+    assert len(outputs) == 1
+
+
+def test_denoise_steps_without_a_float_copy_of_clean(tmp_path, monkeypatch):
+    # while the steps run, the traced memory holds the noisy image, the
+    # iterate and the numerator in float64, and --clean only in 8 bits
+    height, width = 128, 96
+    clean = tmp_path / "clean.pgm"
+    data.write_pgm(GrayImage(np.random.default_rng(8).uniform(0, 255, (height, width))),
+                   clean)
+    held = []
+    tv_steps = cli._tv_steps
+    monkeypatch.setattr(cli, "_tv_steps", lambda *args: held.append(
+        tracemalloc.get_traced_memory()[0]) or tv_steps(*args))
+    tracemalloc.start()
+    try:
+        rc = cli.main(["denoise", "--clean", str(clean), "--noise-std", "0.1",
+                       "--iterations", "3", "--out", str(tmp_path / "out")])
+    finally:
+        tracemalloc.stop()
+    assert rc == cli.EXIT_OK
+    pixels = height * width
+    assert len(held) == 1 and held[0] < 3 * 8 * pixels + pixels + 64 * 1024
+
+
+@pytest.mark.parametrize("noise_std, psnrs", [
+    ("1e306", r"noisy=-inf dB denoised=-inf dB"),  # both MSEs overflow
+    ("0", r"noisy=inf dB denoised=\d+\.\d\d dB"),  # the noisy image is the clean one
+])
+def test_denoise_gain_of_an_infinite_psnr_is_not_a_number(tmp_path, capsys, noise_std, psnrs):
+    path = tmp_path / "clean.pgm"
+    data.write_pgm(GrayImage(np.arange(64.0).reshape(8, 8) * 4.0, peak=255.0), path)
+    rc = cli.main(["denoise", "--clean", str(path), f"--noise-std={noise_std}",
+                   "--iterations", "3", "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_OK
+    assert re.search(rf"^psnr vs clean: {psnrs} \(gain n/a\)$", capsys.readouterr().out,
+                     re.MULTILINE)
 
 
 def test_denoise_steps_once_through_tv_subgradient_step(tmp_path, monkeypatch):
@@ -1036,6 +1235,17 @@ def test_svm_train_set_without_rows_is_config_error(tmp_path, capsys, empty_flag
     err = capsys.readouterr().err
     assert f"{empty_flag} {paths[empty_flag]}: dataset is empty" in err
     assert "RuntimeWarning" not in err and "Traceback" not in err
+    assert not (tmp_path / "o" / "model.txt").exists()
+
+
+def test_svm_train_set_without_features_is_config_error(tmp_path, capsys):
+    # rows, each with a label and no feature: the set is not empty
+    path = tmp_path / "nofeat.libsvm"
+    path.write_text("+1\n-1\n")
+    rc = cli.main(["svm-train", "--train", str(path), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: --train {path}: dataset has no features\n"
     assert not (tmp_path / "o" / "model.txt").exists()
 
 

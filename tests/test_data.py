@@ -421,6 +421,18 @@ def test_psnr_shift_symmetry():
     assert data.psnr(x, up) == pytest.approx(data.psnr(x, down), rel=1e-12)
 
 
+@pytest.mark.parametrize("into", ["new", "img", "reference"])
+def test_psnr_forms_the_difference_where_it_is_told(into):
+    # over either image's own pixels, the same bits as in a new array
+    rng = np.random.default_rng(14)
+    base, other = rng.uniform(size=(2, 96, 64))
+    expected = data.psnr(GrayImage(base, peak=1.0), GrayImage(other, peak=1.0))
+    img, ref = GrayImage(base.copy(), peak=1.0), GrayImage(other.copy(), peak=1.0)
+    out = {"new": np.empty_like(base), "img": img.pixels, "reference": ref.pixels}[into]
+    assert data.psnr(img, ref, out=out) == expected
+    assert np.array_equal(out, (base - other) ** 2)
+
+
 def test_psnr_rejects_mismatched_peaks():
     a = GrayImage(np.zeros((4, 4)), peak=255.0)
     b = GrayImage(np.zeros((4, 4)), peak=1.0)
@@ -482,6 +494,22 @@ def test_pgm_write_bytes_equal_the_rounding_formula(tmp_path, peak):
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     assert path.read_bytes() == header + pgm_bytes_reference(img)
     assert np.array_equal(img.pixels, before)
+
+
+@pytest.mark.parametrize("peak", [1.0, 0.7, 3.0, 1e-300])
+def test_pgm_write_of_pixels_far_above_the_peak_does_not_overflow(tmp_path, peak):
+    # the clamp comes before the scaling, so no overflow warning, and the
+    # bytes of the formula, which overflows on the way to the same 255
+    values = np.array([1e308, np.finfo(float).max, -np.finfo(float).max, 1e306 * peak,
+                       peak, np.nextafter(peak, 0.0), np.nextafter(peak, 2 * peak),
+                       0.5 * peak, 0.0, -0.0])
+    img = GrayImage(values.reshape(2, 5), peak=peak)
+    path = tmp_path / "img.pgm"
+    data.write_pgm(img, path)
+    with np.errstate(over="ignore"):
+        expected = pgm_bytes_reference(img)
+    assert path.read_bytes() == b"P5\n5 2\n255\n" + expected
+    assert expected[:5] == bytes([255, 255, 0, 255, 255])
 
 
 def test_pgm_normalized_write(tmp_path):

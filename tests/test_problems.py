@@ -721,6 +721,25 @@ def test_tv_step_bands_writes_in_place_one_band_late():
     assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("lo, hi, bands", [
+    (0, 31, [(0, 31)]), (5, 6, [(5, 6)]), (4, 20, [(4, 9), (9, 10), (10, 20)]),
+    (0, 12, [(0, 7), (7, 12)]), (19, 31, [(19, 20), (20, 31)]),
+])
+def test_tv_step_bands_reads_the_given_halo_rows(lo, hi, bands):
+    # rows [lo, hi) step as in the whole image although the rows around
+    # them in p are already overwritten: the halo rows come from above/below
+    p = tv_sign_sum_cases()["normals"]
+    noisy = np.random.default_rng(28).normal(size=p.shape)
+    expected = p - 0.1 * ((p - noisy) + 0.3 * tv_sign_sum_reference(p))
+    got = p.copy()
+    got[:lo] = got[hi:] = np.nan
+    above = p[lo - 1].copy() if lo else None
+    below = p[hi].copy() if hi < len(p) else None
+    buf = problems.TvBuffers.for_bands(bands, p.shape[1])
+    assert list(problems.tv_step_bands(got, noisy, 0.1, 0.3, bands, buf, above, below)) == bands
+    assert np.array_equal(got[lo:hi], expected[lo:hi])
+
+
 def test_gray_image_validation():
     with pytest.raises(ValueError):
         GrayImage(np.zeros((1, 5)), peak=1.0)
