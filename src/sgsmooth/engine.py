@@ -41,7 +41,7 @@ any per-row object.
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 import contextlib
 import math
 import mmap
@@ -115,21 +115,6 @@ def weighted_average_direct(iterates, kappa):
     return weights @ stack / weights.sum()
 
 
-def pocket_update(current_best, candidate, risk_estimate):
-    """Keep whichever of incumbent/candidate has the lower (estimated) risk.
-
-    Ties keep the incumbent.  The pocket is only as exact as the risk
-    estimates fed to it; with Monte-Carlo risks it is an estimator of the
-    best iterate, not the exact object.
-    """
-    if math.isnan(risk_estimate):
-        raise NumericError("pocket risk estimate is NaN")
-    best_w, best_risk = current_best
-    if risk_estimate < best_risk:
-        return (np.array(candidate, dtype=float), float(risk_estimate))
-    return (best_w, best_risk)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Parameters of one streaming run.
@@ -195,23 +180,18 @@ class RunResult(NamedTuple):
     w: np.ndarray
     smoothing: SmoothingState
     trajectory: Trajectory
-    pocket: Optional[tuple]
 
 
 class _Recorder:
-    """Records and pocket of one replication, every ``record_stride`` steps.
+    """Records of one replication, every ``record_stride`` steps.
 
     Both loops call it, so a lockstep row records exactly what :func:`run`
-    would.  Without an oracle it records nothing, and it cannot keep a pocket.
+    would.  Without an oracle it records nothing.
     """
 
-    def __init__(self, oracle, w0, track_pocket):
-        if track_pocket and oracle is None:
-            raise ValueError("pocket tracking requires a risk oracle")
+    def __init__(self, oracle):
         self.oracle = oracle
-        self.track_pocket = track_pocket
         self.columns = ([], [], [], [], [])
-        self.pocket = (w0.copy(), float(oracle.risk(w0))) if track_pocket else None
 
     def record(self, i, w, w_bar):
         oracle = self.oracle
@@ -228,8 +208,6 @@ class _Recorder:
         rec_a_sm.append(float(oracle.risk(w_bar)) - oracle.risk_star)
         rec_b.append(float(d @ d))
         rec_b_sm.append(float(d_bar @ d_bar))
-        if self.track_pocket:
-            self.pocket = pocket_update(self.pocket, w, risk_raw)
 
     def result(self, w, smoothing):
         rec_i, rec_a, rec_a_sm, rec_b, rec_b_sm = self.columns
@@ -240,7 +218,7 @@ class _Recorder:
             msd=np.asarray(rec_b, dtype=float),
             smoothed_msd=np.asarray(rec_b_sm, dtype=float),
         )
-        return RunResult(w, smoothing, trajectory, self.pocket)
+        return RunResult(w, smoothing, trajectory)
 
 
 class _BlockSmoothing:
@@ -290,7 +268,7 @@ class _BlockSmoothing:
         np.copyto(z, self._numerator(z, n))
 
 
-def run(problem, stream, config, *, oracle=None, track_pocket=False):
+def run(problem, stream, config, *, oracle=None):
     """Run the subgradient + smoothing loop for ``config.iterations`` steps
     from the zero vector.
 
@@ -304,13 +282,13 @@ def run(problem, stream, config, *, oracle=None, track_pocket=False):
     config : RunConfig
         Step size ``mu``, smoothing factor ``kappa``, horizon and record stride.
     oracle : RiskOracle, optional
-        Enables excess-risk / MSD recording and pocket tracking.
+        Enables excess-risk / MSD recording.
 
     As in the lockstep, the smoothed iterate is evaluated once per block,
     from the block's iterates (:class:`_BlockSmoothing`).
     """
     w = np.zeros(problem.dim)
-    recorder = _Recorder(oracle, w, track_pocket)
+    recorder = _Recorder(oracle)
     mu, n_iters = config.mu, config.iterations
     subgrad = problem.instantaneous_subgradient
     smoothing = _BlockSmoothing(config, problem.dim)
@@ -368,7 +346,7 @@ class _Lockstep:
     indexing an array makes a new view on every call.
     """
 
-    def __init__(self, problem, config, slots, oracle, track_pocket):
+    def __init__(self, problem, config, slots, oracle):
         rows, w = config.replications, np.zeros(problem.dim)
         self.Z = np.tile(w, (rows, 1))
         self.history = np.empty((SAMPLE_BLOCK + 1, *self.Z.shape))
@@ -381,7 +359,7 @@ class _Lockstep:
         self.mu = np.array(config.mu)  # 0-d: numpy converts a float on every call
         self.W_rows = list(self.history)
         self.H_slots, self.Y_slots = [list(h) for h in self.H], [list(y) for y in self.Y]
-        self.recorders = [_Recorder(oracle, w, track_pocket) for _ in range(rows)]
+        self.recorders = [_Recorder(oracle) for _ in range(rows)]
 
     def step(self, start, n, slot):
         """Steps ``start + 1`` .. ``start + n`` on the samples in ring slot
@@ -490,15 +468,7 @@ def _fork(children, target, *args):
     return conn
 
 
-def run_replications(
-    problem,
-    stream_factory,
-    config,
-    *,
-    oracle=None,
-    track_pocket=False,
-    workers=1,
-):
+def run_replications(problem, stream_factory, config, *, oracle=None, workers=1):
     """Run ``config.replications`` independent replications in lockstep.
 
     ``stream_factory(seed)`` must build a fresh sampler with ``draw_batch``;
@@ -555,7 +525,7 @@ def run_replications(
         # what a sampling process is sent for blocks lo .. hi - 1: None past the last
         return [block(b) if b < n_blocks else None for b in range(lo, min(hi, n_blocks + 1))]
 
-    lock = _Lockstep(problem, config, slots, oracle, track_pocket)
+    lock = _Lockstep(problem, config, slots, oracle)
     samplers = [stream_factory(config.seed + r) for r in range(n_rep)]
 
     kept, conns, children = n_rep, [], []
@@ -587,22 +557,21 @@ def run_replications(
 
 @dataclass(eq=False)
 class TrajectoryStats:
-    """Across-replication mean and standard error of each recorded curve."""
+    """Across-replication means of the recorded curves, and the standard
+    error of the smoothed excess-risk mean."""
 
     iterations: np.ndarray
     excess_risk: np.ndarray
-    excess_risk_stderr: np.ndarray
     smoothed_excess_risk: np.ndarray
     smoothed_excess_risk_stderr: np.ndarray
     msd: np.ndarray
-    msd_stderr: np.ndarray
     smoothed_msd: np.ndarray
-    smoothed_msd_stderr: np.ndarray
     replications: int
 
 
 def average_trajectories(trajectories):
-    """Arithmetic mean (and stderr) of trajectories at matched iterations."""
+    """Arithmetic means of trajectories at matched iterations, and the
+    standard error of the smoothed excess-risk mean (zero for one)."""
     if not trajectories:
         raise ValueError("need at least one trajectory")
     base = trajectories[0].iterations
@@ -611,28 +580,20 @@ def average_trajectories(trajectories):
             raise ValueError("trajectories were recorded at different iterations")
     n_rep = len(trajectories)
 
-    def mean_stderr(name):
-        stack = np.asarray([getattr(t, name) for t in trajectories], dtype=float)
-        mean = stack.mean(axis=0)
-        if n_rep > 1:
-            stderr = stack.std(axis=0, ddof=1) / math.sqrt(n_rep)
-        else:
-            stderr = np.zeros_like(mean)
-        return mean, stderr
+    def stack(name):
+        return np.asarray([getattr(t, name) for t in trajectories], dtype=float)
 
-    a, a_se = mean_stderr("excess_risk")
-    asm, asm_se = mean_stderr("smoothed_excess_risk")
-    b, b_se = mean_stderr("msd")
-    bsm, bsm_se = mean_stderr("smoothed_msd")
+    smoothed = stack("smoothed_excess_risk")
+    if n_rep > 1:
+        smoothed_stderr = smoothed.std(axis=0, ddof=1) / math.sqrt(n_rep)
+    else:
+        smoothed_stderr = np.zeros_like(smoothed[0])
     return TrajectoryStats(
         iterations=base.copy(),
-        excess_risk=a,
-        excess_risk_stderr=a_se,
-        smoothed_excess_risk=asm,
-        smoothed_excess_risk_stderr=asm_se,
-        msd=b,
-        msd_stderr=b_se,
-        smoothed_msd=bsm,
-        smoothed_msd_stderr=bsm_se,
+        excess_risk=stack("excess_risk").mean(axis=0),
+        smoothed_excess_risk=smoothed.mean(axis=0),
+        smoothed_excess_risk_stderr=smoothed_stderr,
+        msd=stack("msd").mean(axis=0),
+        smoothed_msd=stack("smoothed_msd").mean(axis=0),
         replications=n_rep,
     )

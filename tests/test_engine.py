@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import inspect
 import multiprocessing
@@ -158,51 +159,6 @@ def test_kappa_zero_smoothed_equals_last_iterate():
     np.testing.assert_array_equal(state.w_bar, iterates[-1])
 
 
-# ---------- pocket ----------
-
-
-def test_pocket_lower_risk_wins():
-    best = (np.array([1.0]), 1.0)
-    w, r = engine.pocket_update(best, np.array([2.0]), 0.5)
-    assert r == 0.5
-    np.testing.assert_array_equal(w, [2.0])
-
-
-def test_pocket_tie_keeps_incumbent():
-    incumbent = np.array([1.0])
-    w, r = engine.pocket_update((incumbent, 1.0), np.array([2.0]), 1.0)
-    assert r == 1.0
-    assert w is incumbent
-
-
-def test_pocket_nan_risk_raises():
-    with pytest.raises(NumericError):
-        engine.pocket_update((np.array([1.0]), 1.0), np.array([2.0]), float("nan"))
-
-
-def test_pocket_sequence_is_nonincreasing_on_lasso_run():
-    p = problems.LassoProblem(
-        delta=0.01,
-        w_true=np.array([1.0, -0.5, 0.0, 0.0]),
-        cov_h=np.eye(4),
-        noise_var=0.01,
-    )
-    spec = data.RegressionStreamSpec(p.w_true, p.cov_h, p.noise_var)
-    w_star = p.optimum()
-    oracle = engine.RiskOracle(p.risk, w_star, p.risk(w_star))
-    cfg = engine.RunConfig(mu=0.01, kappa=0.9, iterations=3000, record_stride=50)
-    stream = iter(data.RegressionSampler(spec, 3))
-    res = engine.run(p, stream, cfg, oracle=oracle, track_pocket=True)
-    # pocket trace = running minimum of observed risks, nonincreasing by
-    # construction; the engine's final pocket must equal the full running min
-    observed = [float(oracle.risk(np.zeros(4)))]
-    observed += list(res.trajectory.excess_risk + oracle.risk_star)
-    trace = np.minimum.accumulate(observed)
-    assert np.all(np.diff(trace) <= 1e-15)
-    assert res.pocket[1] == pytest.approx(trace[-1], rel=1e-12)
-    assert res.pocket[1] <= observed[0]
-
-
 # ---------- run ----------
 
 
@@ -303,11 +259,10 @@ def lockstep_case(kind):
 # default, which is not a multiple of the 512-sample draw block)
 LOCKSTEP_CASES = {
     "oracle": ("oracle", {}),
-    "pocket": ("pocket", {}),
     "no-oracle": ("no-oracle", {}),
     "kappa-0": ("oracle", {"kappa": 0.0}),
     # one record, mid-block; the first and last blocks record nothing
-    "stride-700": ("pocket", {"record_stride": 700}),
+    "stride-700": ("oracle", {"record_stride": 700}),
     "300-iterations": ("no-oracle", {"iterations": 300}),
     "0-iterations": ("oracle", {"iterations": 0}),
     "one-replication": ("oracle", {"replications": 1}),
@@ -321,7 +276,6 @@ def test_run_replications_rows_equal_run_bit_for_bit(kind, case):
     recording, changes = LOCKSTEP_CASES[case]
     kwargs = {
         "oracle": {"oracle": oracle},
-        "pocket": {"oracle": oracle, "track_pocket": True},
         "no-oracle": {},
     }[recording]
     fields = {"mu": 0.01, "kappa": 0.95, "iterations": 1300, "record_stride": 100,
@@ -342,11 +296,6 @@ def test_run_replications_rows_equal_run_bit_for_bit(kind, case):
                     getattr(res.trajectory, name), getattr(ref.trajectory, name)
                 )
             assert res.trajectory.iterations.size == (0 if recording == "no-oracle" else n_records)
-            if recording == "pocket":
-                np.testing.assert_array_equal(res.pocket[0], ref.pocket[0])
-                assert res.pocket[1] == ref.pocket[1]
-            else:
-                assert res.pocket is None
 
 
 # ---------- block smoothing ----------
@@ -376,7 +325,7 @@ def test_block_smoothing_rows_equal_single_runs_bit_for_bit(dim, kappa):
     # row r of a run of R = 1, 3 or 8 rows equals run() seeded r, which
     # smooths its own block of iterates, and so the one-row run seeded r
     p, factory, oracle = lasso_of_dim(dim)
-    kwargs = {"oracle": oracle, "track_pocket": True}
+    kwargs = {"oracle": oracle}
     for iterations, stride in BLOCK_RUNS:
         fields = {"mu": 0.01, "kappa": kappa, "iterations": iterations, "record_stride": stride}
         refs = [engine.run(p, iter(factory(seed)), engine.RunConfig(**fields, seed=seed), **kwargs)
@@ -416,7 +365,7 @@ def test_lockstep_buffers_hold_one_block_of_iterates():
     cfg = engine.RunConfig(mu=0.001, kappa=0.999, replications=50)
     tracemalloc.start()
     try:
-        engine._Lockstep(p, cfg, engine.RING_SLOTS, None, False)
+        engine._Lockstep(p, cfg, engine.RING_SLOTS, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -500,8 +449,6 @@ def assert_same_results(results, refs):
         for name in ("iterations", "excess_risk", "smoothed_excess_risk", "msd", "smoothed_msd"):
             np.testing.assert_array_equal(getattr(res.trajectory, name),
                                           getattr(ref.trajectory, name))
-        np.testing.assert_array_equal(res.pocket[0], ref.pocket[0])
-        assert res.pocket[1] == ref.pocket[1]
 
 
 # 4000 iterations: seven full blocks and a partial one, so a sampling process
@@ -531,7 +478,7 @@ def test_split_runs_equal_one_worker_bit_for_bit(kind, plan, process_log, monkey
     p, factory, _, oracle = lockstep_case(kind)
     workers, kept, iterations = SPLIT_PLANS[plan]
     cfg = engine.RunConfig(**{**SPLIT_FIELDS, "iterations": iterations})
-    kwargs = {"oracle": oracle, "track_pocket": True}
+    kwargs = {"oracle": oracle}
     refs = engine.run_replications(p, factory, cfg, workers=1, **kwargs)
     assert process_log.started == 0
     force_split(monkeypatch, kept)
@@ -558,7 +505,7 @@ def test_measured_split_equals_one_worker(workers, process_log):
 def test_runs_of_two_blocks_or_fewer_start_no_process(iterations, process_log, monkeypatch):
     p, factory, _, oracle = lockstep_case("lasso")
     cfg = engine.RunConfig(**{**SPLIT_FIELDS, "iterations": iterations})
-    kwargs = {"oracle": oracle, "track_pocket": True}
+    kwargs = {"oracle": oracle}
     refs = engine.run_replications(p, factory, cfg, workers=1, **kwargs)
     force_split(monkeypatch, 0)
     results = engine.run_replications(p, factory, cfg, workers=3, **kwargs)
@@ -827,13 +774,6 @@ def test_block_schedule_is_computed_as_it_is_stepped():
     assert peak < 2 * 2**20
 
 
-def test_pocket_requires_oracle():
-    p = QuadraticProblem(np.zeros(2))
-    cfg = engine.RunConfig(mu=0.1, kappa=0.5, iterations=5)
-    with pytest.raises(ValueError):
-        engine.run(p, null_stream(5), cfg, track_pocket=True)
-
-
 def test_small_scale_lasso_run_meets_steady_state_bound():
     # scaled-down version of the flagship sparse-recovery experiment
     dim = 20
@@ -861,3 +801,51 @@ def test_small_scale_lasso_run_meets_steady_state_bound():
     )
     assert stats.smoothed_excess_risk[-1] <= bound
     assert stats.smoothed_excess_risk[-1] > 0
+
+
+# ---------- averaging ----------
+
+
+def trajectory(iterations, *curves):
+    # excess_risk, smoothed_excess_risk, msd and smoothed_msd, in that order
+    return engine.Trajectory(np.asarray(iterations, dtype=np.int64),
+                             *(np.asarray(c, dtype=float) for c in curves))
+
+
+def test_average_trajectories_hand_computed():
+    runs = [trajectory([10, 20], [1, 2], [0.5, 1], [3, 4], [1, 1]),
+            trajectory([10, 20], [3, 4], [1.5, 2], [5, 6], [2, 3]),
+            trajectory([10, 20], [5, 9], [1, 6], [1, 2], [3, 5])]
+    stats = engine.average_trajectories(runs)
+    assert stats.replications == 3
+    np.testing.assert_array_equal(stats.iterations, [10, 20])
+    np.testing.assert_array_equal(stats.excess_risk, [3, 5])
+    np.testing.assert_array_equal(stats.smoothed_excess_risk, [1, 3])
+    np.testing.assert_array_equal(stats.msd, [3, 4])
+    np.testing.assert_array_equal(stats.smoothed_msd, [2, 3])
+    # sample deviations (ddof = 1) 0.5 and sqrt(7), over sqrt(3)
+    np.testing.assert_allclose(stats.smoothed_excess_risk_stderr,
+                               [0.5 / np.sqrt(3), np.sqrt(7 / 3)], rtol=1e-15)
+
+
+def test_average_of_one_trajectory_has_zero_stderr():
+    run = trajectory([5, 10, 15], [1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 0, 1])
+    stats = engine.average_trajectories([run])
+    assert stats.replications == 1
+    np.testing.assert_array_equal(stats.smoothed_excess_risk, run.smoothed_excess_risk)
+    np.testing.assert_array_equal(stats.smoothed_excess_risk_stderr, [0, 0, 0])
+
+
+def test_average_trajectories_rejects_empty_and_mismatched_input():
+    with pytest.raises(ValueError, match="at least one"):
+        engine.average_trajectories([])
+    runs = [trajectory([10, 20], [1, 2], [1, 2], [1, 2], [1, 2]),
+            trajectory([10, 30], [1, 2], [1, 2], [1, 2], [1, 2])]
+    with pytest.raises(ValueError, match="different iterations"):
+        engine.average_trajectories(runs)
+
+
+def test_trajectory_stats_holds_the_means_and_the_smoothed_stderr():
+    assert [f.name for f in dataclasses.fields(engine.TrajectoryStats)] == [
+        "iterations", "excess_risk", "smoothed_excess_risk", "smoothed_excess_risk_stderr",
+        "msd", "smoothed_msd", "replications"]
