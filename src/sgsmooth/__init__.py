@@ -24,6 +24,7 @@ from .problems import (
     SvmProblem,
     SvmSampleSet,
     soft_threshold,
+    tv_denoise,
     tv_subgradient_step,
     tv_value,
 )

@@ -10,9 +10,7 @@ import configparser
 import contextlib
 import functools
 import math
-import os
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -334,11 +332,7 @@ def _smoothing_factor(name, setting, alpha, step):
 
 def _workers(requested, cap):
     # --workers 0 means the default: one per usable CPU; either way at most cap
-    if requested:
-        return min(requested, cap)
-    if hasattr(os, "sched_getaffinity"):
-        return min(len(os.sched_getaffinity(0)), cap)
-    return min(os.cpu_count() or 1, cap)
+    return min(requested or engine.usable_cpus(), cap)
 
 
 def cmd_run(ns):
@@ -556,116 +550,6 @@ def _tv_alpha(mu):
     return 1.0 - mu + 2.0 * mu * mu
 
 
-def _tv_parts(height, width):
-    """Row parts ``[lo, hi)`` of a denoise, each with its bands ``[(lo, hi), ...]``.
-
-    One part per usable CPU, at most one per band of problems.tv_bands, as
-    even as whole rows allow; each part is cut into bands of its own.
-    """
-    n = _workers(0, len(problems.tv_bands(height, width)))
-    cuts = [height * j // n for j in range(n + 1)]
-    return [(lo, hi, [(lo + a, lo + b) for a, b in problems.tv_bands(hi - lo, width)])
-            for lo, hi in zip(cuts, cuts[1:])]
-
-
-def _denoise(noisy, mu, lam, kappa, iterations):
-    """Smoothed iterate, as pixels, after ``iterations`` TV steps from ``noisy``.
-
-    The smoothing carries S and the numerator Z = kappa Z + w from S_0 = 1 and
-    Z_0 = ``noisy``, and divides out w_bar = Z / S at the end.  The first step
-    goes through problems.tv_subgradient_step, which checks mu, lam and the
-    shapes; _tv_steps takes the others.
-    """
-    z = noisy.pixels.copy()
-    if iterations == 0:
-        return z
-    s = kappa + 1.0  # S_1 = kappa S_0 + 1 with S_0 = 1
-    with trap_divergence("iterate diverged in step 1"):
-        try:
-            p = problems.tv_subgradient_step(noisy, noisy, mu, lam).pixels
-        except NumericError as exc:  # its own trap names the TV step, not the run's
-            cause = str(exc).rsplit(": ", 1)[0]
-            raise NumericError(f"{cause}: iterate diverged in step 1") from None
-        z *= kappa
-        z += p
-    if iterations > 1:
-        _tv_steps(p, z, noisy.pixels, mu, lam, kappa, iterations)
-    for _ in range(2, iterations + 1):
-        s = kappa * s + 1.0
-    z /= s
-    return z
-
-
-def _tv_steps(p, z, noisy, mu, lam, kappa, iterations):
-    """Steps 2..``iterations`` of _denoise: ``p`` and ``z`` advance in place.
-
-    The image is cut into the row parts of _tv_parts, one thread per part,
-    the calling thread taking the first, and the parts meet at one barrier
-    per step.  Each part steps its own bands through problems.tv_step_bands,
-    into buffers of its own, and each band it yields advances the same rows
-    of Z.  A part reads its neighbours' rows not from ``p``, which they write
-    meanwhile, but from the edge rows that each part copies out after every
-    step, kept in two slots by step parity.  Every operation is elementwise,
-    so the result depends on neither the parts nor the bands.  A part that
-    fails breaks the barrier, and all failures come in the same step; the
-    one of the topmost part that failed is raised once every thread has
-    ended.
-    """
-    parts = _tv_parts(*p.shape)
-    # allocated on the calling thread: a worker thread's malloc arena would
-    # keep them resident after the steps, beside the arrays that follow
-    bufs = [problems.TvBuffers.for_bands(bands, p.shape[1]) for _, _, bands in parts]
-    # edges[step % 2, j] holds the first and the last row of part j after a step
-    edges = np.empty((2, len(parts), 2, p.shape[1]))
-
-    def copy_edges(slot, j):
-        lo, hi, _ = parts[j]
-        edges[slot, j, 0] = p[lo]
-        edges[slot, j, 1] = p[hi - 1]
-
-    for j in range(len(parts)):
-        copy_edges(1, j)
-    barrier = threading.Barrier(len(parts))
-    failures = [None] * len(parts)
-
-    def step_part(j):
-        bands, buf = parts[j][2], bufs[j]
-        try:
-            for step in range(2, iterations + 1):
-                old = edges[(step - 1) % 2]
-                above = old[j - 1, 1] if j > 0 else None
-                below = old[j + 1, 0] if j + 1 < len(parts) else None
-                with trap_divergence(f"iterate diverged in step {step}"):
-                    for a, b in problems.tv_step_bands(p, noisy, mu, lam, bands, buf,
-                                                       above, below):
-                        z[a:b] *= kappa
-                        z[a:b] += p[a:b]
-                copy_edges(step % 2, j)
-                barrier.wait()
-        except threading.BrokenBarrierError:
-            pass  # another part failed
-        except BaseException as exc:
-            failures[j] = exc
-            barrier.abort()
-
-    threads = []
-    try:
-        for j in range(1, len(parts)):
-            thread = threading.Thread(target=step_part, args=(j,))
-            thread.start()
-            threads.append(thread)
-        step_part(0)
-    except BaseException:  # a thread that could not start: release the others
-        barrier.abort()
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in failures:
-        if exc is not None:
-            raise exc
-
-
 def cmd_denoise(ns):
     _require("--mu", ns.mu, ns.mu > 0.0, "positive and finite")
     _require("--lam", ns.lam, ns.lam >= 0.0, "nonnegative and finite")
@@ -705,7 +589,7 @@ def cmd_denoise(ns):
 
     t0 = time.perf_counter()
     # denoising starts from the observation
-    w_bar = _denoise(noisy, ns.mu, ns.lam, kappa, ns.iterations)
+    w_bar = problems.tv_denoise(noisy, ns.mu, ns.lam, kappa, ns.iterations)
     denoised = problems.GrayImage(w_bar, peak=peak)
     elapsed = time.perf_counter() - t0
 

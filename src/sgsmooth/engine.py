@@ -47,6 +47,7 @@ import math
 import mmap
 import multiprocessing
 import numbers
+import os
 import time
 
 import numpy as np
@@ -466,6 +467,13 @@ def _fork(children, target, *args):
         child.close()
     children.append(proc)
     return conn
+
+
+def usable_cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_replications(problem, stream_factory, config, *, oracle=None, workers=1):

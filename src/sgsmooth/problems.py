@@ -32,10 +32,12 @@ exactly 1.
 from dataclasses import dataclass
 from functools import cached_property
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
 
+from .engine import usable_cpus
 from .errors import NumericError, trap_divergence
 
 
@@ -499,13 +501,24 @@ def _sgn_diff(hi, lo, gt, lt):
     return d
 
 
-# Pixels per row band of a TV step, at most.  A band's float64 rows stay in
-# the core's L2 cache across the passes of one step, which measured faster
-# than whole-image passes.  TvBuffers take 20 bytes per band pixel, held
-# once per row part of denoise: on 2 vCPUs, 768 x 512 parts in bands of
-# 98304 pixels ran about 6% faster than in 64k-pixel ones, but held 1.25 MiB
-# more, which the benchmark's peak_rss_mb could not spare.
+# Pixels per row band of a TV step's float update, at most.  A band's
+# float64 rows stay in the core's L2 cache across the update's passes, which
+# measured faster than whole-image passes.  On 2 vCPUs, 768 x 512 denoised
+# in bands of 32k, 64k and 96k pixels in about 0.47, 0.42 and 0.37 s (noisy
+# medians), but 96k holds 1 MiB more per part, and the benchmark's
+# peak_rss_mb, which grows with every request it keeps, has little room.
 TV_BAND_PIXELS = 65536
+
+# Bands per sign unit, at most: a step takes its int8 sign sum over a unit
+# of consecutive bands in one pass, then updates the unit band by band.  One
+# pass over several bands makes fewer, larger numpy calls, at each of which
+# the parts of tv_denoise, on threads of their own, queue for the
+# interpreter lock.  On 2 vCPUs a 768 x 512 image is two parts of one unit
+# each, and units of 3 bands ran about 15% faster there than units of 1;
+# on one CPU units of 1 to 3 bands measured alike within noise, and a
+# whole-image unit, 3 bytes per pixel of sign and comparison planes beside
+# the band's float rows, ran a few percent slower.
+TV_UNIT_BANDS = 3
 
 
 def tv_bands(height, width):
@@ -520,42 +533,50 @@ def tv_bands(height, width):
     return list(zip(cuts, cuts[1:]))
 
 
-class TvBuffers(NamedTuple):
-    """Working memory of :func:`tv_step_bands` for bands of up to ``rows`` rows.
+def _tv_units(bands):
+    # contiguous runs of at most TV_UNIT_BANDS of the bands, as even as whole
+    # bands allow
+    n = -(-len(bands) // TV_UNIT_BANDS)
+    cuts = [len(bands) * c // n for c in range(n + 1)]
+    return [bands[a:b] for a, b in zip(cuts, cuts[1:])]
 
-    Allocated once and reused for every band of every step, so a step
-    allocates nothing.  ``scratch`` is free again once a band is yielded.
+
+class TvBuffers(NamedTuple):
+    """Working memory of :func:`_tv_step_part` for some bands of an image.
+
+    Allocated once and reused for every unit and band of every step, so a
+    step allocates nothing.
     """
 
-    sign: np.ndarray  # two int8 sign sums, one row per band row each
-    gt: np.ndarray  # comparison bytes, flat, room for the halo pairs
+    sign: np.ndarray  # int8 sign sum, one row per unit row
+    gt: np.ndarray  # comparison bytes, flat, room for a unit's halo pairs
     lt: np.ndarray
     scratch: np.ndarray  # float64, one row per band row
     scaled: np.ndarray  # float64, lam times a band's sign sum
+    edge: np.ndarray  # float64, the old last row of the unit above
 
     @classmethod
     def for_bands(cls, bands, width):
-        """Buffers for the largest of ``bands``."""
-        return cls.allocate(max(hi - lo for lo, hi in bands), width)
-
-    @classmethod
-    def allocate(cls, rows, width):
-        pairs = (rows + 1) * width
+        """Buffers for the largest sign unit and the largest band of ``bands``."""
+        unit_rows = max(unit[-1][1] - unit[0][0] for unit in _tv_units(bands))
+        band_rows = max(hi - lo for lo, hi in bands)
+        pairs = (unit_rows + 1) * width
         return cls(
-            np.empty((2, rows, width), dtype=np.int8),
+            np.empty((unit_rows, width), dtype=np.int8),
             np.empty(pairs, dtype=bool),
             np.empty(pairs, dtype=bool),
-            np.empty((rows, width)),
-            np.empty((rows, width)),
+            np.empty((band_rows, width)),
+            np.empty((band_rows, width)),
+            np.empty(width),
         )
 
 
-def _tv_sign_sum_rows(p, lo, hi, buf, slot, above=None, below=None):
+def _tv_sign_sum_rows(p, lo, hi, buf, above=None, below=None):
     # rows [lo, hi) of the sum over existing neighbors of sgn(pixel - neighbor)
-    # into buf.sign[slot]; shares the dropped-boundary convention of tv_value
-    # so the step is a true subgradient of fidelity + lam * tv_value.  The
-    # halo rows just above and below the band are read from p, or from
-    # ``above`` and ``below`` where given.  The sum lies in [-4, 4].
+    # into buf.sign; shares the dropped-boundary convention of tv_value so
+    # the step is a true subgradient of fidelity + lam * tv_value.  The halo
+    # rows just above and below [lo, hi) are read from p, or from ``above``
+    # and ``below`` where given.  The sum lies in [-4, 4].
     height, width = p.shape
     rows = hi - lo
     band = p[lo:hi]
@@ -563,8 +584,8 @@ def _tv_sign_sum_rows(p, lo, hi, buf, slot, above=None, below=None):
         above = p[lo - 1]
     if below is None and hi < height:
         below = p[hi]
-    # vertical pair j joins band row j - 1 to band row j, the halo rows
-    # standing as rows -1 and `rows`; a pair that leaves the image has no sign
+    # vertical pair j joins row j - 1 to row j, the halo rows standing as
+    # rows -1 and `rows`; a pair that leaves the image has no sign
     gt = buf.gt[: (rows + 1) * width].reshape(rows + 1, width)
     lt = buf.lt[: (rows + 1) * width].reshape(rows + 1, width)
     d = gt.view(np.int8)
@@ -577,8 +598,8 @@ def _tv_sign_sum_rows(p, lo, hi, buf, slot, above=None, below=None):
         d[rows] = 0
     else:
         _sgn_diff(below, band[-1], gt[rows], lt[rows])
-    g = np.subtract(d[:-1], d[1:], out=buf.sign[slot, :rows])
-    # horizontal pairs as one flat run over the band; the pairs that join
+    g = np.subtract(d[:-1], d[1:], out=buf.sign[:rows])
+    # horizontal pairs as one flat run over the rows; the pairs that join
     # the end of one row to the start of the next get no sign
     flat = band.reshape(-1)
     n = flat.size - 1
@@ -604,45 +625,43 @@ def _tv_update_rows(p, noisy, lo, hi, g, mu, lam, buf):
     band -= scratch
 
 
-def tv_step_bands(p, noisy, mu, lam, bands, buf, above=None, below=None):
-    """Advance ``p`` in place to the next TV subgradient iterate, band by band.
-
-    The new pixels are ``p - ((p - noisy) + lam * S(p)) * mu`` with S the
-    sign sum of the old iterate.  Each band is written one band late: the
-    sign sum of band k, which reads the last row of band k - 1, is taken
-    before band k - 1 is written, so every band reads the old iterate.
-    ``above`` and ``below``, where given, stand in for the old rows of ``p``
-    just above the first band and just below the last one, for a caller
-    whose neighbouring rows are written meanwhile.
-
-    Yields each band ``(lo, hi)`` of ``bands`` (contiguous, in order) once
-    its rows hold the next iterate, so the caller can use them while they
-    are in cache.  ``buf`` is a :class:`TvBuffers` for ``bands``, and
-    nothing else is allocated.  Run the loop under
-    :func:`~sgsmooth.errors.trap_divergence`: from finite pixels, only an
-    overflow or invalid operation makes a non-finite one, and it raises
-    before its band is yielded.  Arguments are not checked here;
-    :func:`tv_subgradient_step` checks them.
-    """
-    pending = None
-    last = len(bands) - 1
-    for k, (lo, hi) in enumerate(bands):
-        g = _tv_sign_sum_rows(p, lo, hi, buf, k % 2,
-                              above if k == 0 else None, below if k == last else None)
-        if pending is not None:
-            _tv_update_rows(p, noisy, *pending, mu, lam, buf)
-            yield pending[:2]
-        pending = lo, hi, g
-    _tv_update_rows(p, noisy, *pending, mu, lam, buf)
-    yield pending[:2]
+def _tv_step_part(p, noisy, mu, lam, bands, buf, above=None, below=None, z=None, kappa=0.0):
+    # Advance the rows of ``bands`` (contiguous, in order) of p in place to
+    # the next iterate p - ((p - noisy) + lam * S(p)) * mu, S the sign sum of
+    # the old iterate.  Each sign unit takes its sign sum in one pass, then
+    # updates its bands one by one; where z is given, each band then advances
+    # the same rows of the numerator, z = kappa z + p, while they are in
+    # cache.  The old last row of a unit goes to buf.edge before the unit is
+    # written, for the sign sum of the unit below, so every unit reads the
+    # old iterate.  ``above`` and ``below``, where given, stand in for the old
+    # rows of p just above the first band and just below the last one, for a
+    # caller whose neighbouring rows are written meanwhile.  ``buf`` is
+    # TvBuffers.for_bands(bands, width); nothing else is allocated.  Run under
+    # trap_divergence: from finite pixels only an overflow or invalid
+    # operation makes a non-finite one, and it raises before its band
+    # advances z.  Arguments are not checked here.
+    units = _tv_units(bands)
+    for k, unit in enumerate(units):
+        lo, hi = unit[0][0], unit[-1][1]
+        last = k == len(units) - 1
+        g = _tv_sign_sum_rows(p, lo, hi, buf, above, below if last else None)
+        if not last:
+            np.copyto(buf.edge, p[hi - 1])
+            above = buf.edge
+        for a, b in unit:
+            _tv_update_rows(p, noisy, a, b, g[a - lo : b - lo], mu, lam, buf)
+            if z is not None:
+                rows = z[a:b]
+                rows *= kappa
+                rows += p[a:b]
 
 
 def tv_subgradient_step(img, noisy, mu, lam):
     """One subgradient step on (1/2)||I - I_noisy||_F^2 + lam * TV(I).
 
     Returns a new image; pixels are not clipped to the display range during
-    iteration.  This is :func:`tv_step_bands` on a copy of the image,
-    trapped, with one band's buffers.
+    iteration.  The step runs on a copy of the image, trapped, with the
+    buffers of one sign unit and one band.
     """
     if img.shape != noisy.shape:
         raise ValueError(f"dimension mismatch: {img.shape} vs {noisy.shape}")
@@ -654,7 +673,118 @@ def tv_subgradient_step(img, noisy, mu, lam):
     bands = tv_bands(height, width)
     buf = TvBuffers.for_bands(bands, width)
     with trap_divergence("TV step diverged"):
-        for _ in tv_step_bands(out, noisy.pixels, mu, lam, bands, buf):
-            pass
+        _tv_step_part(out, noisy.pixels, mu, lam, bands, buf)
     del buf  # freed before GrayImage's finiteness check allocates its mask
     return GrayImage(out, peak=img.peak)
+
+
+def tv_denoise(noisy, mu, lam, kappa, iterations):
+    """Smoothed iterate, as pixels, after ``iterations`` TV steps from ``noisy``.
+
+    Steps the subgradient iteration of :func:`tv_subgradient_step` from the
+    :class:`GrayImage` ``noisy`` and smooths the iterates with factor
+    ``kappa``: the smoothing carries S and the numerator Z = kappa Z + w from
+    S_0 = 1 and Z_0 = ``noisy``, and divides out w_bar = Z / S at the end.
+    The first step goes through tv_subgradient_step, which checks mu, lam
+    and the shapes; _tv_steps takes the others.  A step that overflows
+    raises :class:`~sgsmooth.errors.NumericError` naming the step.
+    """
+    if not 0.0 <= kappa < 1.0:
+        raise ValueError(f"kappa must lie in [0, 1), got {kappa!r}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be nonnegative, got {iterations!r}")
+    z = noisy.pixels.copy()
+    if iterations == 0:
+        return z
+    s = kappa + 1.0  # S_1 = kappa S_0 + 1 with S_0 = 1
+    with trap_divergence("iterate diverged in step 1"):
+        try:
+            p = tv_subgradient_step(noisy, noisy, mu, lam).pixels
+        except NumericError as exc:  # its own trap names the TV step, not the run's
+            cause = str(exc).rsplit(": ", 1)[0]
+            raise NumericError(f"{cause}: iterate diverged in step 1") from None
+        z *= kappa
+        z += p
+    if iterations > 1:
+        _tv_steps(p, z, noisy.pixels, mu, lam, kappa, iterations)
+    for _ in range(2, iterations + 1):
+        s = kappa * s + 1.0
+    z /= s
+    return z
+
+
+def _tv_parts(height, width):
+    # row parts (lo, hi, bands) of tv_denoise: one per usable CPU, at most
+    # one per band of the image, as even as whole rows allow, each cut into
+    # bands of its own
+    n = min(usable_cpus(), len(tv_bands(height, width)))
+    cuts = [height * j // n for j in range(n + 1)]
+    return [(lo, hi, [(lo + a, lo + b) for a, b in tv_bands(hi - lo, width)])
+            for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _tv_steps(p, z, noisy, mu, lam, kappa, iterations):
+    """Steps 2..``iterations`` of :func:`tv_denoise`: ``p`` and ``z`` advance in place.
+
+    The image is cut into the row parts of _tv_parts, one thread per part,
+    the calling thread taking the first, and the parts meet at one barrier
+    per step.  Each part steps its own bands through _tv_step_part, into
+    buffers of its own: one sign sum per sign unit, then the float update
+    and Z band by band.  A part reads its neighbours' rows not from ``p``,
+    which they write meanwhile, but from the edge rows that each part copies
+    out after every step, kept in two slots by step parity.  Every
+    operation is elementwise, so the result depends on neither the parts,
+    the units nor the bands.  A part that fails breaks the barrier, and all
+    failures come in the same step; the one of the topmost part that failed
+    is raised once every thread has ended.
+    """
+    parts = _tv_parts(*p.shape)
+    # allocated on the calling thread: a worker thread's malloc arena would
+    # keep them resident after the steps, beside the arrays that follow
+    bufs = [TvBuffers.for_bands(bands, p.shape[1]) for _, _, bands in parts]
+    # edges[step % 2, j] holds the first and the last row of part j after a step
+    edges = np.empty((2, len(parts), 2, p.shape[1]))
+
+    def copy_edges(slot, j):
+        lo, hi, _ = parts[j]
+        edges[slot, j, 0] = p[lo]
+        edges[slot, j, 1] = p[hi - 1]
+
+    for j in range(len(parts)):
+        copy_edges(1, j)
+    barrier = threading.Barrier(len(parts))
+    failures = [None] * len(parts)
+
+    def step_part(j):
+        bands, buf = parts[j][2], bufs[j]
+        try:
+            for step in range(2, iterations + 1):
+                old = edges[(step - 1) % 2]
+                above = old[j - 1, 1] if j > 0 else None
+                below = old[j + 1, 0] if j + 1 < len(parts) else None
+                with trap_divergence(f"iterate diverged in step {step}"):
+                    _tv_step_part(p, noisy, mu, lam, bands, buf, above, below, z, kappa)
+                copy_edges(step % 2, j)
+                barrier.wait()
+        except threading.BrokenBarrierError:
+            pass  # another part failed
+        except BaseException as exc:
+            failures[j] = exc
+            barrier.abort()
+
+    threads = []
+    try:
+        for j in range(1, len(parts)):
+            thread = threading.Thread(target=step_part, args=(j,))
+            thread.start()
+            threads.append(thread)
+        step_part(0)
+    except BaseException:  # a thread that could not start: release the others
+        barrier.abort()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc

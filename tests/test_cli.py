@@ -849,7 +849,7 @@ def test_banded_denoise_equals_whole_image_loop(monkeypatch, height, band_pixels
                         or update_rows(p, noisy, lo, hi, *rest))
     rng = np.random.default_rng(height)
     noisy = GrayImage(rng.normal(size=(height, 6)), peak=1.0)
-    got = cli._denoise(noisy, 0.05, 0.3, 0.9, iterations)
+    got = problems.tv_denoise(noisy, 0.05, 0.3, 0.9, iterations)
     assert np.array_equal(got, denoise_reference(noisy, 0.05, 0.3, 0.9, iterations))
     # step 1 takes the image's bands, the later steps the bands of each part
     first = min(height, -(-height * 6 // band_pixels))
@@ -867,22 +867,22 @@ def expected_parts(height, width, cpus):
 
 
 def set_cpus(monkeypatch, count):
-    # the usable-CPU count that cli._workers reads
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)),
+    # the usable-CPU count that cli._workers and problems._tv_parts read
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
     assert cli._workers(0, 99) == count
 
 
 def record_parts(monkeypatch):
-    # the bands that each call of tv_step_bands steps, with its thread
+    # the bands that each call of _tv_step_part steps, with its thread
     calls = []
-    step_bands = problems.tv_step_bands
+    step_part = problems._tv_step_part
 
     def recorded(p, noisy, mu, lam, bands, *rest):
         calls.append((threading.get_ident(), tuple(bands)))
-        return step_bands(p, noisy, mu, lam, bands, *rest)
+        return step_part(p, noisy, mu, lam, bands, *rest)
 
-    monkeypatch.setattr(problems, "tv_step_bands", recorded)
+    monkeypatch.setattr(problems, "_tv_step_part", recorded)
     return calls
 
 
@@ -912,7 +912,7 @@ def test_denoise_parts_equal_whole_image_loop(request, monkeypatch, storm, cpus,
     rng = np.random.default_rng(height)
     noisy = GrayImage(rng.normal(size=(height, 6)), peak=1.0)
     before = threading.enumerate()
-    got = cli._denoise(noisy, 0.05, 0.3, 0.9, iterations)
+    got = problems.tv_denoise(noisy, 0.05, 0.3, 0.9, iterations)
     assert threading.enumerate() == before
     assert np.array_equal(got, denoise_reference(noisy, 0.05, 0.3, 0.9, iterations))
     # step 1 steps the image's bands on the calling thread, and each later
@@ -929,6 +929,43 @@ def test_denoise_parts_equal_whole_image_loop(request, monkeypatch, storm, cpus,
         assert len(set.union(*threads.values())) == len(parts)
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_denoise_takes_one_sign_sum_per_sign_unit(monkeypatch, cpus):
+    # at the default bands a 768 x 512 image is 6 bands; on 2 CPUs each part
+    # is 3 bands, one sign unit, and takes one sign sum a step on its own
+    # thread, and on 1 CPU the image is 2 units; every band is updated once
+    set_cpus(monkeypatch, cpus)
+    signs, updates = [], []
+    sign_sum, update_rows = problems._tv_sign_sum_rows, problems._tv_update_rows
+    monkeypatch.setattr(problems, "_tv_sign_sum_rows",
+                        lambda p, lo, hi, *rest: signs.append((threading.get_ident(), lo, hi))
+                        or sign_sum(p, lo, hi, *rest))
+    monkeypatch.setattr(problems, "_tv_update_rows",
+                        lambda p, noisy, lo, hi, *rest: updates.append((lo, hi))
+                        or update_rows(p, noisy, lo, hi, *rest))
+    noisy = GrayImage(np.random.default_rng(4).normal(size=(512, 768)), peak=1.0)
+    problems.tv_denoise(noisy, 0.002, 0.08, 0.9, 4)
+    bands = problems.tv_bands(512, 768)
+    assert len(bands) == 6 and len(updates) == 4 * 6
+    assert sorted(set(updates)) == bands
+    halves = [(0, 256), (256, 512)]
+    step_1, later = signs[:2], signs[2:]
+    assert [(lo, hi) for _, lo, hi in step_1] == halves
+    assert sorted((lo, hi) for _, lo, hi in later) == sorted(halves * 3)
+    threads = {span: {t for t, lo, hi in later if (lo, hi) == span} for span in halves}
+    assert all(len(t) == 1 for t in threads.values())
+    assert len(set.union(*threads.values())) == cpus
+
+
+@pytest.mark.parametrize("kappa, iterations", [(1.0, 2), (-0.1, 2), (float("nan"), 2),
+                                               (0.5, -1)])
+def test_tv_denoise_rejects_kappa_outside_the_unit_interval_and_negative_counts(
+        kappa, iterations):
+    noisy = GrayImage(np.zeros((3, 3)), peak=1.0)
+    with pytest.raises(ValueError):
+        problems.tv_denoise(noisy, 0.05, 0.3, kappa, iterations)
+
+
 @pytest.mark.parametrize("band_rows", [1, None])
 @pytest.mark.parametrize("iterations", [1, 2, 25])
 def test_denoise_kappa_zero_is_the_last_tv_iterate(monkeypatch, band_rows, iterations):
@@ -941,7 +978,7 @@ def test_denoise_kappa_zero_is_the_last_tv_iterate(monkeypatch, band_rows, itera
     if band_rows is not None:
         monkeypatch.setattr(problems, "TV_BAND_PIXELS", band_rows * 6)
     assert len(problems.tv_bands(7, 6)) == (7 if band_rows else 1)
-    assert np.array_equal(cli._denoise(noisy, 0.05, 0.3, 0.0, iterations), img.pixels)
+    assert np.array_equal(problems.tv_denoise(noisy, 0.05, 0.3, 0.0, iterations), img.pixels)
 
 
 @pytest.mark.parametrize("band_pixels", [problems.TV_BAND_PIXELS, 1])
@@ -989,7 +1026,7 @@ def test_denoise_reports_the_topmost_failed_part(monkeypatch):
     # cause of its own; the topmost part's failure is the one raised
     monkeypatch.setattr(problems, "TV_BAND_PIXELS", 6)
     set_cpus(monkeypatch, 3)
-    step_bands = problems.tv_step_bands
+    step_part = problems._tv_step_part
     steps = {}
 
     def failing(p, noisy, mu, lam, bands, *rest):
@@ -998,13 +1035,13 @@ def test_denoise_reports_the_topmost_failed_part(monkeypatch):
         if steps[lo] == 2 and lo > 0:  # step 3 of a part below the top
             time.sleep(0.02 * (10 - lo))
             raise FloatingPointError(f"part at row {lo}")
-        return step_bands(p, noisy, mu, lam, bands, *rest)
+        return step_part(p, noisy, mu, lam, bands, *rest)
 
-    monkeypatch.setattr(problems, "tv_step_bands", failing)
+    monkeypatch.setattr(problems, "_tv_step_part", failing)
     noisy = GrayImage(np.random.default_rng(5).normal(size=(9, 6)), peak=1.0)
     before = threading.enumerate()
     with pytest.raises(NumericError, match=r"^part at row 3: iterate diverged in step 3$"):
-        cli._denoise(noisy, 0.05, 0.3, 0.9, 5)
+        problems.tv_denoise(noisy, 0.05, 0.3, 0.9, 5)
     assert threading.enumerate() == before
 
 
@@ -1021,11 +1058,11 @@ def test_denoise_thread_that_cannot_start_leaves_none_running(monkeypatch):
                 raise RuntimeError("can't start new thread")
             super().start()
 
-    monkeypatch.setattr(cli.threading, "Thread", Thread)
+    monkeypatch.setattr(problems.threading, "Thread", Thread)
     noisy = GrayImage(np.random.default_rng(6).normal(size=(9, 6)), peak=1.0)
     before = threading.enumerate()
     with pytest.raises(RuntimeError, match="can't start new thread"):
-        cli._denoise(noisy, 0.05, 0.3, 0.9, 5)
+        problems.tv_denoise(noisy, 0.05, 0.3, 0.9, 5)
     assert len(starts) == 2 and not starts[0].is_alive()
     assert threading.enumerate() == before
 
@@ -1055,8 +1092,8 @@ def test_denoise_steps_without_a_float_copy_of_clean(tmp_path, monkeypatch):
     data.write_pgm(GrayImage(np.random.default_rng(8).uniform(0, 255, (height, width))),
                    clean)
     held = []
-    tv_steps = cli._tv_steps
-    monkeypatch.setattr(cli, "_tv_steps", lambda *args: held.append(
+    tv_steps = problems._tv_steps
+    monkeypatch.setattr(problems, "_tv_steps", lambda *args: held.append(
         tracemalloc.get_traced_memory()[0]) or tv_steps(*args))
     tracemalloc.start()
     try:
@@ -1085,7 +1122,7 @@ def test_denoise_gain_of_an_infinite_psnr_is_not_a_number(tmp_path, capsys, nois
 
 def test_denoise_steps_once_through_tv_subgradient_step(tmp_path, monkeypatch):
     # a benchmark that times denoise from its first tv_subgradient_step call
-    # needs that call; steps 2.. run in problems.tv_step_bands
+    # needs that call; steps 2.. run in problems._tv_steps
     calls = []
     step = problems.tv_subgradient_step
     monkeypatch.setattr(problems, "tv_subgradient_step",

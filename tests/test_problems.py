@@ -639,8 +639,8 @@ def test_tv_sign_sum_equals_float_sign_reference(name):
     height, width = p.shape
     for lo in range(height):
         for hi in range(lo + 1, height + 1):
-            buf = problems.TvBuffers.allocate(hi - lo + lo % 2, width)
-            got = problems._tv_sign_sum_rows(p, lo, hi, buf, lo % 2)
+            buf = problems.TvBuffers.for_bands([(0, hi - lo + lo % 2)], width)
+            got = problems._tv_sign_sum_rows(p, lo, hi, buf)
             assert np.array_equal(got, ref[lo:hi]), (lo, hi)
             assert np.abs(got).max() <= 4
 
@@ -692,52 +692,70 @@ def test_tv_subgradient_step_holds_one_band_of_buffers():
 
 
 def test_tv_step_bands_rejects_a_non_finite_band():
-    # under the trap a band's overflow raises before that band is yielded;
-    # the bands above it already hold the next iterate
+    # under the trap a band's overflow raises before that band advances the
+    # numerator; the bands above it already hold the next iterate
     p = np.zeros((6, 4))
     p[4, 1] = 1.0  # rows 3..5 see it: bands (2, 4) and (4, 6) overflow
     bands = [(0, 2), (2, 4), (4, 6)]
     buf = problems.TvBuffers.for_bands(bands, 4)
-    done = []
+    z = np.ones((6, 4))
     with pytest.raises(NumericError, match="^overflow encountered in multiply: band$"):
         with trap_divergence("band"):
-            for band in problems.tv_step_bands(p, np.zeros((6, 4)), 1e308, 10.0, bands, buf):
-                done.append(band)
-    assert done == [(0, 2)]
+            problems._tv_step_part(p, np.zeros((6, 4)), 1e308, 10.0, bands, buf, z=z, kappa=0.5)
+    assert np.all(z[:2] == 0.5) and np.all(z[2:] == 1.0)
     assert not p[:2].any()
 
 
-def test_tv_step_bands_writes_in_place_one_band_late():
-    # every band reads the old iterate although the bands above it are
-    # already written; each band is yielded once, in order
+def test_tv_step_part_writes_in_place_unit_by_unit(monkeypatch):
+    # every unit reads the old iterate although the units above it are
+    # already written; each band is updated and smoothed once, in order,
+    # with units of one band, of two, of up to three and of all five
     p = tv_sign_sum_cases()["normals"]
     noisy = np.random.default_rng(27).normal(size=p.shape)
     expected = p - 0.1 * ((p - noisy) + 0.3 * tv_sign_sum_reference(p))
     bands = [(0, 1), (1, 3), (3, 4), (4, 11), (11, 31)]
-    got = p.copy()
-    yielded = list(problems.tv_step_bands(got, noisy, 0.1, 0.3, bands,
-                                          problems.TvBuffers.for_bands(bands, p.shape[1])))
-    assert yielded == bands
-    assert np.array_equal(got, expected)
+    updated = []
+    update_rows = problems._tv_update_rows
+    monkeypatch.setattr(problems, "_tv_update_rows",
+                        lambda p, noisy, lo, hi, *rest: updated.append((lo, hi))
+                        or update_rows(p, noisy, lo, hi, *rest))
+    for unit_bands in (1, 2, 3, 5):
+        monkeypatch.setattr(problems, "TV_UNIT_BANDS", unit_bands)
+        units = problems._tv_units(bands)
+        assert [band for unit in units for band in unit] == bands
+        assert max(len(unit) for unit in units) == unit_bands
+        updated.clear()
+        got, z = p.copy(), noisy.copy()
+        problems._tv_step_part(got, noisy, 0.1, 0.3, bands,
+                               problems.TvBuffers.for_bands(bands, p.shape[1]), z=z, kappa=0.5)
+        assert updated == bands
+        assert np.array_equal(got, expected)
+        assert np.array_equal(z, 0.5 * noisy + expected)
 
 
 @pytest.mark.parametrize("lo, hi, bands", [
     (0, 31, [(0, 31)]), (5, 6, [(5, 6)]), (4, 20, [(4, 9), (9, 10), (10, 20)]),
     (0, 12, [(0, 7), (7, 12)]), (19, 31, [(19, 20), (20, 31)]),
 ])
-def test_tv_step_bands_reads_the_given_halo_rows(lo, hi, bands):
+def test_tv_step_bands_reads_the_given_halo_rows(monkeypatch, lo, hi, bands):
     # rows [lo, hi) step as in the whole image although the rows around
-    # them in p are already overwritten: the halo rows come from above/below
+    # them in p are already overwritten: the halo rows come from above/below,
+    # with the part as one sign unit and as one unit per band
     p = tv_sign_sum_cases()["normals"]
     noisy = np.random.default_rng(28).normal(size=p.shape)
     expected = p - 0.1 * ((p - noisy) + 0.3 * tv_sign_sum_reference(p))
-    got = p.copy()
-    got[:lo] = got[hi:] = np.nan
     above = p[lo - 1].copy() if lo else None
     below = p[hi].copy() if hi < len(p) else None
-    buf = problems.TvBuffers.for_bands(bands, p.shape[1])
-    assert list(problems.tv_step_bands(got, noisy, 0.1, 0.3, bands, buf, above, below)) == bands
-    assert np.array_equal(got[lo:hi], expected[lo:hi])
+    for unit_bands in (3, 1):
+        monkeypatch.setattr(problems, "TV_UNIT_BANDS", unit_bands)
+        got = p.copy()
+        got[:lo] = got[hi:] = np.nan
+        z = np.zeros(p.shape)
+        buf = problems.TvBuffers.for_bands(bands, p.shape[1])
+        problems._tv_step_part(got, noisy, 0.1, 0.3, bands, buf, above, below, z, 0.5)
+        assert np.array_equal(got[lo:hi], expected[lo:hi])
+        assert np.array_equal(z[lo:hi], expected[lo:hi])
+        assert not z[:lo].any() and not z[hi:].any()
 
 
 def test_gray_image_validation():
