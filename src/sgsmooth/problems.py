@@ -490,34 +490,34 @@ def tv_value(img):
 
 
 def _sgn_diff(hi, lo, gt, lt):
-    # sgn(hi - lo) as int8, written over the comparison bytes gt and lt and
-    # returned as a view of gt.  For finite floats this is exact: with gradual
-    # underflow hi - lo is 0 only when hi == lo, and an overflow to +-inf
-    # keeps its sign.
-    np.greater(hi, lo, out=gt)
-    np.less(hi, lo, out=lt)
+    # the calls that write sgn(hi - lo) as int8 over the comparison bytes gt
+    # and lt, to be read as gt.view(np.int8).  For finite floats this is
+    # exact: with gradual underflow hi - lo is 0 only when hi == lo, and an
+    # overflow to +-inf keeps its sign.
     d = gt.view(np.int8)
-    np.subtract(d, lt.view(np.int8), out=d)
-    return d
+    return [(np.greater, (hi, lo, gt)), (np.less, (hi, lo, lt)),
+            (np.subtract, (d, lt.view(np.int8), d))]
 
 
 # Pixels per row band of a TV step's float update, at most.  A band's
 # float64 rows stay in the core's L2 cache across the update's passes, which
-# measured faster than whole-image passes.  On 2 vCPUs, 768 x 512 denoised
-# in bands of 32k, 64k and 96k pixels in about 0.47, 0.42 and 0.37 s (noisy
-# medians), but 96k holds 1 MiB more per part, and the benchmark's
-# peak_rss_mb, which grows with every request it keeps, has little room.
+# measured faster than whole-image passes.  With the steps run as bound
+# programs, 300 steps of 768 x 512 on 2 vCPUs took about 0.27, 0.29 and
+# 0.31 s in bands of 32k, 64k and 96k pixels (medians of 5 runs, each
+# spread over about 0.04 s): 32k and 64k alike within noise, and 96k, which
+# also holds 1 MiB more per part, no faster.
 TV_BAND_PIXELS = 65536
 
 # Bands per sign unit, at most: a step takes its int8 sign sum over a unit
-# of consecutive bands in one pass, then updates the unit band by band.  One
-# pass over several bands makes fewer, larger numpy calls, at each of which
-# the parts of tv_denoise, on threads of their own, queue for the
-# interpreter lock.  On 2 vCPUs a 768 x 512 image is two parts of one unit
-# each, and units of 3 bands ran about 15% faster there than units of 1;
-# on one CPU units of 1 to 3 bands measured alike within noise, and a
-# whole-image unit, 3 bytes per pixel of sign and comparison planes beside
-# the band's float rows, ran a few percent slower.
+# of consecutive bands in one pass, then updates the unit band by band.  A
+# larger unit makes fewer numpy calls, but 3 bytes per pixel of sign and
+# comparison planes beside the band's float rows.  On 2 vCPUs a 768 x 512
+# image is two parts of one unit each.  With the steps run as bound
+# programs, between whose numpy calls the part threads hold the interpreter
+# lock only briefly, units of 1, 2 and 3 bands took alike there, about
+# 0.26 to 0.32 s for 300 steps; on one CPU units of 1 band took 0.43 to
+# 0.48 s, of 3 bands 0.47 to 0.50 s and a whole-image unit of 6 bands 0.50
+# to 0.55 s.  Units of one band wait on the benchmark's alternating pairs.
 TV_UNIT_BANDS = 3
 
 
@@ -542,10 +542,10 @@ def _tv_units(bands):
 
 
 class TvBuffers(NamedTuple):
-    """Working memory of :func:`_tv_step_part` for some bands of an image.
+    """Working memory of :func:`_tv_program` for some bands of an image.
 
-    Allocated once and reused for every unit and band of every step, so a
-    step allocates nothing.
+    Allocated once and bound into the programs of those bands, which reuse
+    it for every unit and band of every step, so a step allocates nothing.
     """
 
     sign: np.ndarray  # int8 sign sum, one row per unit row
@@ -572,11 +572,12 @@ class TvBuffers(NamedTuple):
 
 
 def _tv_sign_sum_rows(p, lo, hi, buf, above=None, below=None):
-    # rows [lo, hi) of the sum over existing neighbors of sgn(pixel - neighbor)
-    # into buf.sign; shares the dropped-boundary convention of tv_value so
-    # the step is a true subgradient of fidelity + lam * tv_value.  The halo
-    # rows just above and below [lo, hi) are read from p, or from ``above``
-    # and ``below`` where given.  The sum lies in [-4, 4].
+    # the calls that write rows [lo, hi) of the sum over existing neighbors
+    # of sgn(pixel - neighbor) into buf.sign, and the rows they write; shares
+    # the dropped-boundary convention of tv_value so the step is a true
+    # subgradient of fidelity + lam * tv_value.  The halo rows just above and
+    # below [lo, hi) are read from p, or from ``above`` and ``below`` where
+    # given.  The sum lies in [-4, 4].  p is C-contiguous.
     height, width = p.shape
     rows = hi - lo
     band = p[lo:hi]
@@ -589,71 +590,89 @@ def _tv_sign_sum_rows(p, lo, hi, buf, above=None, below=None):
     gt = buf.gt[: (rows + 1) * width].reshape(rows + 1, width)
     lt = buf.lt[: (rows + 1) * width].reshape(rows + 1, width)
     d = gt.view(np.int8)
-    _sgn_diff(band[1:], band[:-1], gt[1:rows], lt[1:rows])
+    calls = _sgn_diff(band[1:], band[:-1], gt[1:rows], lt[1:rows])
     if above is None:
-        d[0] = 0
+        calls.append((d[0].fill, (0,)))
     else:
-        _sgn_diff(band[0], above, gt[0], lt[0])
+        calls += _sgn_diff(band[0], above, gt[0], lt[0])
     if below is None:
-        d[rows] = 0
+        calls.append((d[rows].fill, (0,)))
     else:
-        _sgn_diff(below, band[-1], gt[rows], lt[rows])
-    g = np.subtract(d[:-1], d[1:], out=buf.sign[:rows])
+        calls += _sgn_diff(below, band[-1], gt[rows], lt[rows])
+    g = buf.sign[:rows]
+    calls.append((np.subtract, (d[:-1], d[1:], g)))
     # horizontal pairs as one flat run over the rows; the pairs that join
-    # the end of one row to the start of the next get no sign
+    # the end of one row to the start of the next get no sign.  p is
+    # C-contiguous, so flat is a view of its rows, not a copy as they were
+    # when the calls were bound.
     flat = band.reshape(-1)
     n = flat.size - 1
-    d = _sgn_diff(flat[1:], flat[:-1], buf.gt[:n], buf.lt[:n])
-    d[width - 1 :: width] = 0
+    calls += _sgn_diff(flat[1:], flat[:-1], buf.gt[:n], buf.lt[:n])
+    d = buf.gt[:n].view(np.int8)
     g_flat = g.reshape(-1)
-    g_flat[1:] += d
-    g_flat[:-1] -= d
-    return g
+    calls += [(d[width - 1 :: width].fill, (0,)),
+              (np.add, (g_flat[1:], d, g_flat[1:])),
+              (np.subtract, (g_flat[:-1], d, g_flat[:-1]))]
+    return calls, g
 
 
-def _tv_update_rows(p, noisy, lo, hi, g, mu, lam, buf):
-    # rows [lo, hi) of p become p - ((p - noisy) + lam * g) * mu, in place
-    rows = hi - lo
-    band, scratch, scaled = p[lo:hi], buf.scratch[:rows], buf.scaled[:rows]
-    np.subtract(band, noisy[lo:hi], out=scratch)
-    # the sign sum goes to float64 before it is scaled: faster than a
-    # mixed-type multiply, and an integer lam cannot wrap the int8 sum
-    np.copyto(scaled, g)
-    scaled *= lam
-    scratch += scaled
-    scratch *= mu
-    band -= scratch
-
-
-def _tv_step_part(p, noisy, mu, lam, bands, buf, above=None, below=None, z=None, kappa=0.0):
-    # Advance the rows of ``bands`` (contiguous, in order) of p in place to
-    # the next iterate p - ((p - noisy) + lam * S(p)) * mu, S the sign sum of
-    # the old iterate.  Each sign unit takes its sign sum in one pass, then
-    # updates its bands one by one; where z is given, each band then advances
-    # the same rows of the numerator, z = kappa z + p, while they are in
-    # cache.  The old last row of a unit goes to buf.edge before the unit is
-    # written, for the sign sum of the unit below, so every unit reads the
-    # old iterate.  ``above`` and ``below``, where given, stand in for the old
-    # rows of p just above the first band and just below the last one, for a
-    # caller whose neighbouring rows are written meanwhile.  ``buf`` is
-    # TvBuffers.for_bands(bands, width); nothing else is allocated.  Run under
-    # trap_divergence: from finite pixels only an overflow or invalid
-    # operation makes a non-finite one, and it raises before its band
-    # advances z.  Arguments are not checked here.
+def _tv_program(p, noisy, mu, lam, bands, buf, above=None, below=None, z=None, kappa=0.0):
+    # The calls, as (f, args) pairs over views made here, that advance the
+    # rows of ``bands`` (contiguous, in order) of p in place to the next
+    # iterate p - ((p - noisy) + lam * S(p)) * mu, S the sign sum of the old
+    # iterate; _tv_run runs them, once per step.  Each sign unit takes its
+    # sign sum in one pass, then updates its bands one by one; where z is
+    # given, each band then advances the same rows of the numerator,
+    # z = kappa z + p, while they are in cache.  The old last row of a unit
+    # goes to buf.edge before the unit is written, for the sign sum of the
+    # unit below, so every unit reads the old iterate.  ``above`` and
+    # ``below``, where given, stand in for the old rows of p just above the
+    # first band and just below the last one, for a caller whose
+    # neighbouring rows are written meanwhile.  ``buf`` is
+    # TvBuffers.for_bands(bands, width); a run allocates nothing.  mu, lam
+    # and kappa are bound as 0-d operands: numpy would convert a Python
+    # float on every call.  Run under trap_divergence: from finite pixels
+    # only an overflow or invalid operation makes a non-finite one, and it
+    # raises before its band advances z.  Arguments are not checked here.
+    mu, lam, kappa = (np.array(x, dtype=float) for x in (mu, lam, kappa))
+    program = []
     units = _tv_units(bands)
     for k, unit in enumerate(units):
         lo, hi = unit[0][0], unit[-1][1]
         last = k == len(units) - 1
-        g = _tv_sign_sum_rows(p, lo, hi, buf, above, below if last else None)
+        calls, g = _tv_sign_sum_rows(p, lo, hi, buf, above, below if last else None)
+        program += calls
         if not last:
-            np.copyto(buf.edge, p[hi - 1])
+            program.append((np.copyto, (buf.edge, p[hi - 1])))
             above = buf.edge
         for a, b in unit:
-            _tv_update_rows(p, noisy, a, b, g[a - lo : b - lo], mu, lam, buf)
+            rows = b - a
+            band, scratch, scaled = p[a:b], buf.scratch[:rows], buf.scaled[:rows]
+            # the sign sum goes to float64 before it is scaled: faster than a
+            # mixed-type multiply, and an integer lam cannot wrap the int8 sum
+            program += [(np.subtract, (band, noisy[a:b], scratch)),
+                        (np.copyto, (scaled, g[a - lo : b - lo])),
+                        (np.multiply, (scaled, lam, scaled)),
+                        (np.add, (scratch, scaled, scratch)),
+                        (np.multiply, (scratch, mu, scratch)),
+                        (np.subtract, (band, scratch, band))]
             if z is not None:
-                rows = z[a:b]
-                rows *= kappa
-                rows += p[a:b]
+                zrows = z[a:b]
+                program += [(np.multiply, (zrows, kappa, zrows)),
+                            (np.add, (zrows, band, zrows))]
+    return program
+
+
+def _tv_run(program):
+    # one step: the calls of a program from _tv_program, in order
+    for f, args in program:
+        f(*args)
+
+
+def _check_tv_step(mu, lam):
+    if not (0.0 < mu < math.inf and 0.0 <= lam < math.inf):
+        raise ValueError(f"mu must be positive and finite and lam nonnegative and finite, "
+                         f"got mu={mu!r}, lam={lam!r}")
 
 
 def tv_subgradient_step(img, noisy, mu, lam):
@@ -661,20 +680,20 @@ def tv_subgradient_step(img, noisy, mu, lam):
 
     Returns a new image; pixels are not clipped to the display range during
     iteration.  The step runs on a copy of the image, trapped, with the
-    buffers of one sign unit and one band.
+    buffers of one sign unit and one band.  ``mu`` must be positive and
+    finite, ``lam`` nonnegative and finite.
     """
     if img.shape != noisy.shape:
         raise ValueError(f"dimension mismatch: {img.shape} vs {noisy.shape}")
-    if mu <= 0 or lam < 0:
-        raise ValueError("mu must be positive and lam nonnegative")
+    _check_tv_step(mu, lam)
     p = img.pixels
     height, width = p.shape
     out = p.copy()
     bands = tv_bands(height, width)
-    buf = TvBuffers.for_bands(bands, width)
+    program = _tv_program(out, noisy.pixels, mu, lam, bands, TvBuffers.for_bands(bands, width))
     with trap_divergence("TV step diverged"):
-        _tv_step_part(out, noisy.pixels, mu, lam, bands, buf)
-    del buf  # freed before GrayImage's finiteness check allocates its mask
+        _tv_run(program)
+    del program  # its buffers go before GrayImage's finiteness check allocates its mask
     return GrayImage(out, peak=img.peak)
 
 
@@ -685,10 +704,13 @@ def tv_denoise(noisy, mu, lam, kappa, iterations):
     :class:`GrayImage` ``noisy`` and smooths the iterates with factor
     ``kappa``: the smoothing carries S and the numerator Z = kappa Z + w from
     S_0 = 1 and Z_0 = ``noisy``, and divides out w_bar = Z / S at the end.
-    The first step goes through tv_subgradient_step, which checks mu, lam
-    and the shapes; _tv_steps takes the others.  A step that overflows
-    raises :class:`~sgsmooth.errors.NumericError` naming the step.
+    ``mu`` must be positive and finite, ``lam`` nonnegative and finite and
+    ``kappa`` in [0, 1), whatever the count, or this raises ValueError.  The
+    first step goes through tv_subgradient_step, _tv_steps takes the others.
+    A step that overflows raises :class:`~sgsmooth.errors.NumericError`
+    naming the step.
     """
+    _check_tv_step(mu, lam)
     if not 0.0 <= kappa < 1.0:
         raise ValueError(f"kappa must lie in [0, 1), got {kappa!r}")
     if iterations < 0:
@@ -728,43 +750,46 @@ def _tv_steps(p, z, noisy, mu, lam, kappa, iterations):
 
     The image is cut into the row parts of _tv_parts, one thread per part,
     the calling thread taking the first, and the parts meet at one barrier
-    per step.  Each part steps its own bands through _tv_step_part, into
-    buffers of its own: one sign sum per sign unit, then the float update
-    and Z band by band.  A part reads its neighbours' rows not from ``p``,
-    which they write meanwhile, but from the edge rows that each part copies
-    out after every step, kept in two slots by step parity.  Every
-    operation is elementwise, so the result depends on neither the parts,
-    the units nor the bands.  A part that fails breaks the barrier, and all
-    failures come in the same step; the one of the topmost part that failed
-    is raised once every thread has ended.
+    per step.  Each part runs a program of _tv_program over buffers of its
+    own: one sign sum per sign unit, then the float update and Z band by
+    band.  A part reads its neighbours' rows not from ``p``, which they
+    write meanwhile, but from the edge rows that each part copies out at the
+    end of every step, kept in two slots by step parity.  So each part has
+    two programs, bound before the first step, which differ only in the
+    slot they read and the slot they write.  Every operation is elementwise,
+    so the result depends on neither the parts, the units nor the bands.  A
+    part that fails breaks the barrier, and all failures come in the same
+    step; the one of the topmost part that failed is raised once every
+    thread has ended.
     """
     parts = _tv_parts(*p.shape)
-    # allocated on the calling thread: a worker thread's malloc arena would
-    # keep them resident after the steps, beside the arrays that follow
-    bufs = [TvBuffers.for_bands(bands, p.shape[1]) for _, _, bands in parts]
+    width = p.shape[1]
     # edges[step % 2, j] holds the first and the last row of part j after a step
-    edges = np.empty((2, len(parts), 2, p.shape[1]))
-
-    def copy_edges(slot, j):
-        lo, hi, _ = parts[j]
-        edges[slot, j, 0] = p[lo]
-        edges[slot, j, 1] = p[hi - 1]
-
-    for j in range(len(parts)):
-        copy_edges(1, j)
+    edges = np.empty((2, len(parts), 2, width))
+    programs = []
+    for j, (lo, hi, bands) in enumerate(parts):
+        # allocated on the calling thread: a worker thread's malloc arena would
+        # keep them resident after the steps, beside the arrays that follow
+        buf = TvBuffers.for_bands(bands, width)
+        by_slot = []
+        for slot in (0, 1):  # the slot that a step writes, step % 2
+            old = edges[1 - slot]
+            above = old[j - 1, 1] if j > 0 else None
+            below = old[j + 1, 0] if j + 1 < len(parts) else None
+            program = _tv_program(p, noisy, mu, lam, bands, buf, above, below, z, kappa)
+            program += [(np.copyto, (edges[slot, j, 0], p[lo])),
+                        (np.copyto, (edges[slot, j, 1], p[hi - 1]))]
+            by_slot.append(program)
+        programs.append(by_slot)
+        edges[1, j, 0], edges[1, j, 1] = p[lo], p[hi - 1]  # read by step 2
     barrier = threading.Barrier(len(parts))
     failures = [None] * len(parts)
 
     def step_part(j):
-        bands, buf = parts[j][2], bufs[j]
         try:
             for step in range(2, iterations + 1):
-                old = edges[(step - 1) % 2]
-                above = old[j - 1, 1] if j > 0 else None
-                below = old[j + 1, 0] if j + 1 < len(parts) else None
                 with trap_divergence(f"iterate diverged in step {step}"):
-                    _tv_step_part(p, noisy, mu, lam, bands, buf, above, below, z, kappa)
-                copy_edges(step % 2, j)
+                    _tv_run(programs[j][step % 2])
                 barrier.wait()
         except threading.BrokenBarrierError:
             pass  # another part failed

@@ -842,11 +842,7 @@ def denoise_reference(noisy, mu, lam, kappa, iterations):
 def test_banded_denoise_equals_whole_image_loop(monkeypatch, height, band_pixels, iterations):
     # one band, bands of one or two rows, and one row each
     monkeypatch.setattr(problems, "TV_BAND_PIXELS", band_pixels)
-    bands = []
-    update_rows = problems._tv_update_rows
-    monkeypatch.setattr(problems, "_tv_update_rows",
-                        lambda p, noisy, lo, hi, *rest: bands.append((lo, hi))
-                        or update_rows(p, noisy, lo, hi, *rest))
+    runs = record_parts(monkeypatch)
     rng = np.random.default_rng(height)
     noisy = GrayImage(rng.normal(size=(height, 6)), peak=1.0)
     got = problems.tv_denoise(noisy, 0.05, 0.3, 0.9, iterations)
@@ -854,7 +850,8 @@ def test_banded_denoise_equals_whole_image_loop(monkeypatch, height, band_pixels
     # step 1 takes the image's bands, the later steps the bands of each part
     first = min(height, -(-height * 6 // band_pixels))
     later = sum(len(part_bands) for part_bands in expected_parts(height, 6, cli._workers(0, 99)))
-    assert len(bands) == min(iterations, 1) * first + max(iterations - 1, 0) * later
+    bands = sum(len(bands) for _, bands in runs)
+    assert bands == min(iterations, 1) * first + max(iterations - 1, 0) * later
 
 
 def expected_parts(height, width, cpus):
@@ -873,16 +870,31 @@ def set_cpus(monkeypatch, count):
     assert cli._workers(0, 99) == count
 
 
-def record_parts(monkeypatch):
-    # the bands that each call of _tv_step_part steps, with its thread
-    calls = []
-    step_part = problems._tv_step_part
+def bind_bands(monkeypatch):
+    # the lookup from a program that _tv_program builds to the bands it steps
+    built = []
+    build = problems._tv_program
 
     def recorded(p, noisy, mu, lam, bands, *rest):
-        calls.append((threading.get_ident(), tuple(bands)))
-        return step_part(p, noisy, mu, lam, bands, *rest)
+        program = build(p, noisy, mu, lam, bands, *rest)
+        built.append((program, tuple(bands)))
+        return program
 
-    monkeypatch.setattr(problems, "_tv_step_part", recorded)
+    monkeypatch.setattr(problems, "_tv_program", recorded)
+    return lambda program: next(bands for p, bands in built if p is program)
+
+
+def record_parts(monkeypatch):
+    # the bands of the program that each call of _tv_run steps, one call a
+    # step, with its thread
+    bands_of, calls = bind_bands(monkeypatch), []
+    run = problems._tv_run
+
+    def recorded(program):
+        calls.append((threading.get_ident(), bands_of(program)))
+        return run(program)
+
+    monkeypatch.setattr(problems, "_tv_run", recorded)
     return calls
 
 
@@ -903,7 +915,8 @@ def switch_storm():
 def test_denoise_parts_equal_whole_image_loop(request, monkeypatch, storm, cpus, height,
                                               band_pixels, iterations):
     # one part, and parts of a few rows or of one row each, on their own
-    # threads; with the storm the threads switch about every bytecode
+    # threads; with the storm the threads switch about every bytecode.  Sign
+    # units of one band put a unit seam between every two bands of a part.
     if storm:
         request.getfixturevalue("switch_storm")
     monkeypatch.setattr(problems, "TV_BAND_PIXELS", band_pixels)
@@ -911,59 +924,121 @@ def test_denoise_parts_equal_whole_image_loop(request, monkeypatch, storm, cpus,
     calls = record_parts(monkeypatch)
     rng = np.random.default_rng(height)
     noisy = GrayImage(rng.normal(size=(height, 6)), peak=1.0)
-    before = threading.enumerate()
-    got = problems.tv_denoise(noisy, 0.05, 0.3, 0.9, iterations)
-    assert threading.enumerate() == before
-    assert np.array_equal(got, denoise_reference(noisy, 0.05, 0.3, 0.9, iterations))
-    # step 1 steps the image's bands on the calling thread, and each later
-    # step every part on a thread of its own, the first part on this one
+    expected = denoise_reference(noisy, 0.05, 0.3, 0.9, iterations)
     me = threading.get_ident()
-    if iterations:
-        assert calls.pop(0) == (me, tuple(problems.tv_bands(height, 6)))
     parts = [tuple(bands) for bands in expected_parts(height, 6, cpus)]
-    assert sorted(bands for _, bands in calls) == sorted(parts * (iterations - 1))
-    threads = {bands: {thread for thread, b in calls if b == bands} for bands in parts}
-    if iterations > 1:
-        assert threads[parts[0]] == {me}
-        assert all(len(t) == 1 for t in threads.values())
-        assert len(set.union(*threads.values())) == len(parts)
+    for unit_bands in (1, 3):
+        monkeypatch.setattr(problems, "TV_UNIT_BANDS", unit_bands)
+        calls.clear()
+        before = threading.enumerate()
+        got = problems.tv_denoise(noisy, 0.05, 0.3, 0.9, iterations)
+        assert threading.enumerate() == before
+        assert np.array_equal(got, expected)
+        # step 1 steps the image's bands on the calling thread, and each later
+        # step every part on a thread of its own, the first part on this one
+        if iterations:
+            assert calls.pop(0) == (me, tuple(problems.tv_bands(height, 6)))
+        assert sorted(bands for _, bands in calls) == sorted(parts * (iterations - 1))
+        threads = {bands: {thread for thread, b in calls if b == bands} for bands in parts}
+        if iterations > 1:
+            assert threads[parts[0]] == {me}
+            assert all(len(t) == 1 for t in threads.values())
+            assert len(set.union(*threads.values())) == len(parts)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_denoise_takes_one_sign_sum_per_sign_unit(monkeypatch, cpus):
     # at the default bands a 768 x 512 image is 6 bands; on 2 CPUs each part
     # is 3 bands, one sign unit, and takes one sign sum a step on its own
-    # thread, and on 1 CPU the image is 2 units; every band is updated once
+    # thread, and on 1 CPU the image is 2 units; every band is updated once.
+    # A step runs a program once, so the sign sums of a step are the ones
+    # bound into the programs it runs.
     set_cpus(monkeypatch, cpus)
-    signs, updates = [], []
-    sign_sum, update_rows = problems._tv_sign_sum_rows, problems._tv_update_rows
-    monkeypatch.setattr(problems, "_tv_sign_sum_rows",
-                        lambda p, lo, hi, *rest: signs.append((threading.get_ident(), lo, hi))
-                        or sign_sum(p, lo, hi, *rest))
-    monkeypatch.setattr(problems, "_tv_update_rows",
-                        lambda p, noisy, lo, hi, *rest: updates.append((lo, hi))
-                        or update_rows(p, noisy, lo, hi, *rest))
+    signs = []  # the first call and the rows of every sign sum bound
+    sign_sum = problems._tv_sign_sum_rows
+
+    def bound(p, lo, hi, *rest):
+        calls, g = sign_sum(p, lo, hi, *rest)
+        signs.append((calls[0], (lo, hi)))
+        return calls, g
+
+    monkeypatch.setattr(problems, "_tv_sign_sum_rows", bound)
+    bands_of, runs = bind_bands(monkeypatch), []
+    run = problems._tv_run
+
+    def recorded(program):
+        spans = [span for first, span in signs for call in program if call is first]
+        runs.append((threading.get_ident(), spans, bands_of(program)))
+        return run(program)
+
+    monkeypatch.setattr(problems, "_tv_run", recorded)
     noisy = GrayImage(np.random.default_rng(4).normal(size=(512, 768)), peak=1.0)
     problems.tv_denoise(noisy, 0.002, 0.08, 0.9, 4)
     bands = problems.tv_bands(512, 768)
+    updates = [band for _, _, program_bands in runs for band in program_bands]
     assert len(bands) == 6 and len(updates) == 4 * 6
     assert sorted(set(updates)) == bands
     halves = [(0, 256), (256, 512)]
-    step_1, later = signs[:2], signs[2:]
-    assert [(lo, hi) for _, lo, hi in step_1] == halves
-    assert sorted((lo, hi) for _, lo, hi in later) == sorted(halves * 3)
-    threads = {span: {t for t, lo, hi in later if (lo, hi) == span} for span in halves}
+    (_, step_1, _), later = runs[0], runs[1:]
+    assert step_1 == halves
+    assert len(later) == 3 * cpus
+    assert sorted(span for _, spans, _ in later for span in spans) == sorted(halves * 3)
+    threads = {span: {t for t, spans, _ in later if span in spans} for span in halves}
     assert all(len(t) == 1 for t in threads.values())
     assert len(set.union(*threads.values())) == cpus
 
 
-@pytest.mark.parametrize("kappa, iterations", [(1.0, 2), (-0.1, 2), (float("nan"), 2),
-                                               (0.5, -1)])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_denoise_binds_its_programs_once_per_run(monkeypatch, cpus):
+    # one program for step 1 and two a part, one for each halo slot, however
+    # many steps run
+    monkeypatch.setattr(problems, "TV_BAND_PIXELS", 6 * 3)
+    set_cpus(monkeypatch, cpus)
+    noisy = GrayImage(np.random.default_rng(10).normal(size=(9, 6)), peak=1.0)
+    built = []
+    build = problems._tv_program
+    monkeypatch.setattr(problems, "_tv_program", lambda *args: built.append(args) or build(*args))
+    for iterations in (0, 1, 2, 5, 25):
+        built.clear()
+        problems.tv_denoise(noisy, 0.05, 0.3, 0.9, iterations)
+        assert len(built) == (0 if iterations == 0 else 1 if iterations == 1 else 1 + 2 * cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_denoise_steps_after_the_first_allocate_nothing(monkeypatch, cpus):
+    # the traced peak of 25 steps is that of 3: steps 2.. run programs bound
+    # once, over buffers allocated once
+    set_cpus(monkeypatch, cpus)
+    noisy = GrayImage(np.random.default_rng(11).normal(size=(512, 768)), peak=1.0)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for iterations in (3, 25):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            problems.tv_denoise(noisy, 0.002, 0.08, 0.9, iterations)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 64 * 1024
+
+
+@pytest.mark.parametrize("mu, lam, kappa, iterations", [
+    pytest.param(0.05, 0.3, kappa, iterations, id=f"{kappa}-{iterations}")
+    for kappa, iterations in [(1.0, 2), (-0.1, 2), (float("nan"), 2), (0.5, -1)]
+] + [
+    # mu and lam are checked whatever the count, as ValueError, not as a
+    # step that diverges
+    pytest.param(mu, lam, 0.5, iterations, id=f"mu={mu}-lam={lam}-{iterations}")
+    for mu, lam in [(-1.0, 0.3), (0.0, 0.3), (math.nan, 0.3), (math.inf, 0.3),
+                    (0.05, -1.0), (0.05, math.nan), (0.05, math.inf)]
+    for iterations in (0, 1, 2)
+])
 def test_tv_denoise_rejects_kappa_outside_the_unit_interval_and_negative_counts(
-        kappa, iterations):
+        mu, lam, kappa, iterations):
     noisy = GrayImage(np.zeros((3, 3)), peak=1.0)
     with pytest.raises(ValueError):
-        problems.tv_denoise(noisy, 0.05, 0.3, kappa, iterations)
+        problems.tv_denoise(noisy, mu, lam, kappa, iterations)
 
 
 @pytest.mark.parametrize("band_rows", [1, None])
@@ -1026,18 +1101,19 @@ def test_denoise_reports_the_topmost_failed_part(monkeypatch):
     # cause of its own; the topmost part's failure is the one raised
     monkeypatch.setattr(problems, "TV_BAND_PIXELS", 6)
     set_cpus(monkeypatch, 3)
-    step_part = problems._tv_step_part
+    bands_of = bind_bands(monkeypatch)
+    run = problems._tv_run
     steps = {}
 
-    def failing(p, noisy, mu, lam, bands, *rest):
-        lo = bands[0][0]
+    def failing(program):
+        lo = bands_of(program)[0][0]
         steps[lo] = steps.get(lo, 0) + 1
         if steps[lo] == 2 and lo > 0:  # step 3 of a part below the top
             time.sleep(0.02 * (10 - lo))
             raise FloatingPointError(f"part at row {lo}")
-        return step_part(p, noisy, mu, lam, bands, *rest)
+        return run(program)
 
-    monkeypatch.setattr(problems, "_tv_step_part", failing)
+    monkeypatch.setattr(problems, "_tv_run", failing)
     noisy = GrayImage(np.random.default_rng(5).normal(size=(9, 6)), peak=1.0)
     before = threading.enumerate()
     with pytest.raises(NumericError, match=r"^part at row 3: iterate diverged in step 3$"):

@@ -580,6 +580,15 @@ def test_tv_step_dimension_mismatch():
         problems.tv_subgradient_step(a, b, 0.1, 0.1)
 
 
+@pytest.mark.parametrize("mu, lam", [(0.0, 0.1), (-1.0, 0.1), (np.nan, 0.1), (np.inf, 0.1),
+                                     (0.1, -1.0), (0.1, np.nan), (0.1, np.inf)])
+def test_tv_step_rejects_a_mu_or_lam_out_of_range(mu, lam):
+    # a non-finite mu or lam is a ValueError, not a step that diverges
+    img = GrayImage(np.zeros((4, 4)), peak=1.0)
+    with pytest.raises(ValueError, match="mu must be positive and finite"):
+        problems.tv_subgradient_step(img, img, mu, lam)
+
+
 def test_tv_step_is_true_subgradient_of_implemented_objective():
     # J(X) = 0.5 ||X - noisy||_F^2 + lam * tv_value(X) must satisfy the
     # subgradient inequality for the direction the step implements
@@ -640,7 +649,8 @@ def test_tv_sign_sum_equals_float_sign_reference(name):
     for lo in range(height):
         for hi in range(lo + 1, height + 1):
             buf = problems.TvBuffers.for_bands([(0, hi - lo + lo % 2)], width)
-            got = problems._tv_sign_sum_rows(p, lo, hi, buf)
+            calls, got = problems._tv_sign_sum_rows(p, lo, hi, buf)
+            problems._tv_run(calls)
             assert np.array_equal(got, ref[lo:hi]), (lo, hi)
             assert np.abs(got).max() <= 4
 
@@ -691,6 +701,24 @@ def test_tv_subgradient_step_holds_one_band_of_buffers():
     assert peak < out.pixels.nbytes + band_bytes + 64 * 1024
 
 
+def step_part(p, noisy, mu, lam, bands, buf, above=None, below=None, z=None, kappa=0.0):
+    # one step of the given bands, as tv_denoise runs it: a bound program
+    program = problems._tv_program(p, noisy, mu, lam, bands, buf, above, below, z, kappa)
+    problems._tv_run(program)
+    return program
+
+
+def updated_bands(program, p):
+    # the rows [lo, hi) of p that a program's update p -= ... writes, in order
+    row_bytes = p.shape[1] * p.itemsize
+    spans = []
+    for f, args in program:
+        if f is np.subtract and np.shares_memory(args[2], p):
+            lo = (args[2].ctypes.data - p.ctypes.data) // row_bytes
+            spans.append((lo, lo + len(args[2])))
+    return spans
+
+
 def test_tv_step_bands_rejects_a_non_finite_band():
     # under the trap a band's overflow raises before that band advances the
     # numerator; the bands above it already hold the next iterate
@@ -701,7 +729,7 @@ def test_tv_step_bands_rejects_a_non_finite_band():
     z = np.ones((6, 4))
     with pytest.raises(NumericError, match="^overflow encountered in multiply: band$"):
         with trap_divergence("band"):
-            problems._tv_step_part(p, np.zeros((6, 4)), 1e308, 10.0, bands, buf, z=z, kappa=0.5)
+            step_part(p, np.zeros((6, 4)), 1e308, 10.0, bands, buf, z=z, kappa=0.5)
     assert np.all(z[:2] == 0.5) and np.all(z[2:] == 1.0)
     assert not p[:2].any()
 
@@ -714,21 +742,15 @@ def test_tv_step_part_writes_in_place_unit_by_unit(monkeypatch):
     noisy = np.random.default_rng(27).normal(size=p.shape)
     expected = p - 0.1 * ((p - noisy) + 0.3 * tv_sign_sum_reference(p))
     bands = [(0, 1), (1, 3), (3, 4), (4, 11), (11, 31)]
-    updated = []
-    update_rows = problems._tv_update_rows
-    monkeypatch.setattr(problems, "_tv_update_rows",
-                        lambda p, noisy, lo, hi, *rest: updated.append((lo, hi))
-                        or update_rows(p, noisy, lo, hi, *rest))
     for unit_bands in (1, 2, 3, 5):
         monkeypatch.setattr(problems, "TV_UNIT_BANDS", unit_bands)
         units = problems._tv_units(bands)
         assert [band for unit in units for band in unit] == bands
         assert max(len(unit) for unit in units) == unit_bands
-        updated.clear()
         got, z = p.copy(), noisy.copy()
-        problems._tv_step_part(got, noisy, 0.1, 0.3, bands,
-                               problems.TvBuffers.for_bands(bands, p.shape[1]), z=z, kappa=0.5)
-        assert updated == bands
+        program = step_part(got, noisy, 0.1, 0.3, bands,
+                            problems.TvBuffers.for_bands(bands, p.shape[1]), z=z, kappa=0.5)
+        assert updated_bands(program, got) == bands
         assert np.array_equal(got, expected)
         assert np.array_equal(z, 0.5 * noisy + expected)
 
@@ -752,7 +774,7 @@ def test_tv_step_bands_reads_the_given_halo_rows(monkeypatch, lo, hi, bands):
         got[:lo] = got[hi:] = np.nan
         z = np.zeros(p.shape)
         buf = problems.TvBuffers.for_bands(bands, p.shape[1])
-        problems._tv_step_part(got, noisy, 0.1, 0.3, bands, buf, above, below, z, 0.5)
+        step_part(got, noisy, 0.1, 0.3, bands, buf, above, below, z, 0.5)
         assert np.array_equal(got[lo:hi], expected[lo:hi])
         assert np.array_equal(z[lo:hi], expected[lo:hi])
         assert not z[:lo].any() and not z[hi:].any()
