@@ -7,7 +7,6 @@ directory and the README for the key reference).  Exit codes: 0 success,
 
 import argparse
 import configparser
-import contextlib
 import functools
 import math
 import sys
@@ -25,6 +24,7 @@ from .errors import (
     ParseError,
     StreamExhausted,
     UnsupportedConfiguration,
+    refuse_size,
     trap_divergence,
 )
 
@@ -97,13 +97,8 @@ def _positive(cfg, section, key, cast, default=None, required=False):
     return val
 
 
-@contextlib.contextmanager
 def _too_large(what):
-    # numpy refuses a size past the address space at once, with MemoryError
-    try:
-        yield
-    except MemoryError as exc:
-        raise ConfigError(f"{what} is too large: {exc}") from None
+    return refuse_size(lambda exc: ConfigError(f"{what} is too large: {exc}"))
 
 
 def _parse_sparse_vector(raw, dim):
@@ -643,11 +638,8 @@ def cmd_svm_train(ns):
     if test is not None:
         test = _pad_dataset(test, dim)
 
-    # alpha < 1 needs mu*rho < 1; testing that first keeps the square from overflowing
-    alpha = math.inf
-    if ns.mu * ns.rho < 1.0:
-        alpha = 1.0 - 2.0 * ns.mu * ns.rho + 2.0 * (ns.mu * ns.rho) ** 2
-    kappa = _smoothing_factor("kappa", "auto", alpha, f"mu*rho = {ns.mu * ns.rho:.6g}")
+    kappa = _smoothing_factor("kappa", "auto", theory.svm_tight_rate(ns.mu, ns.rho),
+                              f"mu*rho = {ns.mu * ns.rho:.6g}")
     problem = problems.SvmSampleSet(train.features, train.labels, ns.rho)
     # no oracle, so the run records nothing; an overflowing margin stops it
     run_cfg = engine.RunConfig(mu=ns.mu, kappa=kappa, iterations=train.n * ns.epochs,

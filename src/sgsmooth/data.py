@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .engine import SAMPLE_BLOCK
-from .errors import FormatError, ParseError, StreamExhausted, trap_divergence
+from .errors import FormatError, ParseError, StreamExhausted, refuse_size, trap_divergence
 from .problems import GrayImage, Sample, check_linear_model
 
 
@@ -275,12 +275,9 @@ def parse_libsvm(text):
         max_index = max(max_index, prev)
         rows.append((label, entries))
 
-    try:
+    with refuse_size(lambda exc: ParseError(
+            f"a {len(rows)} x {max_index} feature matrix is too large to hold")):
         features = np.zeros((len(rows), max_index))
-    except MemoryError:
-        raise ParseError(
-            f"a {len(rows)} x {max_index} feature matrix is too large to hold"
-        ) from None
     labels = np.empty(len(rows))
     for k, (label, entries) in enumerate(rows):
         labels[k] = label

@@ -12,8 +12,9 @@ theory's choice, kappa = alpha, the problem's rate, is the caller's to make.
 It is evaluated in two orders, and w_bar is divided out only where it is
 read.  The runs take it once per block of ``SAMPLE_BLOCK`` steps, from the
 block's iterates, at the record points and the block's end
-(:class:`_BlockSmoothing`); :func:`smoothing_update` and the ``denoise``
-command, which keeps no block of iterates, take it one iterate at a time.
+(:class:`_BlockSmoothing`); :func:`smoothing_update` takes it one iterate
+at a time, and the ``denoise`` command's steps advance its numerator band by
+band inside their programs (:func:`sgsmooth.problems.tv_denoise`).
 A single run is strictly sequential.
 
 :func:`run_replications`, the one loop the commands step through, advances

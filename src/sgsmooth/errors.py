@@ -24,6 +24,24 @@ def trap_divergence(where):
         raise NumericError(f"{exc}: {where}") from None
 
 
+# how numpy's ValueError or OverflowError starts when a size is past its index range
+_SIZE_REFUSALS = ("Maximum allowed dimension exceeded", "Maximum allowed size exceeded",
+                  "array is too big", "Python int too large to convert")
+
+
+@contextlib.contextmanager
+def refuse_size(error):
+    """Run the body so that numpy refusing an array size, at once, raises
+    ``error(exc)`` instead: MemoryError past the address space, ValueError or
+    OverflowError past the index range.  Every other error passes through."""
+    try:
+        yield
+    except (MemoryError, ValueError, OverflowError) as exc:
+        if isinstance(exc, MemoryError) or str(exc).startswith(_SIZE_REFUSALS):
+            raise error(exc) from None
+        raise
+
+
 class UnsupportedConfiguration(ValueError):
     """Parameters fall outside the range an operation supports."""
 

@@ -510,14 +510,11 @@ TV_BAND_PIXELS = 65536
 
 # Bands per sign unit, at most: a step takes its int8 sign sum over a unit
 # of consecutive bands in one pass, then updates the unit band by band.  A
-# larger unit makes fewer numpy calls, but 3 bytes per pixel of sign and
-# comparison planes beside the band's float rows.  On 2 vCPUs a 768 x 512
-# image is two parts of one unit each.  With the steps run as bound
-# programs, between whose numpy calls the part threads hold the interpreter
-# lock only briefly, units of 1, 2 and 3 bands took alike there, about
-# 0.26 to 0.32 s for 300 steps; on one CPU units of 1 band took 0.43 to
-# 0.48 s, of 3 bands 0.47 to 0.50 s and a whole-image unit of 6 bands 0.50
-# to 0.55 s.  Units of one band wait on the benchmark's alternating pairs.
+# larger unit makes fewer numpy calls, but holds 3 bytes per pixel of sign
+# and comparison planes beside the band's float rows.  On 2 vCPUs a
+# 768 x 512 image is two parts of one unit each.  Units of one band lost 5
+# of 6 of the benchmark's alternating pairs there (median solve_s 0.446 ->
+# 0.480 s), and one unit per whole part ran slower at 1 and at 2 CPUs.
 TV_UNIT_BANDS = 3
 
 
@@ -544,7 +541,7 @@ def _tv_units(bands):
 class TvBuffers(NamedTuple):
     """Working memory of :func:`_tv_program` for some bands of an image.
 
-    Allocated once and bound into the programs of those bands, which reuse
+    Allocated once and bound into the program of those bands, which reuses
     it for every unit and band of every step, so a step allocates nothing.
     """
 
@@ -620,15 +617,15 @@ def _tv_program(p, noisy, mu, lam, bands, buf, above=None, below=None, z=None, k
     # The calls, as (f, args) pairs over views made here, that advance the
     # rows of ``bands`` (contiguous, in order) of p in place to the next
     # iterate p - ((p - noisy) + lam * S(p)) * mu, S the sign sum of the old
-    # iterate; _tv_run runs them, once per step.  Each sign unit takes its
-    # sign sum in one pass, then updates its bands one by one; where z is
-    # given, each band then advances the same rows of the numerator,
-    # z = kappa z + p, while they are in cache.  The old last row of a unit
-    # goes to buf.edge before the unit is written, for the sign sum of the
-    # unit below, so every unit reads the old iterate.  ``above`` and
+    # iterate; _tv_run runs them, once per step of _tv_steps.  Each sign
+    # unit takes its sign sum in one pass, then updates its bands one by one;
+    # where z is given, each band then advances the same rows of the
+    # numerator, z = kappa z + p, while they are in cache.  The old last row
+    # of a unit goes to buf.edge before the unit is written, for the sign sum
+    # of the unit below, so every unit reads the old iterate.  ``above`` and
     # ``below``, where given, stand in for the old rows of p just above the
-    # first band and just below the last one, for a caller whose
-    # neighbouring rows are written meanwhile.  ``buf`` is
+    # first band and just below the last one, for a part whose neighbouring
+    # parts write their rows meanwhile.  ``buf`` is
     # TvBuffers.for_bands(bands, width); a run allocates nothing.  mu, lam
     # and kappa are bound as 0-d operands: numpy would convert a Python
     # float on every call.  Run under trap_divergence: from finite pixels
@@ -679,21 +676,16 @@ def tv_subgradient_step(img, noisy, mu, lam):
     """One subgradient step on (1/2)||I - I_noisy||_F^2 + lam * TV(I).
 
     Returns a new image; pixels are not clipped to the display range during
-    iteration.  The step runs on a copy of the image, trapped, with the
-    buffers of one sign unit and one band.  ``mu`` must be positive and
-    finite, ``lam`` nonnegative and finite.
+    iteration.  The step runs on a copy of the image through the row parts
+    of :func:`_tv_steps`, each with buffers of its own.  ``mu`` must be
+    positive and finite, ``lam`` nonnegative and finite.  A step that
+    overflows raises :class:`~sgsmooth.errors.NumericError` naming step 1.
     """
     if img.shape != noisy.shape:
         raise ValueError(f"dimension mismatch: {img.shape} vs {noisy.shape}")
     _check_tv_step(mu, lam)
-    p = img.pixels
-    height, width = p.shape
-    out = p.copy()
-    bands = tv_bands(height, width)
-    program = _tv_program(out, noisy.pixels, mu, lam, bands, TvBuffers.for_bands(bands, width))
-    with trap_divergence("TV step diverged"):
-        _tv_run(program)
-    del program  # its buffers go before GrayImage's finiteness check allocates its mask
+    out = img.pixels.copy()
+    _tv_steps(out, None, noisy.pixels, mu, lam, 0.0, range(1, 2))
     return GrayImage(out, peak=img.peak)
 
 
@@ -706,9 +698,9 @@ def tv_denoise(noisy, mu, lam, kappa, iterations):
     S_0 = 1 and Z_0 = ``noisy``, and divides out w_bar = Z / S at the end.
     ``mu`` must be positive and finite, ``lam`` nonnegative and finite and
     ``kappa`` in [0, 1), whatever the count, or this raises ValueError.  The
-    first step goes through tv_subgradient_step, _tv_steps takes the others.
-    A step that overflows raises :class:`~sgsmooth.errors.NumericError`
-    naming the step.
+    first step is one call of tv_subgradient_step, and _tv_steps takes the
+    others, advancing Z with the iterate.  A step that overflows raises
+    :class:`~sgsmooth.errors.NumericError` naming the step.
     """
     _check_tv_step(mu, lam)
     if not 0.0 <= kappa < 1.0:
@@ -718,17 +710,13 @@ def tv_denoise(noisy, mu, lam, kappa, iterations):
     z = noisy.pixels.copy()
     if iterations == 0:
         return z
-    s = kappa + 1.0  # S_1 = kappa S_0 + 1 with S_0 = 1
+    p = tv_subgradient_step(noisy, noisy, mu, lam).pixels
     with trap_divergence("iterate diverged in step 1"):
-        try:
-            p = tv_subgradient_step(noisy, noisy, mu, lam).pixels
-        except NumericError as exc:  # its own trap names the TV step, not the run's
-            cause = str(exc).rsplit(": ", 1)[0]
-            raise NumericError(f"{cause}: iterate diverged in step 1") from None
         z *= kappa
         z += p
     if iterations > 1:
-        _tv_steps(p, z, noisy.pixels, mu, lam, kappa, iterations)
+        _tv_steps(p, z, noisy.pixels, mu, lam, kappa, range(2, iterations + 1))
+    s = kappa + 1.0  # S_1 = kappa S_0 + 1 with S_0 = 1
     for _ in range(2, iterations + 1):
         s = kappa * s + 1.0
     z /= s
@@ -736,7 +724,7 @@ def tv_denoise(noisy, mu, lam, kappa, iterations):
 
 
 def _tv_parts(height, width):
-    # row parts (lo, hi, bands) of tv_denoise: one per usable CPU, at most
+    # row parts (lo, hi, bands) of _tv_steps: one per usable CPU, at most
     # one per band of the image, as even as whole rows allow, each cut into
     # bands of its own
     n = min(usable_cpus(), len(tv_bands(height, width)))
@@ -745,51 +733,47 @@ def _tv_parts(height, width):
             for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _tv_steps(p, z, noisy, mu, lam, kappa, iterations):
-    """Steps 2..``iterations`` of :func:`tv_denoise`: ``p`` and ``z`` advance in place.
+def _tv_steps(p, z, noisy, mu, lam, kappa, steps):
+    """Run the TV steps numbered by ``steps``, a range, on ``p`` in place.
 
-    The image is cut into the row parts of _tv_parts, one thread per part,
-    the calling thread taking the first, and the parts meet at one barrier
-    per step.  Each part runs a program of _tv_program over buffers of its
-    own: one sign sum per sign unit, then the float update and Z band by
-    band.  A part reads its neighbours' rows not from ``p``, which they
-    write meanwhile, but from the edge rows that each part copies out at the
-    end of every step, kept in two slots by step parity.  So each part has
-    two programs, bound before the first step, which differ only in the
-    slot they read and the slot they write.  Every operation is elementwise,
-    so the result depends on neither the parts, the units nor the bands.  A
-    part that fails breaks the barrier, and all failures come in the same
-    step; the one of the topmost part that failed is raised once every
-    thread has ended.
+    Each step maps p to p - ((p - noisy) + lam * S(p)) * mu, S the sign sum
+    of the old iterate, and advances z = kappa z + p where ``z`` is given.
+    The row parts of _tv_parts each run one program of _tv_program over
+    buffers of their own, on a thread of their own, the calling thread
+    taking the first.  A part reads its neighbours' rows not from ``p``,
+    which they write meanwhile, but from one slot of edge rows, which the
+    action of the parts' barrier fills once a step while every part waits.
+    Every operation is elementwise, so the result depends on neither the
+    parts, the units nor the bands.  Each step runs under trap_divergence
+    naming it.  A part that fails breaks the barrier, and all failures come
+    in the same step; the topmost part's is raised once every thread has
+    ended.
     """
     parts = _tv_parts(*p.shape)
     width = p.shape[1]
-    # edges[step % 2, j] holds the first and the last row of part j after a step
-    edges = np.empty((2, len(parts), 2, width))
+    edges = np.empty((len(parts), 2, width))  # the first and the last row of each part
+
+    def snapshot():
+        for j, (lo, hi, _) in enumerate(parts):
+            edges[j, 0], edges[j, 1] = p[lo], p[hi - 1]
+
     programs = []
     for j, (lo, hi, bands) in enumerate(parts):
+        above = edges[j - 1, 1] if j > 0 else None
+        below = edges[j + 1, 0] if j + 1 < len(parts) else None
         # allocated on the calling thread: a worker thread's malloc arena would
         # keep them resident after the steps, beside the arrays that follow
         buf = TvBuffers.for_bands(bands, width)
-        by_slot = []
-        for slot in (0, 1):  # the slot that a step writes, step % 2
-            old = edges[1 - slot]
-            above = old[j - 1, 1] if j > 0 else None
-            below = old[j + 1, 0] if j + 1 < len(parts) else None
-            program = _tv_program(p, noisy, mu, lam, bands, buf, above, below, z, kappa)
-            program += [(np.copyto, (edges[slot, j, 0], p[lo])),
-                        (np.copyto, (edges[slot, j, 1], p[hi - 1]))]
-            by_slot.append(program)
-        programs.append(by_slot)
-        edges[1, j, 0], edges[1, j, 1] = p[lo], p[hi - 1]  # read by step 2
-    barrier = threading.Barrier(len(parts))
+        programs.append(_tv_program(p, noisy, mu, lam, bands, buf, above, below, z, kappa))
+    snapshot()
+    barrier = threading.Barrier(len(parts), action=snapshot)
     failures = [None] * len(parts)
 
     def step_part(j):
         try:
-            for step in range(2, iterations + 1):
+            for step in steps:
                 with trap_divergence(f"iterate diverged in step {step}"):
-                    _tv_run(programs[j][step % 2])
+                    _tv_run(programs[j])
                 barrier.wait()
         except threading.BrokenBarrierError:
             pass  # another part failed

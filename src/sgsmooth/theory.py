@@ -255,17 +255,22 @@ class SvmTightBound(NamedTuple):
     alpha: float
 
 
+def svm_tight_rate(mu, rho):
+    """Contraction factor 1 - 2 mu rho + 2 mu^2 rho^2 of the joint update-moment
+    argument: in [0, 1) only for mu rho < 1, and inf or NaN past the float range."""
+    return 1.0 - 2.0 * mu * rho + 2.0 * mu * mu * rho * rho
+
+
 def svm_tight_bound(mu, rho, w_star_norm2, trace_rh):
     """Sharper SVM steady-state bound from the joint update-moment argument.
 
     Returns mu (rho^2 ||w*||^2 + rho + Tr(R_h)/2) together with its
-    contraction factor alpha = 1 - 2 mu rho + 2 mu^2 rho^2.
+    contraction factor alpha, :func:`svm_tight_rate`.
     """
     if mu <= 0 or rho <= 0:
         raise ValueError("mu and rho must be positive")
     bound = mu * (rho**2 * w_star_norm2 + rho + 0.5 * trace_rh)
-    alpha = 1.0 - 2.0 * mu * rho + 2.0 * mu * mu * rho * rho
-    return SvmTightBound(bound, alpha)
+    return SvmTightBound(bound, svm_tight_rate(mu, rho))
 
 
 @dataclass(frozen=True, eq=False)

@@ -550,6 +550,42 @@ def test_verify_sample_too_large_to_allocate_is_config_error(tmp_path, capsys, k
     assert f"[verify] {key} = {HUGE} is too large" in err and "Traceback" not in err
 
 
+# 10**20 is past numpy's index range, so numpy refuses it with ValueError or
+# OverflowError, not MemoryError; so does 2**63 as a LIBSVM feature index
+PAST_INDEX = str(10**20)
+
+
+@pytest.mark.parametrize("command, template, key", [
+    ("run", LASSO_QUICK, "dim"),
+    ("run", SVM_QUICK, "train_size"),
+    ("run", LASSO_QUICK, "replications"),
+    ("verify", LASSO_QUICK, "pairs"),
+    ("verify", LASSO_QUICK, "probes"),
+    ("verify", LASSO_QUICK, "noise_samples"),
+    ("svm-train", None, "feature index"),
+], ids=["dim", "train_size", "replications", "pairs", "probes", "noise_samples", "libsvm-index"])
+def test_size_past_numpys_index_range_exits_with_documented_code(tmp_path, capsys, command,
+                                                                  template, key):
+    if template is None:
+        path = tmp_path / "huge.libsvm"
+        path.write_text(f"+1 1:0.5 {2**63}:1\n")
+        argv, code = ["svm-train", "--train", str(path)], cli.EXIT_IO
+    else:
+        text = template.format(iterations=200, replications=1, out="unused")
+        path = tmp_path / "huge.ini"
+        path.write_text(re.sub(rf"^{key} = \d+$", f"{key} = {PAST_INDEX}", text, flags=re.M))
+        argv, code = [command, "--config", str(path)], cli.EXIT_CONFIG
+    if command != "verify":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert "too large" in err and "Traceback" not in err
+    if template is not None:
+        assert f"{key} = {PAST_INDEX}" in path.read_text()
+        assert (key if key in ("dim", "train_size") else f"{key} = {PAST_INDEX}") in err
+    assert not list((tmp_path / "out").glob("*"))
+
+
 def test_run_summary_does_not_depend_on_the_worker_count(tmp_path):
     cfg = write_config(tmp_path, LASSO_QUICK, iterations=400, replications=1,
                        out=tmp_path / "unused")
@@ -847,11 +883,10 @@ def test_banded_denoise_equals_whole_image_loop(monkeypatch, height, band_pixels
     noisy = GrayImage(rng.normal(size=(height, 6)), peak=1.0)
     got = problems.tv_denoise(noisy, 0.05, 0.3, 0.9, iterations)
     assert np.array_equal(got, denoise_reference(noisy, 0.05, 0.3, 0.9, iterations))
-    # step 1 takes the image's bands, the later steps the bands of each part
-    first = min(height, -(-height * 6 // band_pixels))
-    later = sum(len(part_bands) for part_bands in expected_parts(height, 6, cli._workers(0, 99)))
+    # every step, the first too, takes the bands of each part
+    per_step = sum(len(part_bands) for part_bands in expected_parts(height, 6, cli._workers(0, 99)))
     bands = sum(len(bands) for _, bands in runs)
-    assert bands == min(iterations, 1) * first + max(iterations - 1, 0) * later
+    assert bands == iterations * per_step
 
 
 def expected_parts(height, width, cpus):
@@ -934,16 +969,15 @@ def test_denoise_parts_equal_whole_image_loop(request, monkeypatch, storm, cpus,
         got = problems.tv_denoise(noisy, 0.05, 0.3, 0.9, iterations)
         assert threading.enumerate() == before
         assert np.array_equal(got, expected)
-        # step 1 steps the image's bands on the calling thread, and each later
-        # step every part on a thread of its own, the first part on this one
-        if iterations:
-            assert calls.pop(0) == (me, tuple(problems.tv_bands(height, 6)))
-        assert sorted(bands for _, bands in calls) == sorted(parts * (iterations - 1))
-        threads = {bands: {thread for thread, b in calls if b == bands} for bands in parts}
-        if iterations > 1:
-            assert threads[parts[0]] == {me}
-            assert all(len(t) == 1 for t in threads.values())
-            assert len(set.union(*threads.values())) == len(parts)
+        # each step steps every part on a thread of its own, the first part on
+        # this one; step 1 and steps 2.. are two runs, each with its threads
+        assert sorted(bands for _, bands in calls) == sorted(parts * iterations)
+        for run in (calls[: len(parts)], calls[len(parts) :]):
+            if run:
+                threads = {bands: {thread for thread, b in run if b == bands} for bands in parts}
+                assert threads[parts[0]] == {me}
+                assert all(len(t) == 1 for t in threads.values())
+                assert len(set.union(*threads.values())) == len(parts)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -979,18 +1013,20 @@ def test_denoise_takes_one_sign_sum_per_sign_unit(monkeypatch, cpus):
     assert len(bands) == 6 and len(updates) == 4 * 6
     assert sorted(set(updates)) == bands
     halves = [(0, 256), (256, 512)]
-    (_, step_1, _), later = runs[0], runs[1:]
-    assert step_1 == halves
-    assert len(later) == 3 * cpus
-    assert sorted(span for _, spans, _ in later for span in spans) == sorted(halves * 3)
-    threads = {span: {t for t, spans, _ in later if span in spans} for span in halves}
-    assert all(len(t) == 1 for t in threads.values())
-    assert len(set.union(*threads.values())) == cpus
+    assert len(runs) == 4 * cpus
+    assert sorted(span for _, spans, _ in runs for span in spans) == sorted(halves * 4)
+    # step 1 and steps 2..4 are two runs, each with its threads
+    step_1, later = runs[:cpus], runs[cpus:]
+    assert sorted(span for _, spans, _ in step_1 for span in spans) == halves
+    for run in (step_1, later):
+        threads = {span: {t for t, spans, _ in run if span in spans} for span in halves}
+        assert all(len(t) == 1 for t in threads.values())
+        assert len(set.union(*threads.values())) == cpus
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_denoise_binds_its_programs_once_per_run(monkeypatch, cpus):
-    # one program for step 1 and two a part, one for each halo slot, however
+    # one program a part for step 1 and one a part for steps 2.., however
     # many steps run
     monkeypatch.setattr(problems, "TV_BAND_PIXELS", 6 * 3)
     set_cpus(monkeypatch, cpus)
@@ -1001,7 +1037,60 @@ def test_denoise_binds_its_programs_once_per_run(monkeypatch, cpus):
     for iterations in (0, 1, 2, 5, 25):
         built.clear()
         problems.tv_denoise(noisy, 0.05, 0.3, 0.9, iterations)
-        assert len(built) == (0 if iterations == 0 else 1 if iterations == 1 else 1 + 2 * cpus)
+        assert len(built) == (0 if iterations == 0 else cpus if iterations == 1 else 2 * cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_tv_steps_builds_one_program_per_part_per_call(monkeypatch, cpus):
+    # every program is built inside a _tv_steps call, one for each part, in
+    # the order of the parts: step 1's call and the call of steps 2..
+    monkeypatch.setattr(problems, "TV_BAND_PIXELS", 6 * 3)
+    set_cpus(monkeypatch, cpus)
+    noisy = GrayImage(np.random.default_rng(12).normal(size=(9, 6)), peak=1.0)
+    calls = []  # the bands of each program built, by _tv_steps call
+    build, tv_steps = problems._tv_program, problems._tv_steps
+    monkeypatch.setattr(problems, "_tv_steps", lambda *args: calls.append([]) or tv_steps(*args))
+    monkeypatch.setattr(problems, "_tv_program",
+                        lambda *args: calls[-1].append(args[4]) or build(*args))
+    parts = expected_parts(9, 6, cpus)
+    for iterations in (1, 2, 25):
+        calls.clear()
+        problems.tv_denoise(noisy, 0.05, 0.3, 0.9, iterations)
+        assert calls == [parts] * min(iterations, 2)
+
+
+def test_tv_subgradient_step_enters_tv_steps_once(monkeypatch):
+    # the step is step 1 of the one step runner, with no numerator
+    entered = []
+    tv_steps = problems._tv_steps
+    monkeypatch.setattr(problems, "_tv_steps",
+                        lambda *args: entered.append((args[1], args[6])) or tv_steps(*args))
+    img = GrayImage(np.random.default_rng(13).normal(size=(9, 6)), peak=1.0)
+    problems.tv_subgradient_step(img, img, 0.05, 0.3)
+    assert entered == [(None, range(1, 2))]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_tv_subgradient_step_reports_the_topmost_failed_part(monkeypatch, switch_storm, cpus):
+    # with lam = 0 a row overflows only where its fidelity term does: the
+    # lowest part in the multiply by mu, the part above it already in
+    # p - noisy, and on 3 CPUs the top part not at all.  Whichever part's
+    # thread fails first, the topmost failure is the one raised.
+    monkeypatch.setattr(problems, "TV_BAND_PIXELS", 6)
+    set_cpus(monkeypatch, cpus)
+    parts = problems._tv_parts(9, 6)
+    assert len(parts) == cpus
+    p, noisy = np.zeros((9, 6)), np.zeros((9, 6))
+    (lo, hi, _), (bottom, _, _) = parts[-2], parts[-1]
+    p[lo:hi], noisy[lo:hi] = 1e308, -1e308
+    p[bottom:] = 1e10
+    img, noisy = GrayImage(p, peak=1.0), GrayImage(noisy, peak=1.0)
+    before = threading.enumerate()
+    for _ in range(10):
+        with pytest.raises(NumericError,
+                           match=r"^overflow encountered in subtract: iterate diverged in step 1$"):
+            problems.tv_subgradient_step(img, noisy, 1e300, 0.0)
+        assert threading.enumerate() == before
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -1098,7 +1187,8 @@ def test_denoise_divergence_in_parts_is_one_failure(tmp_path, capsys, monkeypatc
 
 def test_denoise_reports_the_topmost_failed_part(monkeypatch):
     # the parts fail in step 3, the lower ones first in time, each with a
-    # cause of its own; the topmost part's failure is the one raised
+    # cause of its own; the topmost part's failure is the one raised.  Each
+    # part runs its program once a step, step 1 included.
     monkeypatch.setattr(problems, "TV_BAND_PIXELS", 6)
     set_cpus(monkeypatch, 3)
     bands_of = bind_bands(monkeypatch)
@@ -1108,7 +1198,7 @@ def test_denoise_reports_the_topmost_failed_part(monkeypatch):
     def failing(program):
         lo = bands_of(program)[0][0]
         steps[lo] = steps.get(lo, 0) + 1
-        if steps[lo] == 2 and lo > 0:  # step 3 of a part below the top
+        if steps[lo] == 3 and lo > 0:  # step 3 of a part below the top
             time.sleep(0.02 * (10 - lo))
             raise FloatingPointError(f"part at row {lo}")
         return run(program)
@@ -1161,8 +1251,9 @@ def test_denoise_output_does_not_depend_on_the_parts(tmp_path, monkeypatch):
 
 
 def test_denoise_steps_without_a_float_copy_of_clean(tmp_path, monkeypatch):
-    # while the steps run, the traced memory holds the noisy image, the
-    # iterate and the numerator in float64, and --clean only in 8 bits
+    # while the steps run, step 1 in tv_subgradient_step and steps 2.. after
+    # it, the traced memory holds the noisy image, the iterate and the
+    # numerator in float64, and --clean only in 8 bits
     height, width = 128, 96
     clean = tmp_path / "clean.pgm"
     data.write_pgm(GrayImage(np.random.default_rng(8).uniform(0, 255, (height, width))),
@@ -1179,7 +1270,8 @@ def test_denoise_steps_without_a_float_copy_of_clean(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert rc == cli.EXIT_OK
     pixels = height * width
-    assert len(held) == 1 and held[0] < 3 * 8 * pixels + pixels + 64 * 1024
+    assert len(held) == 2
+    assert all(h < 3 * 8 * pixels + pixels + 64 * 1024 for h in held)
 
 
 @pytest.mark.parametrize("noise_std, psnrs", [

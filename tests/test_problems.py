@@ -684,21 +684,27 @@ def test_tv_subgradient_step_bands_equal_whole_image_formula(monkeypatch, name, 
     assert np.array_equal(out.pixels, expected)
 
 
-def test_tv_subgradient_step_holds_one_band_of_buffers():
-    # the step's traced peak is its output image plus one band's buffers,
-    # with room for a few Python objects; whole-image buffers would add 4 MiB
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_tv_subgradient_step_holds_one_band_of_buffers(monkeypatch, cpus):
+    # the step's traced peak is its output image, the buffers of each part
+    # (one sign unit and one band) and the slot of the parts' edge rows, with
+    # room for a few Python objects; whole-image float buffers would add 6 MiB
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
     height, width = 512, 768
     img = GrayImage(np.random.default_rng(23).uniform(size=(height, width)), peak=1.0)
-    bands = problems.tv_bands(height, width)
-    assert len(bands) > 1
-    band_bytes = sum(a.nbytes for a in problems.TvBuffers.for_bands(bands, width))
+    parts = problems._tv_parts(height, width)
+    assert len(parts) == cpus and len(problems.tv_bands(height, width)) > cpus
+    part_bytes = sum(a.nbytes for _, _, bands in parts
+                     for a in problems.TvBuffers.for_bands(bands, width))
+    edge_bytes = len(parts) * 2 * width * 8
     tracemalloc.start()
     try:
         out = problems.tv_subgradient_step(img, img, mu=0.01, lam=0.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < out.pixels.nbytes + band_bytes + 64 * 1024
+    assert peak < out.pixels.nbytes + part_bytes + edge_bytes + 64 * 1024
 
 
 def step_part(p, noisy, mu, lam, bands, buf, above=None, below=None, z=None, kappa=0.0):
