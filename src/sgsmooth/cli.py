@@ -310,10 +310,14 @@ def _require_count(flag, value):
 def _smoothing_factor(name, setting, alpha, step):
     """The smoothing factor that ``setting``, of the key or flag ``name``, gives:
     ``auto`` is the rate ``alpha``, in [0, 1) only while the step size
-    ``step`` is below its ceiling, and any other setting a number in [0, 1)."""
+    ``step`` is below its ceiling and large enough to move alpha below 1, and
+    any other setting a number in [0, 1)."""
     if setting.strip() == "auto":
         if not 0.0 <= alpha < 1.0:  # NaN fails too
-            raise ConfigError(f"{step} is above the step-size ceiling: {name} = auto, "
+            # a step too small to move alpha below 1 rounds it to exactly 1
+            where = ("at the step-size ceiling or too small to move alpha below 1"
+                     if alpha == 1.0 else "above the step-size ceiling")
+            raise ConfigError(f"{step} is {where}: {name} = auto, "
                               f"the rate alpha = {alpha:.6g}, lies outside [0, 1)")
         return alpha
     try:

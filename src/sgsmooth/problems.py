@@ -539,7 +539,7 @@ def _tv_units(bands):
 
 
 class TvBuffers(NamedTuple):
-    """Working memory of :func:`_tv_program` for some bands of an image.
+    """Working memory of :func:`_tv_program` for the sign units of some bands.
 
     Allocated once and bound into the program of those bands, which reuses
     it for every unit and band of every step, so a step allocates nothing.
@@ -550,7 +550,6 @@ class TvBuffers(NamedTuple):
     lt: np.ndarray
     scratch: np.ndarray  # float64, one row per band row
     scaled: np.ndarray  # float64, lam times a band's sign sum
-    edge: np.ndarray  # float64, the old last row of the unit above
 
     @classmethod
     def for_bands(cls, bands, width):
@@ -564,24 +563,20 @@ class TvBuffers(NamedTuple):
             np.empty(pairs, dtype=bool),
             np.empty((band_rows, width)),
             np.empty((band_rows, width)),
-            np.empty(width),
         )
 
 
-def _tv_sign_sum_rows(p, lo, hi, buf, above=None, below=None):
+def _tv_sign_sum_rows(p, lo, hi, buf, above, below):
     # the calls that write rows [lo, hi) of the sum over existing neighbors
     # of sgn(pixel - neighbor) into buf.sign, and the rows they write; shares
     # the dropped-boundary convention of tv_value so the step is a true
-    # subgradient of fidelity + lam * tv_value.  The halo rows just above and
-    # below [lo, hi) are read from p, or from ``above`` and ``below`` where
-    # given.  The sum lies in [-4, 4].  p is C-contiguous.
-    height, width = p.shape
+    # subgradient of fidelity + lam * tv_value.  The old rows just above and
+    # below [lo, hi) are ``above`` and ``below``, None at the image's edge;
+    # no row of p outside [lo, hi) is read.  The sum lies in [-4, 4].  p is
+    # C-contiguous.
+    width = p.shape[1]
     rows = hi - lo
     band = p[lo:hi]
-    if above is None and lo > 0:
-        above = p[lo - 1]
-    if below is None and hi < height:
-        below = p[hi]
     # vertical pair j joins row j - 1 to row j, the halo rows standing as
     # rows -1 and `rows`; a pair that leaves the image has no sign
     gt = buf.gt[: (rows + 1) * width].reshape(rows + 1, width)
@@ -613,35 +608,28 @@ def _tv_sign_sum_rows(p, lo, hi, buf, above=None, below=None):
     return calls, g
 
 
-def _tv_program(p, noisy, mu, lam, bands, buf, above=None, below=None, z=None, kappa=0.0):
+def _tv_program(p, noisy, mu, lam, units, halos, buf, z=None, kappa=0.0):
     # The calls, as (f, args) pairs over views made here, that advance the
-    # rows of ``bands`` (contiguous, in order) of p in place to the next
-    # iterate p - ((p - noisy) + lam * S(p)) * mu, S the sign sum of the old
-    # iterate; _tv_run runs them, once per step of _tv_steps.  Each sign
-    # unit takes its sign sum in one pass, then updates its bands one by one;
-    # where z is given, each band then advances the same rows of the
-    # numerator, z = kappa z + p, while they are in cache.  The old last row
-    # of a unit goes to buf.edge before the unit is written, for the sign sum
-    # of the unit below, so every unit reads the old iterate.  ``above`` and
-    # ``below``, where given, stand in for the old rows of p just above the
-    # first band and just below the last one, for a part whose neighbouring
-    # parts write their rows meanwhile.  ``buf`` is
-    # TvBuffers.for_bands(bands, width); a run allocates nothing.  mu, lam
-    # and kappa are bound as 0-d operands: numpy would convert a Python
+    # rows of ``units`` (sign units of contiguous bands, in order) of p in
+    # place to the next iterate p - ((p - noisy) + lam * S(p)) * mu, S the
+    # sign sum of the old iterate; _tv_run runs them, once per step of
+    # _tv_steps.  Each unit takes its sign sum in one pass, then updates its
+    # bands one by one; where z is given, each band then advances the same
+    # rows of the numerator, z = kappa z + p, while they are in cache.  A
+    # unit's pair of ``halos`` stands in for the old rows of p just above and
+    # just below it, None at the image's edge, so every unit reads the old
+    # iterate although the units around it are written meanwhile.  ``buf`` is
+    # TvBuffers.for_bands of the units' bands; a run allocates nothing.  mu,
+    # lam and kappa are bound as 0-d operands: numpy would convert a Python
     # float on every call.  Run under trap_divergence: from finite pixels
     # only an overflow or invalid operation makes a non-finite one, and it
     # raises before its band advances z.  Arguments are not checked here.
     mu, lam, kappa = (np.array(x, dtype=float) for x in (mu, lam, kappa))
     program = []
-    units = _tv_units(bands)
-    for k, unit in enumerate(units):
-        lo, hi = unit[0][0], unit[-1][1]
-        last = k == len(units) - 1
-        calls, g = _tv_sign_sum_rows(p, lo, hi, buf, above, below if last else None)
+    for unit, (above, below) in zip(units, halos):
+        lo = unit[0][0]
+        calls, g = _tv_sign_sum_rows(p, lo, unit[-1][1], buf, above, below)
         program += calls
-        if not last:
-            program.append((np.copyto, (buf.edge, p[hi - 1])))
-            above = buf.edge
         for a, b in unit:
             rows = b - a
             band, scratch, scaled = p[a:b], buf.scratch[:rows], buf.scaled[:rows]
@@ -738,33 +726,37 @@ def _tv_steps(p, z, noisy, mu, lam, kappa, steps):
 
     Each step maps p to p - ((p - noisy) + lam * S(p)) * mu, S the sign sum
     of the old iterate, and advances z = kappa z + p where ``z`` is given.
-    The row parts of _tv_parts each run one program of _tv_program over
-    buffers of their own, on a thread of their own, the calling thread
-    taking the first.  A part reads its neighbours' rows not from ``p``,
-    which they write meanwhile, but from one slot of edge rows, which the
-    action of the parts' barrier fills once a step while every part waits.
-    Every operation is elementwise, so the result depends on neither the
-    parts, the units nor the bands.  Each step runs under trap_divergence
-    naming it.  A part that fails breaks the barrier, and all failures come
-    in the same step; the topmost part's is raised once every thread has
-    ended.
+    The row parts of _tv_parts each run one program of _tv_program over the
+    sign units of their bands and buffers of their own, on a thread of their
+    own, the calling thread taking the first.  Every unit reads the rows
+    just around it not from ``p``, which its own part and the neighbouring
+    parts write meanwhile, but from one halo slot of the first and the last
+    row of every unit, which the action of the parts' barrier fills once a
+    step while every part waits.  Every operation is elementwise, so the
+    result depends on neither the parts, the units nor the bands.  Each step
+    runs under trap_divergence naming it.  A part that fails breaks the
+    barrier, and all failures come in the same step; the topmost part's is
+    raised once every thread has ended.
     """
-    parts = _tv_parts(*p.shape)
+    parts = [(bands, _tv_units(bands)) for _, _, bands in _tv_parts(*p.shape)]
+    spans = [(unit[0][0], unit[-1][1]) for _, units in parts for unit in units]
     width = p.shape[1]
-    edges = np.empty((len(parts), 2, width))  # the first and the last row of each part
+    halo = np.empty((len(spans), 2, width))  # the first and the last row of each unit
 
     def snapshot():
-        for j, (lo, hi, _) in enumerate(parts):
-            edges[j, 0], edges[j, 1] = p[lo], p[hi - 1]
+        for k, (lo, hi) in enumerate(spans):
+            halo[k, 0], halo[k, 1] = p[lo], p[hi - 1]
 
+    # each unit's old rows just above and below it, in the order of the units
+    halos = iter([(halo[k - 1, 1] if k > 0 else None,
+                   halo[k + 1, 0] if k + 1 < len(spans) else None) for k in range(len(spans))])
     programs = []
-    for j, (lo, hi, bands) in enumerate(parts):
-        above = edges[j - 1, 1] if j > 0 else None
-        below = edges[j + 1, 0] if j + 1 < len(parts) else None
+    for bands, units in parts:
         # allocated on the calling thread: a worker thread's malloc arena would
         # keep them resident after the steps, beside the arrays that follow
         buf = TvBuffers.for_bands(bands, width)
-        programs.append(_tv_program(p, noisy, mu, lam, bands, buf, above, below, z, kappa))
+        programs.append(_tv_program(p, noisy, mu, lam, units, [next(halos) for _ in units],
+                                    buf, z, kappa))
     snapshot()
     barrier = threading.Barrier(len(parts), action=snapshot)
     failures = [None] * len(parts)

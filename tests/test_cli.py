@@ -337,27 +337,50 @@ def test_kappa_setting_follows_one_rule(tmp_path, capsys, command, name, setting
         assert not (tmp_path / "out").exists()
 
 
+def auto_kappa_argv(tmp_path, argv, run_mu):
+    # argv with its inputs and --out: run at [run] mu = run_mu, denoise or
+    # svm-train, each with kappa auto
+    out = tmp_path / "out"
+    if argv[0] == "run":
+        text = LASSO_QUICK.replace("kappa = 0.999", "kappa = auto").replace("mu = 0.001",
+                                                                          f"mu = {run_mu}")
+        argv = argv + ["--config", str(write_config(tmp_path, text, iterations=200,
+                                                    replications=1, out=out))]
+    elif argv[0] == "denoise":
+        argv = argv + ["--clean", str(piecewise_image(tmp_path)), "--noise-std", "0.1"]
+    else:
+        path = tmp_path / "toy.libsvm"
+        path.write_text("+1 1:1.0\n-1 1:-1.0\n")
+        argv = argv + ["--train", str(path)]
+    return argv + ["--out", str(out)]
+
+
 @pytest.mark.parametrize("argv, step", [
     (["run"], "[run] mu"),
     (["denoise", "--mu", "0.6"], "--mu"),
     (["svm-train", "--mu", "2", "--rho", "1"], "mu*rho"),
 ], ids=["run", "denoise", "svm-train"])
 def test_auto_kappa_above_the_step_size_ceiling_is_config_error(tmp_path, capsys, argv, step):
-    out = tmp_path / "out"
-    if argv[0] == "run":
-        text = LASSO_QUICK.replace("kappa = 0.999", "kappa = auto").replace("mu = 0.001", "mu = 10")
-        argv += ["--config", str(write_config(tmp_path, text, iterations=200, replications=1,
-                                              out=out))]
-    elif argv[0] == "denoise":
-        argv += ["--clean", str(piecewise_image(tmp_path)), "--noise-std", "0.1"]
-    else:
-        path = tmp_path / "toy.libsvm"
-        path.write_text("+1 1:1.0\n-1 1:-1.0\n")
-        argv += ["--train", str(path)]
-    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert cli.main(auto_kappa_argv(tmp_path, argv, 10)) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert step in err and "ceiling" in err and "Traceback" not in err
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, step", [
+    (["run"], "[run] mu = 1e-300"),
+    (["denoise", "--mu", "1e-320"], "--mu 1e-320"),
+    (["svm-train", "--mu", "1e-300", "--rho", "1e-300"], "mu*rho = 0"),
+], ids=["run", "denoise", "svm-train"])
+def test_auto_kappa_of_a_step_too_small_to_move_alpha_is_config_error(tmp_path, capsys, argv,
+                                                                       step):
+    # alpha rounds to exactly 1: the step is not above the ceiling, but at it
+    # or too small to take the rate below 1
+    assert cli.main(auto_kappa_argv(tmp_path, argv, 1e-300)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{step} is at the step-size ceiling or too small to move alpha below 1" in err
+    assert "alpha = 1," in err and "above" not in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "verify"])
@@ -906,13 +929,14 @@ def set_cpus(monkeypatch, count):
 
 
 def bind_bands(monkeypatch):
-    # the lookup from a program that _tv_program builds to the bands it steps
+    # the lookup from a program that _tv_program builds to the bands of the
+    # sign units it steps
     built = []
     build = problems._tv_program
 
-    def recorded(p, noisy, mu, lam, bands, *rest):
-        program = build(p, noisy, mu, lam, bands, *rest)
-        built.append((program, tuple(bands)))
+    def recorded(p, noisy, mu, lam, units, *rest):
+        program = build(p, noisy, mu, lam, units, *rest)
+        built.append((program, tuple(band for unit in units for band in unit)))
         return program
 
     monkeypatch.setattr(problems, "_tv_program", recorded)
@@ -1024,6 +1048,49 @@ def test_denoise_takes_one_sign_sum_per_sign_unit(monkeypatch, cpus):
         assert len(set.union(*threads.values())) == cpus
 
 
+@pytest.mark.parametrize("unit_bands", [1, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_every_sign_unit_reads_its_halo_rows_from_the_barrier_slot(monkeypatch, cpus,
+                                                                   unit_bands):
+    # one halo rule: no sign sum reads a row of p outside its own rows [lo, hi),
+    # and no program copies a row of p, so the old rows around every unit come
+    # from the slot that the barrier action fills.  Bands of one row give
+    # parts of several units.
+    monkeypatch.setattr(problems, "TV_BAND_PIXELS", 6)
+    monkeypatch.setattr(problems, "TV_UNIT_BANDS", unit_bands)
+    set_cpus(monkeypatch, cpus)
+    parts = problems._tv_parts(16, 6)
+    units = sum(len(problems._tv_units(bands)) for _, _, bands in parts)
+    assert units > len(parts) == cpus
+    outside = []  # per sign sum bound: the rows of p outside [lo, hi) that it reads
+    sign_sum = problems._tv_sign_sum_rows
+
+    def bound(p, lo, hi, *rest):
+        calls, g = sign_sum(p, lo, hi, *rest)
+        outside.append([a for _, args in calls for a in args if isinstance(a, np.ndarray)
+                        and (np.shares_memory(a, p[:lo]) or np.shares_memory(a, p[hi:]))])
+        return calls, g
+
+    monkeypatch.setattr(problems, "_tv_sign_sum_rows", bound)
+    copies = []  # the copies of a row of p that a program makes
+    build = problems._tv_program
+
+    def recorded(p, *rest):
+        program = build(p, *rest)
+        copies.extend(args for f, args in program
+                      if f is np.copyto and np.shares_memory(args[1], p))
+        return program
+
+    monkeypatch.setattr(problems, "_tv_program", recorded)
+    noisy = GrayImage(np.random.default_rng(16).normal(size=(16, 6)), peak=1.0)
+    got = problems.tv_denoise(noisy, 0.05, 0.3, 0.9, 3)
+    assert np.array_equal(got, denoise_reference(noisy, 0.05, 0.3, 0.9, 3))
+    # step 1 and steps 2.. each bind one sign sum per unit
+    assert len(outside) == 2 * units
+    assert not any(outside) and not copies
+    assert "edge" not in problems.TvBuffers._fields
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_denoise_binds_its_programs_once_per_run(monkeypatch, cpus):
     # one program a part for step 1 and one a part for steps 2.., however
@@ -1050,8 +1117,8 @@ def test_tv_steps_builds_one_program_per_part_per_call(monkeypatch, cpus):
     calls = []  # the bands of each program built, by _tv_steps call
     build, tv_steps = problems._tv_program, problems._tv_steps
     monkeypatch.setattr(problems, "_tv_steps", lambda *args: calls.append([]) or tv_steps(*args))
-    monkeypatch.setattr(problems, "_tv_program",
-                        lambda *args: calls[-1].append(args[4]) or build(*args))
+    monkeypatch.setattr(problems, "_tv_program", lambda *args: calls[-1].append(
+        [band for unit in args[4] for band in unit]) or build(*args))
     parts = expected_parts(9, 6, cpus)
     for iterations in (1, 2, 25):
         calls.clear()

@@ -641,15 +641,18 @@ def tv_sign_sum_cases():
 
 @pytest.mark.parametrize("name", sorted(tv_sign_sum_cases()))
 def test_tv_sign_sum_equals_float_sign_reference(name):
-    # every row band [lo, hi), read through its halo rows, against the
-    # reference rows; a band with spare buffer rows must not mind them
+    # every row band [lo, hi), read through the halo rows it is given, None
+    # at the image's edge, against the reference rows; a band with spare
+    # buffer rows must not mind them
     p = tv_sign_sum_cases()[name]
     ref = tv_sign_sum_reference(p)
     height, width = p.shape
     for lo in range(height):
         for hi in range(lo + 1, height + 1):
             buf = problems.TvBuffers.for_bands([(0, hi - lo + lo % 2)], width)
-            calls, got = problems._tv_sign_sum_rows(p, lo, hi, buf)
+            above = p[lo - 1].copy() if lo > 0 else None
+            below = p[hi].copy() if hi < height else None
+            calls, got = problems._tv_sign_sum_rows(p, lo, hi, buf, above, below)
             problems._tv_run(calls)
             assert np.array_equal(got, ref[lo:hi]), (lo, hi)
             assert np.abs(got).max() <= 4
@@ -687,8 +690,9 @@ def test_tv_subgradient_step_bands_equal_whole_image_formula(monkeypatch, name, 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_tv_subgradient_step_holds_one_band_of_buffers(monkeypatch, cpus):
     # the step's traced peak is its output image, the buffers of each part
-    # (one sign unit and one band) and the slot of the parts' edge rows, with
-    # room for a few Python objects; whole-image float buffers would add 6 MiB
+    # (one sign unit and one band) and the halo slot of two rows per sign
+    # unit, with room for a few Python objects; whole-image float buffers
+    # would add 6 MiB
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     height, width = 512, 768
@@ -697,19 +701,26 @@ def test_tv_subgradient_step_holds_one_band_of_buffers(monkeypatch, cpus):
     assert len(parts) == cpus and len(problems.tv_bands(height, width)) > cpus
     part_bytes = sum(a.nbytes for _, _, bands in parts
                      for a in problems.TvBuffers.for_bands(bands, width))
-    edge_bytes = len(parts) * 2 * width * 8
+    units = sum(len(problems._tv_units(bands)) for _, _, bands in parts)
+    halo_bytes = units * 2 * width * 8
     tracemalloc.start()
     try:
         out = problems.tv_subgradient_step(img, img, mu=0.01, lam=0.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < out.pixels.nbytes + part_bytes + edge_bytes + 64 * 1024
+    assert peak < out.pixels.nbytes + part_bytes + halo_bytes + 64 * 1024
 
 
 def step_part(p, noisy, mu, lam, bands, buf, above=None, below=None, z=None, kappa=0.0):
-    # one step of the given bands, as tv_denoise runs it: a bound program
-    program = problems._tv_program(p, noisy, mu, lam, bands, buf, above, below, z, kappa)
+    # one step of the given bands, as a part of _tv_steps runs it: a bound
+    # program whose sign units read the old rows around them from copies
+    # taken before the step, and from above and below at the part's ends
+    units = problems._tv_units(bands)
+    ends = [(p[unit[0][0]].copy(), p[unit[-1][1] - 1].copy()) for unit in units]
+    halos = [(ends[k - 1][1] if k > 0 else above,
+              ends[k + 1][0] if k + 1 < len(units) else below) for k in range(len(units))]
+    program = problems._tv_program(p, noisy, mu, lam, units, halos, buf, z, kappa)
     problems._tv_run(program)
     return program
 
@@ -741,9 +752,10 @@ def test_tv_step_bands_rejects_a_non_finite_band():
 
 
 def test_tv_step_part_writes_in_place_unit_by_unit(monkeypatch):
-    # every unit reads the old iterate although the units above it are
-    # already written; each band is updated and smoothed once, in order,
-    # with units of one band, of two, of up to three and of all five
+    # every unit reads the old iterate, its inner halo rows given, although
+    # the units above it are already written; each band is updated and
+    # smoothed once, in order, with units of one band, of two, of up to three
+    # and of all five
     p = tv_sign_sum_cases()["normals"]
     noisy = np.random.default_rng(27).normal(size=p.shape)
     expected = p - 0.1 * ((p - noisy) + 0.3 * tv_sign_sum_reference(p))
@@ -767,8 +779,9 @@ def test_tv_step_part_writes_in_place_unit_by_unit(monkeypatch):
 ])
 def test_tv_step_bands_reads_the_given_halo_rows(monkeypatch, lo, hi, bands):
     # rows [lo, hi) step as in the whole image although the rows around
-    # them in p are already overwritten: the halo rows come from above/below,
-    # with the part as one sign unit and as one unit per band
+    # them in p are already overwritten: the halo rows come from above/below
+    # at the part's ends, and from the given inner halo rows between its
+    # units, with the part as one sign unit and as one unit per band
     p = tv_sign_sum_cases()["normals"]
     noisy = np.random.default_rng(28).normal(size=p.shape)
     expected = p - 0.1 * ((p - noisy) + 0.3 * tv_sign_sum_reference(p))
