@@ -229,7 +229,7 @@ class _SvmBundle:
         sampler = data.TwoClassGaussianSampler(self.spec, seed + 10**6)
         feats, labels = sampler.draw_batch(train_size)
         self.problem = problems.SvmSampleSet(feats, labels, rho)
-        # signed rows with label +1: the same samples in the form subgradient_batch reads
+        # signed rows with label +1: the same samples in the form batch_kernel reads
         self.stream_factory = functools.partial(
             data.SetSampler, self.problem.signed, np.ones_like(labels)
         )
@@ -429,6 +429,15 @@ def _report_check(name, ok, detail):
     return ok
 
 
+def _count_check(name, seed, pairs, what, check):
+    # check(rng) counts violations over the pairs it draws from rng; an
+    # overflowed pair compares as no violation, so the trap fails the check
+    rng = np.random.default_rng(seed)
+    with _too_large(f"[verify] pairs = {pairs}"), trap_divergence(f"check {name} diverged"):
+        viol = check(rng)
+    return _report_check(name, viol == 0, f"{viol}/{pairs} {what}")
+
+
 def _noise_probes(w_star, dim, rng, count):
     # w* and count - 1 points about it, at distances up a ladder of scales,
     # drawn in one call: row-major draws take one generator word per value
@@ -478,30 +487,17 @@ def cmd_verify(ns):
     if bundle.kind == "svm":
         print(_certificate_line(bundle.certificate, bundle.oracle_cap))
 
-    # an overflowed pair compares as no violation: the trap fails the check
-    rng = np.random.default_rng(seed + 1)
-    with (_too_large(f"[verify] pairs = {pairs}"),
-          trap_divergence("check subgradient-inequality diverged")):
-        viol = theory.verify_subgradient_inequality(
-            p.risk, p.risk_and_subgradient, dim, pairs, rng, scale=scale
-        )
-    all_ok &= _report_check(
-        "subgradient-inequality",
-        viol == 0,
-        f"{viol}/{pairs} violations beyond 1e-9 relative slack",
+    all_ok &= _count_check(
+        "subgradient-inequality", seed + 1, pairs, "violations beyond 1e-9 relative slack",
+        lambda rng: theory.verify_subgradient_inequality(
+            p.risk, p.risk_and_subgradient, dim, pairs, rng, scale=scale),
     )
 
     k = bundle.constants if bundle.kind == "svm" else bundle.constants_spectral
-    rng = np.random.default_rng(seed + 2)
-    with (_too_large(f"[verify] pairs = {pairs}"),
-          trap_divergence("check affine-lipschitz diverged")):
-        viol = theory.verify_affine_lipschitz(
-            p.true_subgradient, dim, k.c, k.d, pairs, rng, scale=scale
-        )
-    all_ok &= _report_check(
-        "affine-lipschitz",
-        viol == 0,
-        f"{viol}/{pairs} violations with c={k.c:.6g}, d={k.d:.6g}",
+    all_ok &= _count_check(
+        "affine-lipschitz", seed + 2, pairs, f"violations with c={k.c:.6g}, d={k.d:.6g}",
+        lambda rng: theory.verify_affine_lipschitz(
+            p.true_subgradient, dim, k.c, k.d, pairs, rng, scale=scale),
     )
 
     rng = np.random.default_rng(seed + 3)
@@ -525,17 +521,10 @@ def cmd_verify(ns):
     )
 
     if bundle.kind == "lasso":
-        rng = np.random.default_rng(seed + 5)
-        with (_too_large(f"[verify] pairs = {pairs}"),
-              trap_divergence("check strong-monotonicity diverged")):
-            viol = theory.verify_strong_monotonicity(
-                p.true_subgradient, bundle.w_star, k.eta, dim, pairs, rng,
-                scale=scale,
-            )
-        all_ok &= _report_check(
-            "strong-monotonicity",
-            viol == 0,
-            f"{viol}/{pairs} violations with eta={k.eta:.6g}",
+        all_ok &= _count_check(
+            "strong-monotonicity", seed + 5, pairs, f"violations with eta={k.eta:.6g}",
+            lambda rng: theory.verify_strong_monotonicity(
+                p.true_subgradient, bundle.w_star, k.eta, dim, pairs, rng, scale=scale),
         )
 
     return EXIT_OK if all_ok else EXIT_PROPERTY
@@ -648,7 +637,7 @@ def cmd_svm_train(ns):
     # no oracle, so the run records nothing; an overflowing margin stops it
     run_cfg = engine.RunConfig(mu=ns.mu, kappa=kappa, iterations=train.n * ns.epochs,
                                seed=ns.seed)
-    # signed rows with label +1: the samples in the form subgradient_batch reads
+    # signed rows with label +1: the samples in the form batch_kernel reads
     stream_factory = functools.partial(data.EpochSampler, problem.signed, np.ones(train.n),
                                        ns.epochs, shuffle=not ns.no_shuffle)
     t0 = time.perf_counter()

@@ -1,12 +1,11 @@
 """Built-in problem families: regularized SVM, stochastic LASSO, TV denoising.
 
-The SVM set and LASSO provide the row-wise subgradient
-``subgradient_batch(W, H, y, out=None)``, which the gradient-noise check
-runs on, through the kernel that ``batch_kernel(rows)`` binds once per
-lockstep run; the SVM set's reads signed rows gamma * h
+The SVM set and LASSO provide the row-wise subgradient through the kernel
+that ``batch_kernel(rows)`` binds, once per lockstep run and once per probe
+of the gradient-noise check; the SVM set's reads signed rows gamma * h
 (:attr:`SvmSampleSet.signed`).  Both also keep the per-sample
 (instantaneous) subgradient of the reference loop
-:func:`sgsmooth.engine.run`, which each batch row matches bit for bit.
+:func:`sgsmooth.engine.run`, which each kernel row matches bit for bit.
 
 A kernel ``kernel(W, H, y, out)`` writes the R rows' subgradients into
 ``out`` and its temporaries into work buffers it closed over, and allocates
@@ -156,7 +155,7 @@ class SvmSampleSet:
 
     @cached_property
     def signed(self):
-        """Signed rows s_k = gamma_k h_k, the rows :meth:`subgradient_batch` reads.
+        """Signed rows s_k = gamma_k h_k, the rows a :meth:`batch_kernel` kernel reads.
 
         C order for s @ w.  A sign flip commutes with rounding, so s_k . w
         equals gamma_k (h_k . w) bit for bit.
@@ -176,8 +175,16 @@ class SvmSampleSet:
     instantaneous_subgradient = SvmProblem.instantaneous_subgradient
 
     def batch_kernel(self, rows):
-        """``kernel(W, H, y, out)``: :meth:`subgradient_batch` on ``rows`` rows,
-        into ``out``, with working memory of its own (see the module notes)."""
+        """``kernel(W, H, y, out)`` for ``rows`` rows, with working memory of its own.
+
+        Row r of ``out`` becomes rho W[r] - [s_r . W[r] <= 1] s_r for the
+        signed row s_r = H[r], and the kernel returns ``out``.  With
+        s_r = gamma h this is ``instantaneous_subgradient(W[r],
+        Sample(h, gamma))`` bit for bit; ``y`` is unused, since the label is
+        already in the row.  Streams for it sample :attr:`signed`, and with
+        label +1 (the sample (gamma h, +1) has the same subgradient) they
+        also feed :meth:`instantaneous_subgradient`.  See the module notes.
+        """
         coef, one = np.array(float(self.rho)), np.array(1.0)
         dots, mask = np.empty(rows), np.empty(rows, dtype=bool)
         mask_rows = np.broadcast_to(mask[:, None], (rows, self.dim))
@@ -195,18 +202,6 @@ class SvmSampleSet:
             return out
 
         return kernel
-
-    def subgradient_batch(self, W, H, y, out=None):
-        """Row r is rho W[r] - [s_r . W[r] <= 1] s_r for the signed row s_r = H[r].
-
-        With s_r = gamma h this is ``instantaneous_subgradient(W[r],
-        Sample(h, gamma))`` bit for bit; ``y`` is unused, since the label is
-        already in the row.  Streams for it sample :attr:`signed`, and with
-        label +1 (the sample (gamma h, +1) has the same subgradient) they
-        also feed :meth:`instantaneous_subgradient`.  The result is written
-        into ``out``, allocated when not given, by :meth:`batch_kernel`.
-        """
-        return self.batch_kernel(len(W))(W, H, y, np.empty(np.shape(W)) if out is None else out)
 
     def risk(self, w):
         """Exact regularized hinge risk on the set."""
@@ -382,8 +377,12 @@ class LassoProblem:
         return self.delta * np.sign(w) - residual * h
 
     def batch_kernel(self, rows):
-        """``kernel(W, H, y, out)``: :meth:`subgradient_batch` on ``rows`` rows,
-        into ``out``, with working memory of its own (see the module notes)."""
+        """``kernel(W, H, y, out)`` for ``rows`` rows, with working memory of its own.
+
+        Row r of ``out`` becomes ``instantaneous_subgradient(W[r],
+        Sample(H[r], y[r]))`` bit for bit, and the kernel returns ``out``.
+        See the module notes.
+        """
         coef = np.array(float(self.delta))
         dots, residuals = np.empty(rows), np.empty(rows)
         spread = np.broadcast_to(residuals[:, None], (rows, self.dim))
@@ -400,14 +399,6 @@ class LassoProblem:
             return out
 
         return kernel
-
-    def subgradient_batch(self, W, H, y, out=None):
-        """Row r is ``instantaneous_subgradient(W[r], Sample(H[r], y[r]))``, bit for bit.
-
-        The result is written into ``out``, allocated when not given, by
-        :meth:`batch_kernel`.
-        """
-        return self.batch_kernel(len(W))(W, H, y, np.empty(np.shape(W)) if out is None else out)
 
     def true_subgradient(self, w):
         """Exact subgradient (w - w_true) + delta sgn(w)."""

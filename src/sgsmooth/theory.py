@@ -98,15 +98,23 @@ def step_size_ceiling(constants):
     return constants.eta / denom
 
 
+def _check_step(mu):
+    # written so that NaN, which fails every comparison, fails it too
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu!r}")
+
+
 class SteadyStateBounds(NamedTuple):
     excess_risk: float
     msd: float
 
 
 def steady_state_bounds(mu, constants):
-    """Limiting bounds: excess risk mu*tau^2/2 and MSD mu*tau^2/eta."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    """Limiting bounds: excess risk mu*tau^2/2 and MSD mu*tau^2/eta.
+
+    Raises ValueError unless 0 < mu < inf.
+    """
+    _check_step(mu)
     tau2 = constants.tau2
     return SteadyStateBounds(0.5 * mu * tau2, mu * tau2 / constants.eta)
 
@@ -117,7 +125,9 @@ def finite_horizon_envelope(mu, alpha, steady_excess, horizon, msd0):
     Returns  alpha^L (1 - alpha) / (2 mu (1 - alpha^L)) * msd0 + steady_excess
     with L = horizon; the transient coefficient is the sharpest one the
     contraction argument yields, decreases in L, and vanishes in the limit.
+    Raises ValueError unless 0 < mu < inf.
     """
+    _check_step(mu)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if msd0 < 0:
@@ -133,9 +143,11 @@ def finite_horizon_bound(mu, constants, horizon, msd0):
     """Excess-risk bound for the smoothed iterate after ``horizon`` iterations.
 
     The contraction factor and steady level come from ``constants``;
-    ``msd0 = E||w_0 - w*||^2``.  Raises when mu exceeds the step-size ceiling
-    (the rate leaves (0, 1) and the contraction argument gives nothing).
+    ``msd0 = E||w_0 - w*||^2``.  Raises ValueError unless 0 < mu < inf, and
+    UnsupportedConfiguration when mu exceeds the step-size ceiling (the rate
+    leaves (0, 1) and the contraction argument gives nothing).
     """
+    _check_step(mu)
     alpha = rate_alpha(mu, constants)
     if not 0.0 < alpha < 1.0:
         raise UnsupportedConfiguration(
@@ -287,14 +299,14 @@ def verify_noise_moments(problem, sampler, w, n):
     """Estimate E[s] and E||s||^2 of the gradient noise at a fixed iterate.
 
     The noise is the instantaneous subgradient minus the problem's true
-    subgradient at ``w``, measured over one ``sampler.draw_batch(n)`` through
-    the problem's ``subgradient_batch``.
+    subgradient at ``w``, measured over one ``sampler.draw_batch(n)`` by the
+    kernel that the problem's ``batch_kernel(n)`` binds, into a fresh array.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     w = np.asarray(w, dtype=float)
     H, y = sampler.draw_batch(n)
-    s = problem.subgradient_batch(np.broadcast_to(w, H.shape), H, y)
+    s = problem.batch_kernel(n)(np.broadcast_to(w, H.shape), H, y, np.empty(H.shape))
     s -= problem.true_subgradient(w)
     q = np.einsum("ij,ij->i", s, s)
     return NoiseMomentReport(

@@ -44,7 +44,7 @@ def test_sgd_step_composes_with_lasso_subgradient():
     W = np.array([[0.5, -0.5]])
     # residual = 3 - (2*0.5 + 1*(-0.5)) = 2.5
     # g = delta*sgn(w) - residual*h = (0.01 - 5.0, -0.01 - 2.5)
-    G = p.subgradient_batch(W, np.array([[2.0, 1.0]]), np.array([3.0]))
+    G = p.batch_kernel(1)(W, np.array([[2.0, 1.0]]), np.array([3.0]), np.empty((1, 2)))
     np.testing.assert_allclose(G, [[0.01 - 5.0, -0.01 - 2.5]], rtol=0, atol=1e-15)
     # the engine's step: G *= mu; W -= G
     G *= 0.1

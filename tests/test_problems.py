@@ -216,17 +216,16 @@ def test_svm_negative_excess_risk_lies_within_certified_gap():
 
 
 def assert_batch_rows_match(p, W, H, y, rows=None, batch_y=None):
-    # subgradient_batch and a batch_kernel kernel read ``rows`` (default H) and
-    # ``batch_y`` (default y); row r must equal the subgradient of
-    # Sample(H[r], y[r]) bit for bit, the sign of every zero included, with
-    # or without ``out``, and from a kernel whose work buffers a call on the
-    # rows in reverse order left stale
+    # a batch_kernel kernel reads ``rows`` (default H) and ``batch_y`` (default
+    # y) and writes into the ``out`` it returns; row r must equal the
+    # subgradient of Sample(H[r], y[r]) bit for bit, the sign of every zero
+    # included, from a fresh kernel and from one whose work buffers a call on
+    # the rows in reverse order left stale
     rows = H if rows is None else rows
     batch_y = y if batch_y is None else batch_y
     refs = [p.instantaneous_subgradient(W[r], Sample(H[r], y[r])) for r in range(W.shape[0])]
-    out = np.full_like(W, np.nan)
-    G = p.subgradient_batch(W, rows, batch_y)
-    assert p.subgradient_batch(W, rows, batch_y, out=out) is out
+    fresh = np.full_like(W, np.nan)
+    assert p.batch_kernel(W.shape[0])(W, rows, batch_y, fresh) is fresh
     kernel = p.batch_kernel(W.shape[0])
     work = inspect.getclosurevars(kernel).nonlocals
     kernel(W, rows[::-1], batch_y[::-1], np.empty_like(W))
@@ -234,7 +233,7 @@ def assert_batch_rows_match(p, W, H, y, rows=None, batch_y=None):
     assert stale
     reused = np.full_like(W, np.nan)
     assert kernel(W, rows, batch_y, reused) is reused
-    for got in (G, out, reused):
+    for got in (fresh, reused):
         assert got.shape == W.shape
         for g, ref in zip(got, refs):
             np.testing.assert_array_equal(g, ref)
@@ -243,7 +242,7 @@ def assert_batch_rows_match(p, W, H, y, rows=None, batch_y=None):
     assert all(stale[name] != work[name].tobytes() for name in stale)
 
 
-def test_svm_subgradient_batch_rows_equal_instantaneous():
+def test_svm_batch_kernel_rows_equal_instantaneous():
     rng = np.random.default_rng(12)
     W = np.vstack([
         np.zeros(3),                   # w = 0: every margin is 0, hinge active
@@ -265,7 +264,7 @@ def test_svm_subgradient_batch_rows_equal_instantaneous():
     # the batch reads the set's signed rows; y is unused
     sset = problems.SvmSampleSet(H, y, 0.01)
     assert_batch_rows_match(sset, W, H, y, rows=sset.signed, batch_y=np.full_like(y, np.nan))
-    G = sset.subgradient_batch(W[:3], sset.signed[:3], y[:3])
+    G = sset.batch_kernel(3)(W[:3], sset.signed[:3], y[:3], np.empty((3, 3)))
     np.testing.assert_array_equal(G[0], H[0])  # -gamma*h with gamma=-1
     np.testing.assert_array_equal(G[1], sset.rho * W[1] - H[1])
     np.testing.assert_array_equal(G[2], sset.rho * W[2] - H[1])
@@ -303,7 +302,7 @@ def test_svm_signed_rows_with_label_one_are_the_same_samples():
         np.testing.assert_array_equal(np.signbit(raw), np.signbit(signed))
 
 
-def test_lasso_subgradient_batch_rows_equal_instantaneous():
+def test_lasso_batch_kernel_rows_equal_instantaneous():
     p = make_lasso(dim=40, delta=0.01)
     rng = np.random.default_rng(13)
     W = rng.normal(size=(6, 40))
@@ -313,7 +312,8 @@ def test_lasso_subgradient_batch_rows_equal_instantaneous():
     y = H @ p.w_true + 0.1 * rng.normal(size=6)
     W[2, 1] = -0.0
     assert_batch_rows_match(p, W, H, y)
-    np.testing.assert_array_equal(p.subgradient_batch(W[:1], H[:1], y[:1])[0], -y[0] * H[0])
+    G = p.batch_kernel(1)(W[:1], H[:1], y[:1], np.empty((1, 40)))
+    np.testing.assert_array_equal(G[0], -y[0] * H[0])
 
 
 def test_mean_hinge_loss_equals_empirical_risk():

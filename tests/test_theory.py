@@ -104,6 +104,18 @@ def test_finite_horizon_bound_rejects_unstable_rate():
         theory.finite_horizon_bound(0.5, k, 10, 1.0)
 
 
+@pytest.mark.parametrize("mu", [0.0, -0.01, math.nan, math.inf])
+def test_bounds_refuse_a_step_that_is_not_positive_and_finite(mu):
+    # unchecked, 0 divided by zero, -0.01 gave a negative envelope, NaN gave
+    # NaN and was blamed on the ceiling
+    k = constants(eta=1.0, c=1.0, d=0.1, sigma2=0.5)
+    for bound in (lambda: theory.steady_state_bounds(mu, k),
+                  lambda: theory.finite_horizon_envelope(mu, 0.5, 0.0, 10, 1.0),
+                  lambda: theory.finite_horizon_bound(mu, k, 10, 1.0)):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            bound()
+
+
 # ---------- constants constructors ----------
 
 
